@@ -11,10 +11,8 @@ import argparse
 import csv
 import sys
 
-from urglab.clusters import connect_clusters, cost_upper_bound, decompose
-from urglab.colourings import bernoulli_model, intensity, sample
+from urglab.cli import _percolation_row
 from urglab.graphs import build_torus_window
-from urglab.reporting import fmt_float
 from urglab.rng import derive_seed
 
 
@@ -37,16 +35,8 @@ def main() -> int:
                          "cost_bound_empirical"))
         for p in grid:
             for trial in range(args.trials):
-                seed = derive_seed(args.seed, f"sweep-p{p}", trial)
-                subset = sample(bernoulli_model([p, 1.0 - p]), w, seed)
-                dec = decompose(w, subset)
-                extra = connect_clusters(w, dec)
-                bound = cost_upper_bound(w, subset, dec, extra)
-                largest = max(dec.sizes) / w.n if dec.count else 0.0
-                writer.writerow((fmt_float(p), trial, fmt_float(intensity(subset, 1)),
-                                 dec.count, fmt_float(largest),
-                                 fmt_float(bound.lemma_bound),
-                                 fmt_float(bound.empirical_bound)))
+                row = _percolation_row(w, p, derive_seed(args.seed, f"sweep-p{p}", trial))
+                writer.writerow((row[0], trial, *row[1:]))
             print(f"p={p:.3f} done")
     print(f"wrote {args.out}")
     return 0

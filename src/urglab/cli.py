@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
@@ -55,6 +56,8 @@ from .transport import BUILTIN_TRANSPORTS, mtp_check
 
 KINDS = ("mtp-check", "kazhdan", "percolation", "palm", "cost-bound", "gauss-check")
 WINDOW_MODELS = ("torus", "cycle", "path", "complete", "random-regular", "window-file")
+# mtp-check parameter -> (keyword of the transport factory, its type)
+_TRANSPORT_ARGS = {"transport_colour": ("colour", int), "transport_value": ("value", float)}
 
 
 class ValidationError(ValueError):
@@ -70,7 +73,6 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     out_dir: str = "."
-    fmt: str = "csv"
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,6 @@ def validate(config: ExperimentConfig) -> list[str]:
         v.append("master seed must be a nonnegative integer")
     if config.trials < 1:
         v.append("trials must be positive")
-    if config.fmt not in ("csv", "json"):
-        v.append("output format must be json or csv")
     p = config.params
 
     def check_window():
@@ -112,7 +112,7 @@ def validate(config: ExperimentConfig) -> list[str]:
                 v.append("torus: dimension d must be positive")
         elif model == "cycle":
             if int(p.get("L", 0)) < 3:
-                v.append("torus: side L must satisfy L >= 3")
+                v.append("cycle: length L must satisfy L >= 3")
         elif model in ("path", "complete"):
             if int(p.get("n", 0)) < 2:
                 v.append(f"{model}: need n >= 2")
@@ -171,6 +171,11 @@ def validate(config: ExperimentConfig) -> list[str]:
         transport = p.get("transport", "constant")
         if transport not in BUILTIN_TRANSPORTS:
             v.append(f"mtp-check: unknown transport {transport}")
+        else:
+            accepted = inspect.signature(BUILTIN_TRANSPORTS[transport]).parameters
+            for key, (arg, _) in _TRANSPORT_ARGS.items():
+                if key in p and arg not in accepted:
+                    v.append(f"mtp-check: transport {transport} takes no {key}")
         if p.get("colouring", "bernoulli") not in ("bernoulli", "constant"):
             v.append("mtp-check: colouring must be bernoulli or constant")
         if int(p.get("colours", 2)) < 1:
@@ -236,11 +241,11 @@ def _run_mtp_check(config: ExperimentConfig, out: Path) -> list[Path]:
     w = build_window(config.params, config.seed)
     c = _colouring_for(config, w)
     factory = BUILTIN_TRANSPORTS[config.params.get("transport", "constant")]
-    kwargs = {}
-    if "transport_colour" in config.params:
-        kwargs["colour"] = int(config.params["transport_colour"])
-    if "transport_value" in config.params:
-        kwargs["value"] = float(config.params["transport_value"])
+    kwargs = {
+        arg: cast(config.params[key])
+        for key, (arg, cast) in _TRANSPORT_ARGS.items()
+        if key in config.params
+    }
     report = mtp_check(w, c, factory(**kwargs))
     path = out / "mtp_report.json"
     write_json(
@@ -442,7 +447,6 @@ def run(config: ExperimentConfig, dry_run: bool = False) -> RunManifest | None:
             "params": _jsonable(config.params),
             "trials": config.trials,
             "seed": config.seed,
-            "format": config.fmt,
         },
         artifact_version=__version__,
         wall_time_s=time.perf_counter() - start,
@@ -477,7 +481,7 @@ def parse_config_file(path: Path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
+            raise ValidationError([f"malformed config line: {raw!r}"])
         key, text = (part.strip() for part in line.split("=", 1))
         try:
             values[key] = json.loads(text)
@@ -486,16 +490,11 @@ def parse_config_file(path: Path) -> dict:
     return values
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="flat key=value config file")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
 
 
 def _add_window_flags(parser: argparse.ArgumentParser) -> None:
@@ -559,27 +558,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _float_list(value) -> list[float]:
+    """Comma-separated text (from a flag) or a JSON list (from a config file)."""
+    if isinstance(value, str):
+        return [float(part) for part in value.split(",") if part.strip()]
+    return [float(x) for x in value]
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """Merge flags over config-file values; a value that cannot be read as
+    its field's type raises ValidationError naming the field."""
     file_values = parse_config_file(args.config) if args.config else {}
 
-    def pick(key, flag_value, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
+    def pick(key, flag_value, default=None, cast=None):
+        value = flag_value if flag_value is not None else file_values.get(key, default)
+        if cast is None or value is None:
+            return value
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            raise ValidationError([f"{key}: invalid value {value!r}"]) from None
 
     kind = args.command
     params: dict = {}
     if kind == "gauss-check":
-        rho = pick("rho", args.rho, "0")
-        params["rho"] = _parse_float_list(rho) if isinstance(rho, str) else list(rho)
-        params["n"] = int(pick("n", args.n, 10**5))
+        params["rho"] = pick("rho", args.rho, "0", _float_list)
+        params["n"] = pick("n", args.n, 10**5, int)
     elif kind == "palm":
-        params["t"] = float(pick("t", args.t, 1.0))
-        params["L"] = float(pick("L", args.L, 20.0))
-        params["d"] = int(pick("d", args.d, 2))
-        params["m"] = int(pick("m", args.m, 10**4))
+        params["t"] = pick("t", args.t, 1.0, float)
+        params["L"] = pick("L", args.L, 20.0, float)
+        params["d"] = pick("d", args.d, 2, int)
+        params["m"] = pick("m", args.m, 10**4, int)
         params["check"] = pick("check", args.check, "cellvol")
         functional = pick("functional", args.functional)
         if functional:
@@ -587,54 +596,51 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     else:
         params["model"] = pick("model", args.model, "torus")
         for key, flag in (("d", args.d), ("L", args.L), ("n", args.n)):
-            value = pick(key, flag)
+            value = pick(key, flag, cast=int)
             if value is not None:
-                params[key] = int(value)
+                params[key] = value
         if params["model"] == "random-regular":
-            params["k_rank"] = int(pick("k_rank", args.k_rank, 2))
-        window_seed = pick("window_seed", args.window_seed)
+            params["k_rank"] = pick("k_rank", args.k_rank, 2, int)
+        window_seed = pick("window_seed", args.window_seed, cast=int)
         if window_seed is not None:
-            params["window_seed"] = int(window_seed)
+            params["window_seed"] = window_seed
         window_file = pick("window_file", args.window_file)
         if window_file is not None:
             params["window_file"] = window_file
         if kind in ("percolation", "cost-bound"):
-            params["p"] = float(pick("p", args.p, 0.2))
+            params["p"] = pick("p", args.p, 0.2, float)
         elif kind == "kazhdan":
-            params["k"] = int(pick("k", args.k, 2))
-            alpha = pick("alpha", args.alpha)
+            params["k"] = pick("k", args.k, 2, int)
+            alpha = pick("alpha", args.alpha, cast=_float_list)
             if alpha is not None:
-                params["alpha"] = _parse_float_list(alpha) if isinstance(alpha, str) else list(alpha)
-            params["eps"] = float(pick("eps", args.eps, 0.0))
-            params["budget"] = int(pick("budget", args.budget, 4000))
-            params["restarts"] = int(pick("restarts", args.restarts, 10))
+                params["alpha"] = alpha
+            params["eps"] = pick("eps", args.eps, 0.0, float)
+            params["budget"] = pick("budget", args.budget, 4000, int)
+            params["restarts"] = pick("restarts", args.restarts, 10, int)
             if args.brute_force or file_values.get("brute_force"):
                 params["brute_force"] = True
         elif kind == "mtp-check":
             params["transport"] = pick("transport", args.transport, "constant")
-            for key, flag in (("transport_colour", args.transport_colour),
-                              ("transport_value", args.transport_value)):
-                value = pick(key, flag)
+            for key, (_, cast) in _TRANSPORT_ARGS.items():
+                value = pick(key, getattr(args, key), cast=cast)
                 if value is not None:
                     params[key] = value
             params["colouring"] = pick("colouring", args.colouring, "bernoulli")
-            params["colours"] = int(pick("colours", args.colours, 2))
+            params["colours"] = pick("colours", args.colours, 2, int)
 
     return ExperimentConfig(
         kind=kind,
         params=params,
-        trials=int(pick("trials", args.trials, 100)),
-        seed=int(pick("seed", args.seed, 0)),
-        out_dir=str(pick("out", args.out, ".")),
-        fmt=str(pick("format", args.fmt, "csv")),
+        trials=pick("trials", args.trials, 100, int),
+        seed=pick("seed", args.seed, 0, int),
+        out_dir=pick("out", args.out, ".", str),
     )
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
-        manifest = run(config)
+        manifest = run(config_from_args(args))
     except ValidationError as exc:
         for message in exc.messages:
             print(f"validation: {message}", file=sys.stderr)

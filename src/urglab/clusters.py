@@ -17,10 +17,12 @@ intensity, |S| = degree bound).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components, dijkstra, minimum_spanning_tree
 
 from .colourings import Colouring, subset_colouring, subset_mask
 from .graphs import WindowGraph
@@ -34,31 +36,6 @@ class DisconnectedClustersError(ValueError):
         self.components = components
         parts = "; ".join(f"component {k}: clusters {v}" for k, v in sorted(components.items()))
         super().__init__(f"clusters span multiple window components ({parts})")
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,26 +61,23 @@ class ClusterDecomposition:
 
 
 def decompose(w: WindowGraph, subset: Colouring) -> ClusterDecomposition:
-    """Union-find over in-vertices along induced edges."""
+    """Connected components of the subgraph induced on the in-vertices.
+
+    csgraph numbers components in order of their smallest vertex, and the
+    in-vertices are taken in increasing order, so its labels are already
+    the cluster ids.
+    """
     mask = subset_mask(subset)
-    uf = _UnionFind(w.n)
-    src, dst = w.edge_arrays
-    induced = mask[src] & mask[dst]
-    for u, v in zip(src[induced], dst[induced]):
-        uf.union(int(u), int(v))
-    roots: dict[int, list[int]] = {}
-    for v in np.flatnonzero(mask):
-        roots.setdefault(uf.find(int(v)), []).append(int(v))
-    ordered = sorted(roots.values(), key=min)
+    inside = np.flatnonzero(mask)
+    count, labels = connected_components(w.csr[inside][:, inside], directed=False)
     cluster_id = np.full(w.n, -1, dtype=np.int64)
-    for cid, members in enumerate(ordered):
-        cluster_id[members] = cid
+    cluster_id[inside] = labels
     return ClusterDecomposition(
         window=w,
         mask=mask,
         cluster_id=cluster_id,
-        count=len(ordered),
-        sizes=tuple(len(m) for m in ordered),
+        count=int(count),
+        sizes=tuple(int(k) for k in np.bincount(labels, minlength=count)),
     )
 
 
@@ -163,87 +137,63 @@ class FactorGraphEdges:
 def connect_clusters(w: WindowGraph, dec: ClusterDecomposition) -> FactorGraphEdges:
     """Minimum spanning tree over the cluster quotient graph.
 
-    Runs a multi-source BFS from all in-vertices to partition the window
-    into nearest-cluster regions, collects one candidate pair per adjacent
-    region pair (weight = realized path length through the boundary edge),
-    and keeps a Kruskal tree.  Every retained pair realizes the true
-    distance between its clusters: a retained overestimate would force the
-    tree total above the optimum, which spanning-tree optimality of the
-    candidate graph rules out.
+    A multi-source shortest-path search from all in-vertices partitions the
+    window into nearest-cluster regions.  Every window edge joining two
+    regions gives a candidate pair (the two region anchors, weight = path
+    length through that edge); each cluster pair keeps its smallest
+    candidate, and the result is a minimum spanning tree of that candidate
+    graph.  Every retained pair realizes the true distance between its
+    clusters: a shortest path between two clusters crosses regions only
+    through candidates no heavier than its length, so by the cycle property
+    no minimum spanning tree keeps an overestimate.
+
+    Ties: a vertex's anchor is whichever nearest in-vertex ``dijkstra``
+    reports as its source; a cluster pair keeps its smallest
+    ``(distance, u, v)`` candidate; the tree is scipy's
+    ``minimum_spanning_tree``.  Which witness pairs are kept may change with
+    the tie rule, the multiset of ``distances`` cannot, since every minimum
+    spanning tree has the same edge weights.  Pairs are listed in increasing
+    ``cluster_pairs`` order.
     """
     if dec.count <= 1:
         return FactorGraphEdges((), (), ())
 
-    n = w.n
-    dist = np.full(n, -1, dtype=np.int64)
-    anchor = np.full(n, -1, dtype=np.int64)  # nearest in-vertex
-    queue: deque[int] = deque()
-    for v in map(int, np.flatnonzero(dec.mask)):
-        dist[v] = 0
-        anchor[v] = v
-        queue.append(v)
-    while queue:
-        x = queue.popleft()
-        for y, _ in w.adjacency[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                anchor[y] = anchor[x]
-                queue.append(y)
-
-    best: dict[tuple[int, int], tuple[int, int, int]] = {}
-    src, dst = w.edge_arrays
-    for x, y in zip(src, dst):
-        x, y = int(x), int(y)
-        if dist[x] < 0 or dist[y] < 0:
-            continue
-        ca = int(dec.cluster_id[anchor[x]])
-        cb = int(dec.cluster_id[anchor[y]])
-        if ca == cb:
-            continue
-        u, v = int(anchor[x]), int(anchor[y])
-        if ca > cb:
-            ca, cb, u, v = cb, ca, v, u
-        cand = (int(dist[x] + 1 + dist[y]), u, v)
-        if (ca, cb) not in best or cand < best[(ca, cb)]:
-            best[(ca, cb)] = cand
-
-    # reachability across clusters: all clusters must share a window component
-    comp = _component_of_clusters(w, dec)
-    if len(set(comp)) > 1:
+    inside = np.flatnonzero(dec.mask)
+    _, component = connected_components(w.csr, directed=False)
+    cluster_component = np.empty(dec.count, dtype=np.int64)
+    cluster_component[dec.cluster_id[inside]] = component[inside]
+    if np.any(cluster_component != cluster_component[0]):
         grouping: dict[int, list[int]] = {}
-        for cid, comp_id in enumerate(comp):
+        for cid, comp_id in enumerate(cluster_component.tolist()):
             grouping.setdefault(comp_id, []).append(cid)
         raise DisconnectedClustersError(grouping)
 
-    uf = _UnionFind(dec.count)
-    pairs: list[tuple[int, int]] = []
-    distances: list[int] = []
-    cluster_pairs: list[tuple[int, int]] = []
-    for (ca, cb), (d, u, v) in sorted(best.items(), key=lambda kv: (kv[1][0], kv[0], kv[1][1:])):
-        if uf.union(ca, cb):
-            pairs.append((u, v))
-            distances.append(d)
-            cluster_pairs.append((ca, cb))
-    assert len(pairs) == dec.count - 1
-    return FactorGraphEdges(tuple(pairs), tuple(distances), tuple(cluster_pairs))
+    dist, _, anchor = dijkstra(
+        w.csr, indices=inside, unweighted=True, min_only=True, return_predecessors=True
+    )
+    src, dst = w.edge_arrays
+    reached = np.isfinite(dist[src])  # edges of cluster-free window components drop out
+    src, dst = src[reached], dst[reached]
+    u, v = anchor[src], anchor[dst]
+    ca, cb = dec.cluster_id[u], dec.cluster_id[v]
+    # each boundary edge appears once per direction; keep the one with ca < cb
+    keep = ca < cb
+    u, v, ca, cb = u[keep], v[keep], ca[keep], cb[keep]
+    d = (dist[src[keep]] + 1 + dist[dst[keep]]).astype(np.int64)
+    pair = ca * dec.count + cb
+    order = np.lexsort((v, u, d, pair))
+    best = order[np.unique(pair[order], return_index=True)[1]]
+    u, v, ca, cb, d, pair = u[best], v[best], ca[best], cb[best], d[best], pair[best]
 
-
-def _component_of_clusters(w: WindowGraph, dec: ClusterDecomposition) -> list[int]:
-    comp = np.full(w.n, -1, dtype=np.int64)
-    next_id = 0
-    for start in range(w.n):
-        if comp[start] >= 0:
-            continue
-        comp[start] = next_id
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y, _ in w.adjacency[x]:
-                if comp[y] < 0:
-                    comp[y] = next_id
-                    queue.append(y)
-        next_id += 1
-    return [int(comp[dec.vertices_of(cid)[0]]) for cid in range(dec.count)]
+    quotient = sparse.csr_array((d, (ca, cb)), shape=(dec.count, dec.count))
+    rows, cols = minimum_spanning_tree(quotient).nonzero()
+    kept = np.isin(pair, np.minimum(rows, cols) * dec.count + np.maximum(rows, cols))
+    assert np.count_nonzero(kept) == dec.count - 1
+    return FactorGraphEdges(
+        tuple(zip(u[kept].tolist(), v[kept].tolist())),
+        tuple(d[kept].tolist()),
+        tuple(zip(ca[kept].tolist(), cb[kept].tolist())),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -281,9 +231,9 @@ def cost_upper_bound(
     if not np.array_equal(mask, dec.mask):
         raise ValueError("decomposition does not belong to this subset")
     if dec.count >= 1:
-        uf = _UnionFind(dec.count)
-        merged = sum(1 for ca, cb in extra.cluster_pairs if uf.union(ca, cb))
-        if merged != dec.count - 1:
+        ca, cb = np.array(extra.cluster_pairs, dtype=np.int64).reshape(-1, 2).T
+        quotient = sparse.csr_array((np.ones(len(ca)), (ca, cb)), shape=(dec.count, dec.count))
+        if connected_components(quotient, directed=False)[0] != 1:
             raise ValueError("extra pairs do not connect the clusters")
 
     n_in = int(mask.sum())

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .rng import derive_rng
 
@@ -126,6 +127,19 @@ class WindowGraph:
         return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
 
     @cached_property
+    def csr(self) -> sparse.csr_array:
+        """Read-only n x n adjacency matrix for ``scipy.sparse.csgraph``.
+
+        Entry (u, v) counts the directed entries u -> v, so parallel edges
+        are summed and a loop at u holds 2.
+        """
+        src, dst = self.edge_arrays
+        m = sparse.csr_array((np.ones(len(src)), (src, dst)), shape=(self.n, self.n))
+        for a in (m.data, m.indices, m.indptr):
+            a.flags.writeable = False
+        return m
+
+    @cached_property
     def loop_count(self) -> int:
         """Number of self-loops (each loop contributes two adjacency entries)."""
         return sum(1 for u, entries in enumerate(self.adjacency) for v, _ in entries if v == u) // 2
@@ -151,26 +165,6 @@ class WindowGraph:
         if self.seed is not None:
             inner = f"{inner},seed={self.seed}" if inner else f"seed={self.seed}"
         return f"{self.model}({inner})"
-
-    def is_connected(self) -> bool:
-        seen = bfs_distances(self, 0)
-        return bool(np.all(seen >= 0))
-
-
-def bfs_distances(w: WindowGraph, source: int) -> np.ndarray:
-    """Graph distances from ``source``; -1 where unreachable."""
-    from collections import deque
-
-    dist = np.full(w.n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, _ in w.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
 
 
 # ----------------------------------------------------------------------

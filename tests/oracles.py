@@ -1,7 +1,7 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's own algorithms: cluster counts come
-from a BFS flood fill rather than union-find, ball isomorphism from a
+from a BFS flood fill rather than scipy.sparse.csgraph, ball isomorphism from a
 permutation backtracking search rather than canonical labelling, shortest
 paths from plain BFS, and exact partition optima from combinations
 enumeration.  Expected values in tests are computed (or were frozen) from
@@ -181,3 +181,20 @@ def spanning_connected(window, mask, extra_pairs) -> bool:
                 seen.add(v)
                 queue.append(v)
     return len(seen) == len(members)
+
+
+def prim_tree_weight(weights) -> int:
+    """Minimum spanning tree weight of a complete graph given as a square
+    weight matrix, by Prim's algorithm over plain lists."""
+    k = len(weights)
+    if k == 0:
+        return 0
+    best = list(weights[0])
+    in_tree = [True] + [False] * (k - 1)
+    total = 0
+    for _ in range(k - 1):
+        nxt = min((i for i in range(k) if not in_tree[i]), key=lambda i: best[i])
+        in_tree[nxt] = True
+        total += best[nxt]
+        best = [min(b, wt) for b, wt in zip(best, weights[nxt])]
+    return total

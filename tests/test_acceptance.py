@@ -21,9 +21,10 @@ them); a failing criterion fails its test.  Criteria and tolerances:
  8. spaced-subset cost pipeline: empirical bound below the 1 + 2/k
     ceiling and approaching 1 monotonically over k in {2,4,8}; the
     induction utility reproduces 1 + eps (D - 1)
- 9. union-find decomposition agrees with a BFS flood fill on 1000 random
-    instances, bit-exact
+ 9. csgraph connected-components decomposition agrees with a BFS flood
+    fill on 1000 random instances, bit-exact
 10. reruns with the same master seed produce byte-identical data outputs
+    (gauss-check, percolation, palm, kazhdan, cost-bound)
 """
 
 import time
@@ -249,7 +250,7 @@ def test_criterion_9_decompose_matches_flood_fill():
         oracle = flood_fill_clusters(w, dec.mask)
         assert dec.count == len(oracle)
         assert [sorted(dec.vertices_of(cid).tolist()) for cid in range(dec.count)] == oracle
-    report(9, "union-find agrees with flood fill on 1000 instances")
+    report(9, "csgraph components agree with flood fill on 1000 instances")
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path):
@@ -260,6 +261,15 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         ),
         ExperimentConfig(
             "palm", {"t": 1.0, "L": 8.0, "d": 2, "m": 400, "check": "cellvol"}, trials=25, seed=10
+        ),
+        ExperimentConfig(
+            "kazhdan",
+            {"model": "random-regular", "k_rank": 2, "n": 60, "k": 3, "eps": 0.05,
+             "budget": 300, "restarts": 2},
+            seed=10,
+        ),
+        ExperimentConfig(
+            "cost-bound", {"model": "random-regular", "k_rank": 2, "n": 400, "p": 0.3}, seed=10
         ),
     ]
     for idx, config in enumerate(configs):

@@ -203,9 +203,21 @@ def test_parse_config_file_rejects_garbage(tmp_path):
         parse_config_file(bad)
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     assert main(["percolation", "--model", "torus", "--d", "2", "--L", "2", "--p", "0.2",
                  "--out", str(tmp_path)]) == 2
+    bad_file = tmp_path / "bad.cfg"
+    bad_file.write_text('L = "abc"\n')
+    malformed = [
+        (["percolation", "--config", str(bad_file)], "L: invalid value 'abc'"),
+        (["mtp-check", "--transport", "constant", "--transport-colour", "2"],
+         "transport constant takes no transport_colour"),
+        (["percolation", "--model", "cycle", "--L", "2"], "cycle: length L"),
+    ]
+    for argv, message in malformed:
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path)]) == 2, argv
+        assert message in capsys.readouterr().err
     assert main(["palm", "--t", "0.001", "--L", "5", "--d", "1", "--check", "cellvol",
                  "--out", str(tmp_path)]) == 3
     assert main(["gauss-check", "--rho", "0", "--n", "1000", "--seed", "1",

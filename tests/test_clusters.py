@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
-from oracles import flood_fill_clusters, set_distance, shortest_path_distance, spanning_connected
+from oracles import (
+    flood_fill_clusters,
+    prim_tree_weight,
+    set_distance,
+    shortest_path_distance,
+    spanning_connected,
+)
 
 from urglab.clusters import (
     DisconnectedClustersError,
@@ -107,26 +113,40 @@ def test_connect_single_cluster_empty():
     assert connect_clusters(w, dec).pairs == ()
 
 
+# permutation-model windows carry loops and parallel edges
 def test_connect_makes_subset_connected():
-    w = build_torus_window(2, 16)
-    for seed in range(5):
-        subset = sample(bernoulli_model([0.2, 0.8]), w, seed)
-        dec = decompose(w, subset)
-        extra = connect_clusters(w, dec)
-        assert len(extra.pairs) == dec.count - 1
-        assert spanning_connected(w, dec.mask, extra.pairs)
+    for w in (build_torus_window(2, 16), build_random_regular(3, 200, seed=4),
+              build_random_regular(2, 150, seed=5)):
+        for seed in range(5):
+            subset = sample(bernoulli_model([0.2, 0.8]), w, seed)
+            dec = decompose(w, subset)
+            extra = connect_clusters(w, dec)
+            assert len(extra.pairs) == dec.count - 1
+            assert spanning_connected(w, dec.mask, extra.pairs)
 
 
 def test_connect_pairs_realize_cluster_distances():
-    w = build_torus_window(2, 12)
-    subset = sample(bernoulli_model([0.15, 0.85]), w, 11)
-    dec = decompose(w, subset)
-    extra = connect_clusters(w, dec)
-    clusters = [set(dec.vertices_of(i).tolist()) for i in range(dec.count)]
-    for (u, v), d, (ca, cb) in zip(extra.pairs, extra.distances, extra.cluster_pairs):
-        assert u in clusters[ca] and v in clusters[cb]
-        assert shortest_path_distance(w, u, v) == d
-        assert set_distance(w, clusters[ca], clusters[cb]) == d
+    for w in (build_torus_window(2, 12), build_random_regular(3, 150, seed=6),
+              build_random_regular(2, 100, seed=7)):
+        subset = sample(bernoulli_model([0.15, 0.85]), w, 11)
+        dec = decompose(w, subset)
+        extra = connect_clusters(w, dec)
+        clusters = [set(dec.vertices_of(i).tolist()) for i in range(dec.count)]
+        for (u, v), d, (ca, cb) in zip(extra.pairs, extra.distances, extra.cluster_pairs):
+            assert u in clusters[ca] and v in clusters[cb]
+            assert shortest_path_distance(w, u, v) == d
+            assert set_distance(w, clusters[ca], clusters[cb]) == d
+
+
+def test_connect_total_is_minimum_spanning_weight():
+    for w in (build_torus_window(2, 5), build_torus_window(2, 8),
+              build_random_regular(2, 40, seed=8), build_random_regular(2, 60, seed=9)):
+        for seed in range(4):
+            subset = sample(bernoulli_model([0.2, 0.8]), w, seed)
+            dec = decompose(w, subset)
+            clusters = [set(dec.vertices_of(i).tolist()) for i in range(dec.count)]
+            weights = [[set_distance(w, a, b) for b in clusters] for a in clusters]
+            assert sum(connect_clusters(w, dec).distances) == prim_tree_weight(weights)
 
 
 def test_connect_is_tree_minimal():
