@@ -227,13 +227,27 @@ def _recolour_delta(w: WindowGraph, colours: np.ndarray, u: int, new: int) -> in
     return 2 * delta
 
 
+def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
+    """``tuple(a) < tuple(b)`` for equal-length integer arrays: the first
+    index where they differ decides, and equal arrays are not less."""
+    diff = (a != b).nonzero()[0]
+    return diff.size > 0 and bool(a[diff[0]] < b[diff[0]])
+
+
+def _improves(count: int, colours: np.ndarray, best_count: int, best_colours: np.ndarray) -> bool:
+    """The annealer's best-state order on (count, colour sequence)."""
+    return count < best_count or (count == best_count and _lex_less(colours, best_colours))
+
+
 def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
     """Heuristic minimizer: balance-preserving swaps, slack recolours, and an
     occasional cluster-merge move, under geometric cooling with restarts.
 
-    Deterministic in the problem seed; restarts use derived streams and the
-    final reduction is by (value, lexicographic colour sequence), so running
-    restarts concurrently cannot change the answer.
+    Deterministic in the problem seed.  Restarts run one after another, each
+    on its own derived stream.  The best state of a restart, and then the
+    best over all restarts, is replaced only by a strictly lower count, or
+    by an equal count whose colour sequence is smaller at the first index
+    where the two differ.
     """
     w, k = problem.window, problem.k
     windows = feasible_size_windows(w.n, problem.alpha, problem.eps)
@@ -241,7 +255,7 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
     t0 = problem.t0 if problem.t0 is not None else float(w.degree_bound)
     epoch_len = max(1, problem.budget // 50)
 
-    overall_best: tuple[int, tuple[int, ...]] | None = None
+    best_count, best_colours = 0, np.empty(0, dtype=np.int64)  # replaced by restart 0
     trace: list[tuple[int, int, float]] = []
 
     for restart in range(problem.restarts):
@@ -250,7 +264,7 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
         rng.shuffle(colours)
         sizes = list(sizes0)
         count = _bichromatic_count(w, colours)
-        best = (count, tuple(int(x) for x in colours))
+        run_count, run_colours = count, colours.copy()
         temperature = t0
 
         for step in range(problem.budget):
@@ -287,20 +301,19 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
                         sizes[new - 1] += 1
                         count += delta
             temperature *= problem.cooling
-            if count < best[0] or (count == best[0] and tuple(int(x) for x in colours) < best[1]):
-                best = (count, tuple(int(x) for x in colours))
+            if _improves(count, colours, run_count, run_colours):
+                run_count, run_colours = count, colours.copy()
             if (step + 1) % epoch_len == 0:
-                trace.append((restart, step + 1, best[0] / w.n))
+                trace.append((restart, step + 1, run_count / w.n))
 
-        if overall_best is None or best < overall_best:
-            overall_best = best
+        if restart == 0 or _improves(run_count, run_colours, best_count, best_colours):
+            best_count, best_colours = run_count, run_colours
 
-    assert overall_best is not None
-    partition = Colouring(w, k, np.asarray(overall_best[1], dtype=np.int64))
+    partition = Colouring(w, k, best_colours)
     counts = partition.counts()
     return KazhdanResult(
         partition=partition,
-        value=overall_best[0] / w.n,
+        value=best_count / w.n,
         weights=weight_vector(partition),
         trace=tuple(trace),
         certificate=False,

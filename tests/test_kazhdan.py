@@ -1,7 +1,11 @@
 """Partition objective, exact optima, annealer agreement, and the merge move."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import directed_bichromatic_count, exhaustive_bipartition_minimum
 
 from urglab.colourings import Colouring, expansion, sample, uniform_bernoulli_model
@@ -12,6 +16,7 @@ from urglab.kazhdan import (
     KazhdanEmptyPartWarning,
     KazhdanProblem,
     WeightVector,
+    _lex_less,
     anneal_kazhdan,
     brute_force_kazhdan,
     cluster_merge_move,
@@ -150,6 +155,66 @@ def test_anneal_deterministic():
     assert a.value == b.value
     assert np.array_equal(a.partition.colours, b.partition.colours)
     assert a.trace == b.trace
+
+
+COLOUR_VALUES = st.integers(1, 3) | st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=200)
+@given(
+    data=st.data(),
+    n=st.integers(1, 12),
+    change=st.sampled_from(("equal", "first", "last", "anywhere", "independent")),
+)
+def test_lex_less_matches_tuple_order(data, n, change):
+    colour_lists = st.lists(COLOUR_VALUES, min_size=n, max_size=n)
+    a = np.array(data.draw(colour_lists), dtype=np.int64)
+    if change == "independent":
+        b = np.array(data.draw(colour_lists), dtype=np.int64)
+    else:
+        b = a.copy()
+        if change == "first":
+            b[0] = data.draw(COLOUR_VALUES.filter(lambda x: x != a[0]))
+        elif change == "last":
+            b[n - 1] = data.draw(COLOUR_VALUES.filter(lambda x: x != a[n - 1]))
+        elif change == "anywhere":
+            i = data.draw(st.integers(0, n - 1))
+            b[i] = data.draw(COLOUR_VALUES)
+    assert _lex_less(a, b) == (tuple(a.tolist()) < tuple(b.tolist()))
+    assert _lex_less(b, a) == (tuple(b.tolist()) < tuple(a.tolist()))
+
+
+# Annealer output pinned byte for byte.  The cycle has many optimal
+# bipartitions, so its partition digest depends on the tie rule (a lower
+# count, or an equal count with a lexicographically smaller colour sequence).
+ANNEAL_GOLDEN = [
+    (
+        lambda: KazhdanProblem(window=build_torus_window(1, 16), k=2, alpha=uniform_weights(2),
+                               eps=0.0),
+        0.25,
+        500,
+        "16591155e4bf0667fb4c66193c9f252fd4381a06518b6cd611d4373f055a4cce",
+        "8453b338926cad94bf9f7a75cab0ae0a6a448ed92b18b5c349c7fdf6c5f81453",
+    ),
+    (
+        lambda: KazhdanProblem(window=build_random_regular(2, 256, seed=0), k=3,
+                               alpha=uniform_weights(3), eps=0.05, budget=2000, restarts=3),
+        1.5390625,
+        150,
+        "5e9868cd644fd9eb10a9f921eb954f23d87594f321c8ad5f979f728adecbb1ac",
+        "f74b7bf96c00c52657a9cd0ee0e057cedd372ea2bb05d3a9b5e6be757f7441fd",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_problem,value,trace_len,trace_sha,colours_sha", ANNEAL_GOLDEN,
+                         ids=["cycle16", "random-regular256"])
+def test_anneal_golden_output(make_problem, value, trace_len, trace_sha, colours_sha):
+    result = anneal_kazhdan(make_problem())
+    assert result.value == value
+    assert len(result.trace) == trace_len
+    assert hashlib.sha256(repr(result.trace).encode()).hexdigest() == trace_sha
+    assert hashlib.sha256(result.partition.colours.tobytes()).hexdigest() == colours_sha
 
 
 def test_anneal_never_beats_certificates():

@@ -1,0 +1,54 @@
+"""Smoke tests for the sweep scripts in scripts/: tiny arguments, one run each."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def read_csv(path: Path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_kazhdan_profile_script(tmp_path):
+    out = tmp_path / "profile.csv"
+    run_script("kazhdan_profile.py", "--family", "random-regular", "--sizes", "16,32",
+               "--budget", "100", "--restarts", "2", "--out", str(out), cwd=tmp_path)
+    header, *rows = read_csv(out)
+    assert header == ["n", "best_value", "balance_gap", "wall_time_s"]
+    assert [row[0] for row in rows] == ["16", "32"]
+
+
+def test_percolation_sweep_script(tmp_path):
+    out = tmp_path / "sweep.csv"
+    run_script("percolation_sweep.py", "--L", "8", "--p-grid", "0.1,0.3", "--trials", "3",
+               "--out", str(out), cwd=tmp_path)
+    header, *rows = read_csv(out)
+    assert header == ["p", "trial", "intensity", "cluster_count", "largest_cluster_fraction",
+                      "cost_bound_lemma", "cost_bound_empirical"]
+    assert len(rows) == 2 * 3
+    assert [row[1] for row in rows] == ["0", "1", "2"] * 2
+
+
+def test_palm_checks_script(tmp_path):
+    # writes no CSV: one cell-volume line and one line per built-in functional
+    proc = run_script("palm_checks.py", "--L", "6", "--trials", "4", "--m", "50", cwd=tmp_path)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("cell volume:")
+    assert all(line.startswith("inversion[") for line in lines[1:])
