@@ -1,10 +1,11 @@
 """Experiment runner: one config in, reproducible data files out.
 
-Configs come from flat ``key = value`` files and/or command-line flags
-(flags win).  Every run writes its data outputs plus ``run.manifest.json``
-(config echo, version, wall time, sha256 per output) beside them.  All
-randomness is derived from the master seed, so rerunning a config
-reproduces the data files byte for byte.
+Each experiment kind is one typed spec (a frozen dataclass below): it
+generates the kind's flags and reads its flat ``key = value`` config files
+(flags win) and its ``run()`` params.  Every run writes its data outputs plus
+``run.manifest.json`` (config echo, version, wall time, sha256 per output)
+beside them.  All randomness is derived from the master seed, so rerunning a
+config reproduces the data files byte for byte.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical-guard refusal.
 """
@@ -17,10 +18,8 @@ import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .clusters import connect_clusters, cost_upper_bound, decompose, gaboriau_induction
@@ -50,14 +49,13 @@ from .palm import (
     verify_voronoi_inversion,
 )
 from .reporting import fmt_float, sha256_of, write_json
-from .rng import derive_rng, derive_seed
+from .rng import derive_rng, derive_seed, parallel_trials
 from .torus import FlatTorus
 from .transport import BUILTIN_TRANSPORTS, mtp_check
 
-KINDS = ("mtp-check", "kazhdan", "percolation", "palm", "cost-bound", "gauss-check")
 WINDOW_MODELS = ("torus", "cycle", "path", "complete", "random-regular", "window-file")
-# mtp-check parameter -> (keyword of the transport factory, its type)
-_TRANSPORT_ARGS = {"transport_colour": ("colour", int), "transport_value": ("value", float)}
+# mtp-check field -> keyword of the transport factory that takes it
+_TRANSPORT_ARGS = {"transport_colour": "colour", "transport_value": "value"}
 
 
 class ValidationError(ValueError):
@@ -84,121 +82,250 @@ class RunManifest:
 
 
 # ----------------------------------------------------------------------
-# Validation (stable message strings)
+# Experiment specs: one frozen dataclass per kind.  A field's annotation,
+# default and metadata (help, choices, single-field check) generate its
+# flag, coerce its config-file and run() values, and check them.
 # ----------------------------------------------------------------------
 
 
-def validate(config: ExperimentConfig) -> list[str]:
-    """Empty list iff run() will clear its validation layer."""
-    v: list[str] = []
-    if config.kind not in KINDS:
-        v.append(f"unknown experiment kind: {config.kind}")
-        return v
-    if not isinstance(config.seed, int) or config.seed < 0:
-        v.append("master seed must be a nonnegative integer")
-    if config.trials < 1:
-        v.append("trials must be positive")
-    p = config.params
+def _float_list(value) -> list[float]:
+    """Comma-separated text (from a flag) or a JSON list (from a config file)."""
+    if isinstance(value, str):
+        return [float(part) for part in value.split(",") if part.strip()]
+    return [float(x) for x in value]
 
-    def check_window():
-        model = p.get("model", "torus")
-        if model not in WINDOW_MODELS:
-            v.append(f"unknown window model: {model}")
-            return
+
+# annotation text (``from __future__ import annotations``) -> coercion;
+# ``X | None`` also takes None
+_CASTS = {"int": int, "float": float, "str": str, "bool": bool, "list[float]": _float_list}
+
+
+def _field(default, help: str, *, choices=None, check=None):
+    """A spec field; ``check`` is ``(predicate, message)`` on a non-None value."""
+    metadata = {"help": help, "choices": choices, "check": check}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _cast(name: str, annotation: str, value):
+    if value is None and annotation.endswith(" | None"):
+        return None
+    cast = _CASTS[annotation.removesuffix(" | None")]
+    try:
+        if cast in (str, bool) and not isinstance(value, cast):  # never converted: bool("no") is True
+            raise TypeError(value)
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError([f"{name}: invalid value {value!r}"]) from None
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """Base of the experiment specs; subclasses add fields and cross-field checks."""
+
+    def problems(self, kind: str) -> list[str]:
+        """Single-field checks, then (only if those pass) the cross-field ones."""
+        v = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            choices, check = f.metadata["choices"], f.metadata["check"]
+            if choices is not None and value not in choices:
+                v.append(f"{kind}: {f.name} must be one of {'|'.join(choices)}")
+            if check is not None and not check[0](value):
+                v.append(f"{kind}: {check[1]}")
+        return v or self.cross_problems()
+
+    def cross_problems(self) -> list[str]:
+        return []
+
+
+def _resolve(cls: type[_Spec], kind: str, values: dict) -> _Spec:
+    """Coerce raw values into ``cls`` and check them; ValidationError names
+    each unknown key, unreadable value and failed check."""
+    types = {f.name: f.type for f in fields(cls)}
+    messages = [f"{kind}: unknown key {name}" for name in values if name not in types]
+    kwargs = {}
+    for name, value in values.items():
+        try:
+            if name in types:
+                kwargs[name] = _cast(name, types[name], value)
+        except ValidationError as exc:
+            messages += exc.messages
+    if not messages:
+        spec = cls(**kwargs)
+        messages = spec.problems(kind)
+    if messages:
+        raise ValidationError(messages)
+    return spec
+
+
+@dataclass(frozen=True)
+class GaussSpec(_Spec):
+    """orthant identity vs Monte Carlo"""
+
+    rho: list[float] = _field([0.0], "comma-separated correlations",
+                              check=(lambda rho: all(abs(r) <= 1 for r in rho), "rho must lie in [-1, 1]"))
+    n: int = _field(10**5, "samples per correlation", check=(lambda n: n >= 1, "sample count n must be positive"))
+
+
+@dataclass(frozen=True)
+class PalmSpec(_Spec):
+    """point-process checks on a flat torus"""
+
+    t: float = _field(1.0, "process intensity", check=(lambda t: t > 0, "intensity t must be positive"))
+    L: float = _field(20.0, "torus side", check=(lambda L: L > 0, "side L must be positive"))
+    d: int = _field(2, "torus dimension", check=(lambda d: d >= 1, "dimension d must be positive"))
+    m: int = _field(10**4, "samples per trial",
+                    check=(lambda m: m >= 1, "per-trial sample count m must be positive"))
+    check: str = _field("cellvol", "identity to check", choices=("cellvol", "inversion", "locfin"))
+    functional: str | None = _field(None, "inversion functional; every built-in one when unset",
+                                    choices=tuple(sorted(BUILTIN_FUNCTIONALS)))
+
+
+@dataclass(frozen=True)
+class WindowSpec(_Spec):
+    """The window graph shared by the window-based kinds."""
+
+    model: str = _field("torus", "window model", choices=WINDOW_MODELS)
+    d: int = _field(2, "torus dimension")
+    L: int | None = _field(None, "torus side or cycle length")
+    n: int | None = _field(None, "vertex count of a path, complete or random-regular window")
+    k_rank: int = _field(2, "rank of the random-regular model")
+    window_seed: int | None = _field(None, "random-regular seed; derived from the master seed when unset")
+    window_file: str | None = _field(None, "window JSON file of the window-file model")
+
+    def cross_problems(self) -> list[str]:
+        model, L, n = self.model, self.L or 0, self.n or 0
+        v = []
         if model == "torus":
-            if int(p.get("L", 0)) < 3:
+            if L < 3:
                 v.append("torus: side L must satisfy L >= 3")
-            if int(p.get("d", 1)) < 1:
+            if self.d < 1:
                 v.append("torus: dimension d must be positive")
-        elif model == "cycle":
-            if int(p.get("L", 0)) < 3:
-                v.append("cycle: length L must satisfy L >= 3")
-        elif model in ("path", "complete"):
-            if int(p.get("n", 0)) < 2:
-                v.append(f"{model}: need n >= 2")
-        elif model == "random-regular":
-            k, n = int(p.get("k_rank", 0)), int(p.get("n", 0))
-            if k < 1 or n < 2 * k + 1:
-                v.append("random-regular: need k >= 1 and n >= 2k + 1")
-        elif model == "window-file" and not p.get("window_file"):
+        elif model == "cycle" and L < 3:
+            v.append("cycle: length L must satisfy L >= 3")
+        elif model in ("path", "complete") and n < 2:
+            v.append(f"{model}: need n >= 2")
+        elif model == "random-regular" and (self.k_rank < 1 or n < 2 * self.k_rank + 1):
+            v.append("random-regular: need k >= 1 and n >= 2k + 1")
+        elif model == "window-file" and not self.window_file:
             v.append("window-file: missing path")
+        return v
 
-    if config.kind == "gauss-check":
-        rhos = p.get("rho", [0.0])
-        if any(abs(float(r)) > 1.0 for r in rhos):
-            v.append("gauss-check: rho must lie in [-1, 1]")
-        if int(p.get("n", 0)) < 1:
-            v.append("gauss-check: sample count n must be positive")
-    elif config.kind == "palm":
-        if float(p.get("t", 0.0)) <= 0.0:
-            v.append("palm: intensity t must be positive")
-        if float(p.get("L", 0.0)) <= 0.0:
-            v.append("palm: side L must be positive")
-        if int(p.get("d", 0)) < 1:
-            v.append("palm: dimension d must be positive")
-        if int(p.get("m", 0)) < 1:
-            v.append("palm: per-trial sample count m must be positive")
-        if p.get("check", "cellvol") not in ("cellvol", "inversion", "locfin"):
-            v.append("palm: check must be one of cellvol|inversion|locfin")
-        functional = p.get("functional")
-        if functional is not None and functional not in BUILTIN_FUNCTIONALS:
-            v.append(f"palm: unknown functional {functional}")
-    elif config.kind in ("percolation", "cost-bound"):
-        check_window()
-        prob = float(p.get("p", -1.0))
-        if not (0.0 <= prob <= 1.0):
-            v.append(f"{config.kind}: occupation probability p must lie in [0, 1]")
-    elif config.kind == "kazhdan":
-        check_window()
-        k = int(p.get("k", 0))
-        if k < 1:
-            v.append("kazhdan: part count k must be positive")
-        alpha = p.get("alpha") or None
-        if alpha is not None:
-            alpha = [float(a) for a in alpha]
-            if k >= 1 and len(alpha) != k:
-                v.append("kazhdan: alpha length must equal k")
-            elif min(alpha) < 0 or abs(sum(alpha) - 1.0) > 1e-12:
-                v.append("kazhdan: alpha must be a probability vector")
-        eps = float(p.get("eps", 0.0))
-        target = [1.0 / k] * k if (alpha is None and k >= 1) else alpha
-        if eps < 0 or (target and not eps < min(target)):
+    def build(self, seed: int) -> WindowGraph:
+        """The window; a window file that cannot be read raises ValidationError."""
+        if self.model == "torus":
+            return build_torus_window(self.d, self.L)
+        if self.model == "cycle":
+            return build_torus_window(1, self.L)
+        if self.model == "path":
+            return build_path(self.n)
+        if self.model == "complete":
+            return build_complete(self.n)
+        if self.model == "random-regular":
+            window_seed = derive_seed(seed, "window") if self.window_seed is None else self.window_seed
+            return build_random_regular(self.k_rank, self.n, window_seed)
+        try:
+            return window_from_json(Path(self.window_file).read_text())
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            raise ValidationError([f"window_file: cannot read {self.window_file}: {exc}"]) from None
+
+
+@dataclass(frozen=True)
+class PercolationSpec(WindowSpec):
+    """cluster statistics and cost bounds per trial"""
+
+    p: float = _field(0.2, "occupation probability",
+                      check=(lambda p: 0.0 <= p <= 1.0, "occupation probability p must lie in [0, 1]"))
+
+
+@dataclass(frozen=True)
+class CostBoundSpec(PercolationSpec):
+    """single-instance cost bounds, JSON out"""
+
+
+@dataclass(frozen=True)
+class KazhdanSpec(WindowSpec):
+    """balanced partition search"""
+
+    k: int = _field(2, "number of parts", check=(lambda k: k >= 1, "part count k must be positive"))
+    alpha: list[float] | None = _field(None, "comma-separated target weights; uniform when unset")
+    eps: float = _field(0.0, "allowed deviation of each part's weight from its target")
+    budget: int = _field(4000, "annealer steps per restart",
+                         check=(lambda b: b >= 1, "budget must be positive"))
+    restarts: int = _field(10, "annealer restarts", check=(lambda r: r >= 1, "restarts must be positive"))
+    brute_force: bool = _field(False, "exhaustive search with an optimality certificate")
+
+    def weights(self) -> list[float]:
+        """``alpha``, or uniform weights when it is unset or empty."""
+        return self.alpha or [1.0 / self.k] * self.k
+
+    def cross_problems(self) -> list[str]:
+        v = super().cross_problems()
+        target = self.weights()
+        if len(target) != self.k:
+            v.append("kazhdan: alpha length must equal k")
+        elif self.alpha and (min(target) < 0 or abs(sum(target) - 1.0) > 1e-12):
+            v.append("kazhdan: alpha must be a probability vector")
+        if not 0 <= self.eps < min(target):
             v.append("kazhdan: eps must satisfy eps < min(alpha)")
-        if int(p.get("budget", 4000)) < 1 or int(p.get("restarts", 10)) < 1:
-            v.append("kazhdan: budget and restarts must be positive")
-    elif config.kind == "mtp-check":
-        check_window()
-        transport = p.get("transport", "constant")
-        if transport not in BUILTIN_TRANSPORTS:
-            v.append(f"mtp-check: unknown transport {transport}")
-        else:
-            accepted = inspect.signature(BUILTIN_TRANSPORTS[transport]).parameters
-            for key, (arg, _) in _TRANSPORT_ARGS.items():
-                if key in p and arg not in accepted:
-                    v.append(f"mtp-check: transport {transport} takes no {key}")
-        if p.get("colouring", "bernoulli") not in ("bernoulli", "constant"):
-            v.append("mtp-check: colouring must be bernoulli or constant")
-        if int(p.get("colours", 2)) < 1:
-            v.append("mtp-check: need at least one colour")
-    return v
+        return v
+
+
+@dataclass(frozen=True)
+class MtpSpec(WindowSpec):
+    """outflow/inflow identity on a window"""
+
+    transport: str = _field("constant", "edge transport", choices=tuple(sorted(BUILTIN_TRANSPORTS)))
+    transport_colour: int | None = _field(None, "colour argument of the transport")
+    transport_value: float | None = _field(None, "value argument of the transport")
+    colouring: str = _field("bernoulli", "colouring model", choices=("bernoulli", "constant"))
+    colours: int = _field(2, "number of colours", check=(lambda c: c >= 1, "need at least one colour"))
+
+    def cross_problems(self) -> list[str]:
+        v = super().cross_problems()
+        accepted = inspect.signature(BUILTIN_TRANSPORTS[self.transport]).parameters
+        for key, arg in _TRANSPORT_ARGS.items():
+            if getattr(self, key) is not None and arg not in accepted:
+                v.append(f"mtp-check: transport {self.transport} takes no {key}")
+        return v
+
+
+def _resolve_config(config: ExperimentConfig) -> _Spec:
+    """The config's typed spec; ValidationError lists every problem found."""
+    if config.kind not in _KINDS:
+        raise ValidationError([f"unknown experiment kind: {config.kind}"])
+    messages = []
+    if not isinstance(config.seed, int) or config.seed < 0:
+        messages.append("master seed must be a nonnegative integer")
+    if config.trials < 1:
+        messages.append("trials must be positive")
+    try:
+        spec = _resolve(_KINDS[config.kind][0], config.kind, config.params)
+    except ValidationError as exc:
+        messages += exc.messages
+    if messages:
+        raise ValidationError(messages)
+    return spec
+
+
+def validate(config: ExperimentConfig) -> list[str]:
+    """Empty list iff run() will clear its validation layer (a window file
+    is read, and so checked, only when the window is built)."""
+    try:
+        _resolve_config(config)
+    except ValidationError as exc:
+        return exc.messages
+    return []
 
 
 def build_window(params: dict, seed: int) -> WindowGraph:
-    model = params.get("model", "torus")
-    if model == "torus":
-        return build_torus_window(int(params.get("d", 2)), int(params["L"]))
-    if model == "cycle":
-        return build_torus_window(1, int(params["L"]))
-    if model == "path":
-        return build_path(int(params["n"]))
-    if model == "complete":
-        return build_complete(int(params["n"]))
-    if model == "random-regular":
-        window_seed = int(params.get("window_seed", derive_seed(seed, "window")))
-        return build_random_regular(int(params["k_rank"]), int(params["n"]), window_seed)
-    if model == "window-file":
-        return window_from_json(Path(params["window_file"]).read_text())
-    raise ValueError(f"unknown window model: {model}")
+    """The window of a window-based kind's params; its other keys are ignored."""
+    names = {f.name for f in fields(WindowSpec)}
+    return _resolve(WindowSpec, "window", {k: v for k, v in params.items() if k in names}).build(seed)
 
 
 # ----------------------------------------------------------------------
@@ -214,13 +341,11 @@ def _csv_writer(path: Path, header: tuple[str, ...], rows) -> None:
             writer.writerow(row)
 
 
-def _run_gauss_check(config: ExperimentConfig, out: Path) -> list[Path]:
-    rhos = [float(r) for r in config.params.get("rho", [0.0])]
-    n = int(config.params.get("n", 10**5))
+def _run_gauss_check(spec: GaussSpec, config: ExperimentConfig, out: Path) -> list[Path]:
     rows = []
-    for i, rho in enumerate(rhos):
+    for i, rho in enumerate(spec.rho):
         closed = orthant_probability(rho)
-        mc = orthant_probability_mc(rho, n, derive_seed(config.seed, "gauss", i))
+        mc = orthant_probability_mc(rho, spec.n, derive_seed(config.seed, "gauss", i))
         ok = abs(closed - mc.estimate) <= 4.0 * mc.stderr
         rows.append(
             (fmt_float(rho), fmt_float(closed), fmt_float(mc.estimate), fmt_float(mc.stderr), ok)
@@ -230,29 +355,19 @@ def _run_gauss_check(config: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def _colouring_for(config: ExperimentConfig, w: WindowGraph):
-    d = int(config.params.get("colours", 2))
-    kind = config.params.get("colouring", "bernoulli")
-    model = constant_model(d) if kind == "constant" else bernoulli_model([1.0 / d] * d)
-    return sample(model, w, derive_seed(config.seed, "colouring"))
-
-
-def _run_mtp_check(config: ExperimentConfig, out: Path) -> list[Path]:
-    w = build_window(config.params, config.seed)
-    c = _colouring_for(config, w)
-    factory = BUILTIN_TRANSPORTS[config.params.get("transport", "constant")]
-    kwargs = {
-        arg: cast(config.params[key])
-        for key, (arg, cast) in _TRANSPORT_ARGS.items()
-        if key in config.params
-    }
-    report = mtp_check(w, c, factory(**kwargs))
+def _run_mtp_check(spec: MtpSpec, config: ExperimentConfig, out: Path) -> list[Path]:
+    w = spec.build(config.seed)
+    d = spec.colours
+    model = constant_model(d) if spec.colouring == "constant" else bernoulli_model([1.0 / d] * d)
+    c = sample(model, w, derive_seed(config.seed, "colouring"))
+    kwargs = {arg: getattr(spec, key) for key, arg in _TRANSPORT_ARGS.items() if getattr(spec, key) is not None}
+    report = mtp_check(w, c, BUILTIN_TRANSPORTS[spec.transport](**kwargs))
     path = out / "mtp_report.json"
     write_json(
         path,
         {
             "window": w.window_id,
-            "transport": config.params.get("transport", "constant"),
+            "transport": spec.transport,
             "lhs": report.lhs,
             "rhs": report.rhs,
             "abs_diff": report.abs_diff,
@@ -279,13 +394,12 @@ def _percolation_row(w: WindowGraph, p: float, seed: int):
     )
 
 
-def _run_percolation(config: ExperimentConfig, out: Path) -> list[Path]:
-    w = build_window(config.params, config.seed)
-    p = float(config.params["p"])
-    rows = [
-        _percolation_row(w, p, derive_seed(config.seed, "percolation", i))
-        for i in range(config.trials)
-    ]
+def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, out: Path) -> list[Path]:
+    w = spec.build(config.seed)
+    rows = parallel_trials(
+        lambda i: _percolation_row(w, spec.p, derive_seed(config.seed, "percolation", i)),
+        config.trials,
+    )
     path = out / "percolation.csv"
     _csv_writer(
         path,
@@ -296,9 +410,9 @@ def _run_percolation(config: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def _run_cost_bound(config: ExperimentConfig, out: Path) -> list[Path]:
-    w = build_window(config.params, config.seed)
-    p = float(config.params["p"])
+def _run_cost_bound(spec: CostBoundSpec, config: ExperimentConfig, out: Path) -> list[Path]:
+    w = spec.build(config.seed)
+    p = spec.p
     subset = sample(bernoulli_model([p, 1.0 - p]), w, derive_seed(config.seed, "subset"))
     dec = decompose(w, subset)
     extra = connect_clusters(w, dec)
@@ -324,27 +438,25 @@ def _run_cost_bound(config: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def _run_kazhdan(config: ExperimentConfig, out: Path) -> list[Path]:
-    w = build_window(config.params, config.seed)
-    k = int(config.params["k"])
-    alpha = config.params.get("alpha")
-    alpha = WeightVector(tuple(float(a) for a in alpha)) if alpha else WeightVector(tuple([1.0 / k] * k))
+def _run_kazhdan(spec: KazhdanSpec, config: ExperimentConfig, out: Path) -> list[Path]:
+    w = spec.build(config.seed)
+    alpha = WeightVector(tuple(spec.weights()))
     problem = KazhdanProblem(
         window=w,
-        k=k,
+        k=spec.k,
         alpha=alpha,
-        eps=float(config.params.get("eps", 0.0)),
-        budget=int(config.params.get("budget", 4000)),
-        restarts=int(config.params.get("restarts", 10)),
+        eps=spec.eps,
+        budget=spec.budget,
+        restarts=spec.restarts,
         seed=config.seed,
     )
-    result = brute_force_kazhdan(problem) if config.params.get("brute_force") else anneal_kazhdan(problem)
+    result = brute_force_kazhdan(problem) if spec.brute_force else anneal_kazhdan(problem)
     json_path = out / "kazhdan_result.json"
     write_json(
         json_path,
         {
             "window": w.window_id,
-            "k": k,
+            "k": spec.k,
             "alpha": list(alpha.values),
             "eps": problem.eps,
             "value": result.value,
@@ -364,21 +476,18 @@ def _run_kazhdan(config: ExperimentConfig, out: Path) -> list[Path]:
     return [json_path, trace_path]
 
 
-def _run_palm(config: ExperimentConfig, out: Path) -> list[Path]:
-    p = config.params
-    torus = FlatTorus(int(p["d"]), float(p["L"]))
-    t = float(p["t"])
-    m = int(p["m"])
-    check = p.get("check", "cellvol")
+def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path) -> list[Path]:
+    torus = FlatTorus(spec.d, spec.L)
+    t, m = spec.t, spec.m
     json_path = out / "palm_report.json"
     csv_path = out / "palm_trials.csv"
 
-    if check == "cellvol":
+    if spec.check == "cellvol":
         report, values = verify_mean_cell_volume(t, torus, config.trials, m, config.seed)
         write_json(json_path, report)
         _csv_writer(csv_path, ("trial", "volume"), [(str(i), fmt_float(v)) for i, v in enumerate(values)])
-    elif check == "inversion":
-        names = [p["functional"]] if p.get("functional") else list(BUILTIN_FUNCTIONALS)
+    elif spec.check == "inversion":
+        names = [spec.functional] if spec.functional else list(BUILTIN_FUNCTIONALS)
         reports = []
         rows = []
         for j, name in enumerate(names):
@@ -413,14 +522,16 @@ def _run_palm(config: ExperimentConfig, out: Path) -> list[Path]:
     return [json_path, csv_path]
 
 
-_RUNNERS = {
-    "gauss-check": _run_gauss_check,
-    "mtp-check": _run_mtp_check,
-    "percolation": _run_percolation,
-    "cost-bound": _run_cost_bound,
-    "kazhdan": _run_kazhdan,
-    "palm": _run_palm,
+# kind -> (spec, runner); the spec's docstring is the subcommand's help
+_KINDS = {
+    "gauss-check": (GaussSpec, _run_gauss_check),
+    "mtp-check": (MtpSpec, _run_mtp_check),
+    "percolation": (PercolationSpec, _run_percolation),
+    "cost-bound": (CostBoundSpec, _run_cost_bound),
+    "kazhdan": (KazhdanSpec, _run_kazhdan),
+    "palm": (PalmSpec, _run_palm),
 }
+KINDS = tuple(_KINDS)
 
 
 def run(config: ExperimentConfig, dry_run: bool = False) -> RunManifest | None:
@@ -429,22 +540,19 @@ def run(config: ExperimentConfig, dry_run: bool = False) -> RunManifest | None:
     ``dry_run`` resolves everything cheap (validation, dispatch, window
     parameters for small models) without sampling or writing.
     """
-    violations = validate(config)
-    if violations:
-        raise ValidationError(violations)
-    runner = _RUNNERS[config.kind]
+    spec = _resolve_config(config)
     if dry_run:
-        if config.kind in ("mtp-check", "percolation", "cost-bound", "kazhdan"):
-            build_window(config.params, config.seed)
+        if isinstance(spec, WindowSpec):
+            spec.build(config.seed)
         return None
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    outputs = runner(config, out)
+    outputs = _KINDS[config.kind][1](spec, config, out)
     manifest = RunManifest(
         config={
             "kind": config.kind,
-            "params": _jsonable(config.params),
+            "params": asdict(spec),
             "trials": config.trials,
             "seed": config.seed,
         },
@@ -456,18 +564,6 @@ def run(config: ExperimentConfig, dry_run: bool = False) -> RunManifest | None:
     return manifest
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 # ----------------------------------------------------------------------
 # Command line
 # ----------------------------------------------------------------------
@@ -475,8 +571,12 @@ def _jsonable(value):
 
 def parse_config_file(path: Path) -> dict:
     """Flat ``key = value`` lines; values parsed as JSON when possible."""
+    try:
+        content = path.read_text()
+    except OSError as exc:
+        raise ValidationError([f"config: cannot read {path}: {exc}"]) from None
     values: dict = {}
-    for raw in path.read_text().splitlines():
+    for raw in content.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -490,150 +590,45 @@ def parse_config_file(path: Path) -> dict:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="flat key=value config file")
-    parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--trials", type=int, default=None)
-
-
-def _add_window_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=WINDOW_MODELS, default=None)
-    parser.add_argument("--d", type=int, default=None)
-    parser.add_argument("--L", type=int, default=None)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--k-rank", dest="k_rank", type=int, default=None,
-                        help="rank of the random-regular model")
-    parser.add_argument("--window-seed", type=int, default=None)
-    parser.add_argument("--window-file", type=str, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per kind, one flag per spec field.  Flags default to
+    None so that config-file values apply; coercion happens in
+    ``config_from_args``, the same for flags and file values."""
     parser = argparse.ArgumentParser(prog="urglab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gauss-check", help="orthant identity vs Monte Carlo")
-    _add_common(g)
-    g.add_argument("--rho", type=str, default=None, help="comma-separated correlations")
-    g.add_argument("--n", type=int, default=None, help="samples per correlation")
-
-    m = sub.add_parser("mtp-check", help="outflow/inflow identity on a window")
-    _add_common(m)
-    _add_window_flags(m)
-    m.add_argument("--transport", choices=sorted(BUILTIN_TRANSPORTS), default=None)
-    m.add_argument("--transport-colour", type=int, default=None)
-    m.add_argument("--transport-value", type=float, default=None)
-    m.add_argument("--colouring", choices=("bernoulli", "constant"), default=None)
-    m.add_argument("--colours", type=int, default=None)
-
-    pc = sub.add_parser("percolation", help="cluster statistics and cost bounds per trial")
-    _add_common(pc)
-    _add_window_flags(pc)
-    pc.add_argument("--p", type=float, default=None, help="occupation probability")
-
-    cb = sub.add_parser("cost-bound", help="single-instance cost bounds, JSON out")
-    _add_common(cb)
-    _add_window_flags(cb)
-    cb.add_argument("--p", type=float, default=None)
-
-    kz = sub.add_parser("kazhdan", help="balanced partition search")
-    _add_common(kz)
-    _add_window_flags(kz)
-    kz.add_argument("--k", type=int, default=None, help="number of parts")
-    kz.add_argument("--alpha", type=str, default=None, help="comma-separated target weights")
-    kz.add_argument("--eps", type=float, default=None)
-    kz.add_argument("--budget", type=int, default=None)
-    kz.add_argument("--restarts", type=int, default=None)
-    kz.add_argument("--brute-force", action="store_true")
-
-    pa = sub.add_parser("palm", help="point-process checks on a flat torus")
-    _add_common(pa)
-    pa.add_argument("--t", type=float, default=None, help="process intensity")
-    pa.add_argument("--L", type=float, default=None)
-    pa.add_argument("--d", type=int, default=None)
-    pa.add_argument("--m", type=int, default=None, help="samples per trial")
-    pa.add_argument("--check", choices=("cellvol", "inversion", "locfin"), default=None)
-    pa.add_argument("--functional", choices=sorted(BUILTIN_FUNCTIONALS), default=None)
-
+    for kind, (cls, _) in _KINDS.items():
+        p = sub.add_parser(kind, help=cls.__doc__)
+        p.add_argument("--config", type=Path, help="flat key=value config file")
+        p.add_argument("--out", help=f"output directory (default: {ExperimentConfig.out_dir})")
+        p.add_argument("--seed", help=f"master seed (default: {ExperimentConfig.seed})")
+        p.add_argument("--trials", help=f"trial count (default: {ExperimentConfig.trials})")
+        defaults = cls()
+        for f in fields(cls):
+            flag, help = f"--{f.name.replace('_', '-')}", f.metadata["help"]
+            if getattr(defaults, f.name) is not None:
+                help += f" (default: {getattr(defaults, f.name)})"
+            if f.type == "bool":
+                p.add_argument(flag, action="store_true", default=None, help=help)
+            else:
+                p.add_argument(flag, choices=f.metadata["choices"], help=help)
     return parser
 
 
-def _float_list(value) -> list[float]:
-    """Comma-separated text (from a flag) or a JSON list (from a config file)."""
-    if isinstance(value, str):
-        return [float(part) for part in value.split(",") if part.strip()]
-    return [float(x) for x in value]
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge flags over config-file values; a value that cannot be read as
-    its field's type raises ValidationError naming the field."""
-    file_values = parse_config_file(args.config) if args.config else {}
-
-    def pick(key, flag_value, default=None, cast=None):
-        value = flag_value if flag_value is not None else file_values.get(key, default)
-        if cast is None or value is None:
-            return value
-        try:
-            return cast(value)
-        except (TypeError, ValueError):
-            raise ValidationError([f"{key}: invalid value {value!r}"]) from None
-
+    """Config-file values, overridden by flags, coerced through the kind's
+    spec; unknown keys and unreadable values raise ValidationError naming them."""
+    values = parse_config_file(args.config) if args.config else {}
+    for key, value in vars(args).items():
+        if value is not None and key not in ("command", "config"):
+            values[key] = value
+    common = {key: values.pop(key) for key in ("out", "seed", "trials") if key in values}
     kind = args.command
-    params: dict = {}
-    if kind == "gauss-check":
-        params["rho"] = pick("rho", args.rho, "0", _float_list)
-        params["n"] = pick("n", args.n, 10**5, int)
-    elif kind == "palm":
-        params["t"] = pick("t", args.t, 1.0, float)
-        params["L"] = pick("L", args.L, 20.0, float)
-        params["d"] = pick("d", args.d, 2, int)
-        params["m"] = pick("m", args.m, 10**4, int)
-        params["check"] = pick("check", args.check, "cellvol")
-        functional = pick("functional", args.functional)
-        if functional:
-            params["functional"] = functional
-    else:
-        params["model"] = pick("model", args.model, "torus")
-        for key, flag in (("d", args.d), ("L", args.L), ("n", args.n)):
-            value = pick(key, flag, cast=int)
-            if value is not None:
-                params[key] = value
-        if params["model"] == "random-regular":
-            params["k_rank"] = pick("k_rank", args.k_rank, 2, int)
-        window_seed = pick("window_seed", args.window_seed, cast=int)
-        if window_seed is not None:
-            params["window_seed"] = window_seed
-        window_file = pick("window_file", args.window_file)
-        if window_file is not None:
-            params["window_file"] = window_file
-        if kind in ("percolation", "cost-bound"):
-            params["p"] = pick("p", args.p, 0.2, float)
-        elif kind == "kazhdan":
-            params["k"] = pick("k", args.k, 2, int)
-            alpha = pick("alpha", args.alpha, cast=_float_list)
-            if alpha is not None:
-                params["alpha"] = alpha
-            params["eps"] = pick("eps", args.eps, 0.0, float)
-            params["budget"] = pick("budget", args.budget, 4000, int)
-            params["restarts"] = pick("restarts", args.restarts, 10, int)
-            if args.brute_force or file_values.get("brute_force"):
-                params["brute_force"] = True
-        elif kind == "mtp-check":
-            params["transport"] = pick("transport", args.transport, "constant")
-            for key, (_, cast) in _TRANSPORT_ARGS.items():
-                value = pick(key, getattr(args, key), cast=cast)
-                if value is not None:
-                    params[key] = value
-            params["colouring"] = pick("colouring", args.colouring, "bernoulli")
-            params["colours"] = pick("colours", args.colours, 2, int)
-
     return ExperimentConfig(
         kind=kind,
-        params=params,
-        trials=pick("trials", args.trials, 100, int),
-        seed=pick("seed", args.seed, 0, int),
-        out_dir=pick("out", args.out, ".", str),
+        params=asdict(_resolve(_KINDS[kind][0], kind, values)),
+        trials=_cast("trials", "int", common.get("trials", ExperimentConfig.trials)),
+        seed=_cast("seed", "int", common.get("seed", ExperimentConfig.seed)),
+        out_dir=_cast("out", "str", common.get("out", ExperimentConfig.out_dir)),
     )
 
 

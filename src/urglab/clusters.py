@@ -17,7 +17,6 @@ intensity, |S| = degree bound).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +50,6 @@ class ClusterDecomposition:
     cluster_id: np.ndarray
     count: int
     sizes: tuple[int, ...]
-
-    @property
-    def size_histogram(self) -> dict[int, int]:
-        return dict(Counter(self.sizes))
 
     def vertices_of(self, cluster: int) -> np.ndarray:
         return np.flatnonzero(self.cluster_id == cluster)

@@ -140,11 +140,6 @@ class WindowGraph:
         return m
 
     @cached_property
-    def loop_count(self) -> int:
-        """Number of self-loops (each loop contributes two adjacency entries)."""
-        return sum(1 for u, entries in enumerate(self.adjacency) for v, _ in entries if v == u) // 2
-
-    @cached_property
     def neighbours_by_label(self) -> tuple[dict[str, int], ...]:
         """Per-vertex label -> neighbour map (labels repeat at most once per vertex
         on torus/explicit windows; on the permutation model too, since each
@@ -205,7 +200,7 @@ def build_random_regular(k: int, n: int, seed: int) -> WindowGraph:
 
     Each of k independent uniform permutations sigma_i contributes the edges
     (v, sigma_i(v)) labelled s_{i+1}.  Loops and parallel edges are kept and
-    counted in the degree; ``loop_count`` reports how many occurred.
+    counted in the degree.
     """
     if k < 1:
         raise ValueError("rank k must be positive")

@@ -293,6 +293,8 @@ def test_criterion_10_byte_identical_reruns(tmp_path, monkeypatch):
         single_thread.append(digests[0])
 
     monkeypatch.setenv("URGLAB_THREADS", "2")
+    # percolation and palm trials go through rng.parallel_trials; kazhdan runs
+    # one trial, so its rerun under threads holds trivially
     for idx in (1, 2, 3):  # percolation, palm, kazhdan
         config = configs[idx]
         config.out_dir = str(tmp_path / f"{idx}-threads2")

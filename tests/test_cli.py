@@ -1,11 +1,13 @@
 """Config validation, experiment dispatch, and reproducibility contracts."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from urglab.cli import (
+    KINDS,
     ExperimentConfig,
     ValidationError,
     build_window,
@@ -206,13 +208,31 @@ def test_parse_config_file_rejects_garbage(tmp_path):
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["percolation", "--model", "torus", "--d", "2", "--L", "2", "--p", "0.2",
                  "--out", str(tmp_path)]) == 2
-    bad_file = tmp_path / "bad.cfg"
-    bad_file.write_text('L = "abc"\n')
+    def config_file(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    cycle = ["--model", "cycle", "--L", "8"]
     malformed = [
-        (["percolation", "--config", str(bad_file)], "L: invalid value 'abc'"),
+        (["percolation", "--config", config_file("bad.cfg", 'L = "abc"\n')], "L: invalid value 'abc'"),
         (["mtp-check", "--transport", "constant", "--transport-colour", "2"],
          "transport constant takes no transport_colour"),
         (["percolation", "--model", "cycle", "--L", "2"], "cycle: length L"),
+        (["mtp-check", *cycle, "--config", config_file("transport.cfg", 'transport = ["a"]\n')],
+         "transport: invalid value ['a']"),
+        (["palm", "--check", "inversion", "--config", config_file("functional.cfg", "functional = [1]\n")],
+         "functional: invalid value [1]"),
+        (["mtp-check", "--config", config_file("window.cfg", 'model = "window-file"\nwindow_file = 5\n')],
+         "window_file: invalid value 5"),
+        (["mtp-check", "--model", "window-file", "--window-file", str(tmp_path / "missing.json")],
+         "window_file: cannot read"),
+        (["mtp-check", "--model", "window-file", "--window-file", config_file("bad.json", "{}\n")],
+         "window_file: cannot read"),
+        (["kazhdan", *cycle, "--config", config_file("bool.cfg", 'brute_force = "no"\n')],
+         "brute_force: invalid value 'no'"),
+        (["kazhdan", *cycle, "--config", config_file("typo.cfg", "budgt = 5\n")], "unknown key budgt"),
+        (["gauss-check", "--config", str(tmp_path / "missing.cfg")], "config: cannot read"),
     ]
     for argv, message in malformed:
         capsys.readouterr()
@@ -222,6 +242,55 @@ def test_main_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 3
     assert main(["gauss-check", "--rho", "0", "--n", "1000", "--seed", "1",
                  "--out", str(tmp_path)]) == 0
+
+
+# the fewest settings each kind needs (the torus window needs its side L)
+MINIMAL_PARAMS = {
+    "gauss-check": {},
+    "mtp-check": {"L": 4},
+    "percolation": {"L": 4},
+    "cost-bound": {"L": 4},
+    "kazhdan": {"L": 4},
+    "palm": {},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_and_run_apply_the_same_defaults(kind, tmp_path):
+    params = MINIMAL_PARAMS[kind]
+    flags = [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
+    assert main([kind, *flags, "--out", str(tmp_path / "cli")]) == 0
+    manifest = run(ExperimentConfig(kind, dict(params), out_dir=str(tmp_path / "run")))
+    for name in manifest.outputs:
+        assert read(tmp_path / "cli" / name) == read(tmp_path / "run" / name), name
+    echoes = [json.loads((tmp_path / side / "run.manifest.json").read_text())["config"]
+              for side in ("cli", "run")]
+    assert echoes[0] == echoes[1]
+
+
+WINDOW_OPTIONS = {"--model", "--d", "--L", "--n", "--k-rank", "--window-seed", "--window-file"}
+# option strings of each subcommand, recorded from the hand-written parser the
+# specs replaced: generating the parser must neither add nor lose one
+OPTIONS = {
+    "gauss-check": {"--rho", "--n"},
+    "mtp-check": WINDOW_OPTIONS
+    | {"--transport", "--transport-colour", "--transport-value", "--colouring", "--colours"},
+    "percolation": WINDOW_OPTIONS | {"--p"},
+    "cost-bound": WINDOW_OPTIONS | {"--p"},
+    "kazhdan": WINDOW_OPTIONS | {"--k", "--alpha", "--eps", "--budget", "--restarts", "--brute-force"},
+    "palm": {"--t", "--L", "--d", "--m", "--check", "--functional"},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generated_subcommand_options(kind, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([kind, "--help"])
+    assert exit_info.value.code == 0
+    assert "(default: 100)" in capsys.readouterr().out  # --trials
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {s for action in subcommands.choices[kind]._actions for s in action.option_strings}
+    assert options == {"-h", "--help", "--config", "--out", "--seed", "--trials"} | OPTIONS[kind]
 
 
 def _random_config(rng) -> ExperimentConfig:
