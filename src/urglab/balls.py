@@ -12,7 +12,7 @@ largest radius at which their balls are isomorphic.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,18 +43,33 @@ class RootedBall:
         return {orig: i for i, orig in enumerate(self.original)}
 
     @cached_property
-    def neighbour_counts(self) -> tuple[Counter, ...]:
-        counts = [Counter() for _ in range(self.n)]
+    def neighbour_counts(self) -> tuple[dict[int, int], ...]:
+        counts: list[dict[int, int]] = [{} for _ in range(self.n)]
         for i, j in self.edges:
-            if i == j:
-                counts[i][i] += 2  # a loop adds two to the degree
-            else:
-                counts[i][j] += 1
-                counts[j][i] += 1
+            for a, b in ((i, j), (j, i)):  # a loop (i == j) counts twice: two to the degree
+                counts[a][b] = counts[a].get(b, 0) + 1
         return tuple(counts)
 
     def degree(self, i: int) -> int:
         return sum(self.neighbour_counts[i].values())
+
+
+def breadth_first(root: int, radius: int, neighbours) -> tuple[list[int], dict[int, int]]:
+    """Vertices within ``radius`` of ``root`` in discovery order, and their
+    distances; ``neighbours(x)`` lists x's neighbours in discovery order."""
+    order = [root]
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        if dist[x] == radius:
+            continue
+        for y in neighbours(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                order.append(y)
+                queue.append(y)
+    return order, dist
 
 
 def ball(w: WindowGraph, colouring, u: int, r: int) -> RootedBall:
@@ -64,30 +79,19 @@ def ball(w: WindowGraph, colouring, u: int, r: int) -> RootedBall:
     if r < 0:
         raise ValueError("radius must be nonnegative")
     colours = None if colouring is None else colouring.colours
-    order = [u]
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if dist[x] == r:
-            continue
-        for y, _ in sorted(w.adjacency[x], key=lambda e: (e[1], e[0])):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                order.append(y)
-                queue.append(y)
+    ptr, idx = w.csr_lists
+    order, dist = breadth_first(u, r, lambda x: idx[ptr[x]:ptr[x + 1]])  # in row order
     local = {orig: i for i, orig in enumerate(order)}
-    directed: Counter = Counter()
-    for x in order:
-        for y, _ in w.adjacency[x]:
-            if y in local:
-                directed[(local[x], local[y])] += 1
     edges = []
-    for (i, j), count in directed.items():
-        if i < j:
-            edges.extend([(i, j)] * count)
-        elif i == j:
-            edges.extend([(i, i)] * (count // 2))
+    for i, x in enumerate(order):
+        loop_entries = 0
+        for y in idx[ptr[x]:ptr[x + 1]]:
+            j = local.get(y, -1)
+            if i < j:  # each edge once, from its smaller end
+                edges.append((i, j))
+            elif i == j:
+                loop_entries += 1
+        edges += [(i, i)] * (loop_entries // 2)  # a loop is two entries of its row
     edges.sort()
     marks = tuple(1 for _ in order) if colours is None else tuple(int(colours[x]) for x in order)
     return RootedBall(
@@ -135,7 +139,7 @@ def canonical_form(ball: RootedBall) -> tuple:
     """Isomorphism-invariant encoding (radius, colours, edge multiset)."""
 
     initial = [
-        (ball.distances[i], ball.colours[i], ball.degree(i), ball.neighbour_counts[i][i])
+        (ball.distances[i], ball.colours[i], ball.degree(i), ball.neighbour_counts[i].get(i, 0))
         for i in range(ball.n)
     ]
     ranks = {sig: k for k, sig in enumerate(sorted(set(initial)))}

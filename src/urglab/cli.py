@@ -92,6 +92,8 @@ def _float_list(value) -> list[float]:
     """Comma-separated text (from a flag) or a JSON list (from a config file)."""
     if isinstance(value, str):
         return [float(part) for part in value.split(",") if part.strip()]
+    if any(isinstance(x, bool) for x in value):
+        raise TypeError(value)
     return [float(x) for x in value]
 
 
@@ -113,7 +115,9 @@ def _cast(name: str, annotation: str, value):
         return None
     cast = _CASTS[annotation.removesuffix(" | None")]
     try:
-        if cast in (str, bool) and not isinstance(value, cast):  # never converted: bool("no") is True
+        # never converted: bool("no") is True, a bool is no number, int(8.9) truncates
+        if (isinstance(value, bool) != (cast is bool) or cast is str and not isinstance(value, str)
+                or cast is int and isinstance(value, float) and not value.is_integer()):
             raise TypeError(value)
         return cast(value)
     except (TypeError, ValueError, OverflowError):
@@ -341,7 +345,7 @@ def _csv_writer(path: Path, header: tuple[str, ...], rows) -> None:
             writer.writerow(row)
 
 
-def _run_gauss_check(spec: GaussSpec, config: ExperimentConfig, out: Path) -> list[Path]:
+def _run_gauss_check(spec: GaussSpec, config: ExperimentConfig, out: Path, w: None) -> list[Path]:
     rows = []
     for i, rho in enumerate(spec.rho):
         closed = orthant_probability(rho)
@@ -355,8 +359,7 @@ def _run_gauss_check(spec: GaussSpec, config: ExperimentConfig, out: Path) -> li
     return [path]
 
 
-def _run_mtp_check(spec: MtpSpec, config: ExperimentConfig, out: Path) -> list[Path]:
-    w = spec.build(config.seed)
+def _run_mtp_check(spec: MtpSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
     d = spec.colours
     model = constant_model(d) if spec.colouring == "constant" else bernoulli_model([1.0 / d] * d)
     c = sample(model, w, derive_seed(config.seed, "colouring"))
@@ -394,8 +397,7 @@ def _percolation_row(w: WindowGraph, p: float, seed: int):
     )
 
 
-def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, out: Path) -> list[Path]:
-    w = spec.build(config.seed)
+def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
     rows = parallel_trials(
         lambda i: _percolation_row(w, spec.p, derive_seed(config.seed, "percolation", i)),
         config.trials,
@@ -410,8 +412,7 @@ def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, out: Path)
     return [path]
 
 
-def _run_cost_bound(spec: CostBoundSpec, config: ExperimentConfig, out: Path) -> list[Path]:
-    w = spec.build(config.seed)
+def _run_cost_bound(spec: CostBoundSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
     p = spec.p
     subset = sample(bernoulli_model([p, 1.0 - p]), w, derive_seed(config.seed, "subset"))
     dec = decompose(w, subset)
@@ -438,8 +439,7 @@ def _run_cost_bound(spec: CostBoundSpec, config: ExperimentConfig, out: Path) ->
     return [path]
 
 
-def _run_kazhdan(spec: KazhdanSpec, config: ExperimentConfig, out: Path) -> list[Path]:
-    w = spec.build(config.seed)
+def _run_kazhdan(spec: KazhdanSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
     alpha = WeightVector(tuple(spec.weights()))
     problem = KazhdanProblem(
         window=w,
@@ -476,7 +476,7 @@ def _run_kazhdan(spec: KazhdanSpec, config: ExperimentConfig, out: Path) -> list
     return [json_path, trace_path]
 
 
-def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path) -> list[Path]:
+def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path, w: None) -> list[Path]:
     torus = FlatTorus(spec.d, spec.L)
     t, m = spec.t, spec.m
     json_path = out / "palm_report.json"
@@ -522,7 +522,7 @@ def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path) -> list[Path]
     return [json_path, csv_path]
 
 
-# kind -> (spec, runner); the spec's docstring is the subcommand's help
+# kind -> (spec, runner(spec, config, out, window or None)); the spec's docstring is the subcommand's help
 _KINDS = {
     "gauss-check": (GaussSpec, _run_gauss_check),
     "mtp-check": (MtpSpec, _run_mtp_check),
@@ -541,14 +541,14 @@ def run(config: ExperimentConfig, dry_run: bool = False) -> RunManifest | None:
     parameters for small models) without sampling or writing.
     """
     spec = _resolve_config(config)
+    start = time.perf_counter()
+    # built before the output directory is made: a refused window file leaves none behind
+    w = spec.build(config.seed) if isinstance(spec, WindowSpec) else None
     if dry_run:
-        if isinstance(spec, WindowSpec):
-            spec.build(config.seed)
         return None
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    outputs = _KINDS[config.kind][1](spec, config, out)
+    outputs = _KINDS[config.kind][1](spec, config, out, w)
     manifest = RunManifest(
         config={
             "kind": config.kind,

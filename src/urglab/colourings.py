@@ -152,8 +152,6 @@ def expansion(c: Colouring) -> float:
     the degree bound, with equality only if every edge is bichromatic.
     """
     src, dst = c.window.edge_arrays
-    if src.size == 0:
-        return 0.0
     return float(np.count_nonzero(c.colours[src] != c.colours[dst])) / c.window.n
 
 
@@ -178,12 +176,13 @@ class MarginalPattern:
 
 def resolve_pattern(w: WindowGraph, root: int, pattern: MarginalPattern) -> list[tuple[int, int]]:
     """(vertex, colour) constraints after walking each offset from ``root``."""
+    table, labels = w.neighbours_by_label, w.gens.labels
     resolved = []
     for path, colour in pattern.constraints:
         v = root
         for label in path:
-            step = w.neighbours_by_label[v].get(label)
-            if step is None:
+            step = int(table[v, labels.index(label)]) if label in labels else -1
+            if step < 0:
                 raise ValueError(f"label {label!r} missing at vertex {v}; offset unresolvable")
             v = step
         resolved.append((v, colour))

@@ -13,21 +13,25 @@ built-in families:
 Arbitrary graphs (paths, cliques, geometric graphs) enter through the
 ``explicit`` model, whose edges receive a proper greedy edge-labelling so
 that every vertex sees each label at most once.
+
+A window is stored as CSR arrays: row u, the slice ``indptr[u]:indptr[u+1]``
+of ``indices`` (neighbours) and ``label_id`` (indices into ``gens.labels``),
+holds one entry per edge end at u, so a loop fills two.  Rows are ordered by
+(label *name*, neighbour); ball discovery and mass-transport summation follow
+that order.  ``adjacency``, per-vertex (neighbour, label name) tuples, is a
+read-only view derived from the arrays for tests and outside tooling.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from .rng import derive_rng
-
-Adjacency = tuple[tuple[tuple[int, str], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,16 @@ class GeneratorSet:
     def size(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def inverse_id(self) -> np.ndarray:
+        """Label id (index in ``labels``) -> id of its inverse."""
+        return np.array([self.labels.index(self.inverse[s]) for s in self.labels], dtype=np.int64)
+
+    @cached_property
+    def name_rank(self) -> np.ndarray:
+        """Label id -> position of its name in sorted order (the row order key)."""
+        return np.argsort(np.argsort(self.labels)).astype(np.int64)
+
     @staticmethod
     def paired(pairs: list[tuple[str, str]]) -> "GeneratorSet":
         labels: list[str] = []
@@ -73,42 +87,49 @@ def free_generators(k: int) -> GeneratorSet:
     return GeneratorSet.paired([(f"s{i + 1}", f"s{i + 1}'") for i in range(k)])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class WindowGraph:
-    """Immutable labelled multigraph; adjacency[u] lists (neighbour, label) pairs.
-
-    Edge symmetry is enforced at construction: entry (u, v, s) exists iff
-    (v, u, s^-1) does, with matching multiplicities, and every degree is
-    bounded by the label count.
-    """
+    """Immutable labelled multigraph in read-only CSR arrays (layout: module docstring)."""
 
     n: int
-    adjacency: Adjacency
+    indptr: np.ndarray
+    indices: np.ndarray
+    label_id: np.ndarray
     gens: GeneratorSet
     model: str
-    params: dict = field(default_factory=dict)
-    seed: int | None = None
+    params: dict
+    seed: int | None
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, src, dst, label_id, gens: GeneratorSet, model: str,
+                 params: dict | None = None, seed: int | None = None):
+        """Window from integer arrays of its directed entries ``(src[i], dst[i], label_id[i])``, in any order.
+
+        Raises ValueError unless every vertex and label id is in range, no
+        vertex has more entries than there are labels, and each entry
+        (u, v, s) occurs exactly as often as its mirror (v, u, s^-1).
+        """
+        if n < 1:
             raise ValueError("window needs at least one vertex")
-        if len(self.adjacency) != self.n:
-            raise ValueError("adjacency length must equal n")
-        forward: Counter = Counter()
-        backward: Counter = Counter()
-        labels = set(self.gens.labels)
-        for u, entries in enumerate(self.adjacency):
-            if len(entries) > self.gens.size:
-                raise ValueError(f"vertex {u} exceeds the degree bound {self.gens.size}")
-            for v, s in entries:
-                if not (0 <= v < self.n):
-                    raise ValueError(f"neighbour {v} out of range")
-                if s not in labels:
-                    raise ValueError(f"unknown edge label {s!r}")
-                forward[(u, v, s)] += 1
-                backward[(v, u, self.gens.inverse[s])] += 1
-        if forward != backward:
+        src, dst, label_id = (np.asarray(a, dtype=np.int64) for a in (src, dst, label_id))
+        for what, ids, bound in (("vertex", src, n), ("neighbour", dst, n), ("label id", label_id, gens.size)):
+            bad = ids[(ids < 0) | (ids >= bound)]
+            if bad.size:
+                raise ValueError(f"{what} {bad[0]} out of range")
+        degree = np.bincount(src, minlength=n)
+        if degree.max() > gens.size:
+            raise ValueError(f"vertex {degree.argmax()} exceeds the degree bound {gens.size}")
+        # each entry and its required mirror, encoded as one integer apiece
+        forward = (src * n + dst) * gens.size + label_id
+        mirror = (dst * n + src) * gens.size + gens.inverse_id[label_id]
+        if not np.array_equal(np.sort(forward), np.sort(mirror)):
             raise ValueError("edge labelling is not symmetric under inversion")
+        order = np.lexsort((dst, gens.name_rank[label_id], src))
+        indptr, indices, label_id = np.concatenate(([0], np.cumsum(degree))), dst[order], label_id[order]
+        for a in (indptr, indices, label_id):
+            a.flags.writeable = False
+        # the class is frozen, so the fields are stored past its __setattr__
+        self.__dict__.update(n=n, indptr=indptr, indices=indices, label_id=label_id, gens=gens,
+                             model=model, params={} if params is None else params, seed=seed)
 
     # -- derived views -------------------------------------------------
 
@@ -117,18 +138,23 @@ class WindowGraph:
         return self.gens.size
 
     def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
+        return int(self.indptr[u + 1] - self.indptr[u])
+
+    @cached_property
+    def csr_lists(self) -> tuple[list[int], list[int]]:
+        """``indptr`` and ``indices`` as lists: Python loops slice these faster than arrays."""
+        return self.indptr.tolist(), self.indices.tolist()
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """All directed entries as (src, dst) index arrays."""
-        src = [u for u, entries in enumerate(self.adjacency) for _ in entries]
-        dst = [v for entries in self.adjacency for v, _ in entries]
-        return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        """All directed entries as read-only (src, dst) index arrays, in row order."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        src.flags.writeable = False
+        return src, self.indices
 
     @cached_property
     def csr(self) -> sparse.csr_array:
-        """Read-only n x n adjacency matrix for ``scipy.sparse.csgraph``.
+        """Read-only n x n matrix of entry counts for ``scipy.sparse.csgraph``.
 
         Entry (u, v) counts the directed entries u -> v, so parallel edges
         are summed and a loop at u holds 2.
@@ -140,19 +166,27 @@ class WindowGraph:
         return m
 
     @cached_property
-    def neighbours_by_label(self) -> tuple[dict[str, int], ...]:
-        """Per-vertex label -> neighbour map (labels repeat at most once per vertex
-        on torus/explicit windows; on the permutation model too, since each
-        permutation contributes exactly one out- and one in-edge per vertex)."""
-        maps: list[dict[str, int]] = []
-        for entries in self.adjacency:
-            m: dict[str, int] = {}
-            for v, s in entries:
-                if s in m:
-                    raise ValueError("label repeats at a vertex; label paths are ambiguous")
-                m[s] = v
-            maps.append(m)
-        return tuple(maps)
+    def neighbours_by_label(self) -> np.ndarray:
+        """Read-only (n, |labels|) table of the neighbour of u along label id s, -1 if none.
+
+        Raises ValueError when a label repeats at a vertex (label paths would
+        be ambiguous); no built-in window model repeats one.
+        """
+        src, _ = self.edge_arrays
+        key = src * self.gens.size + self.label_id
+        if np.unique(key).size != key.size:
+            raise ValueError("label repeats at a vertex; label paths are ambiguous")
+        table = np.full((self.n, self.gens.size), -1, dtype=np.int64)
+        table[src, self.label_id] = self.indices
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, str], ...], ...]:
+        """Derived view: per vertex, its ``(neighbour, label name)`` entries in row order."""
+        ptr, idx = self.csr_lists
+        entries = list(zip(idx, (self.gens.labels[s] for s in self.label_id.tolist())))
+        return tuple(tuple(entries[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     @property
     def window_id(self) -> str:
@@ -177,22 +211,15 @@ def build_torus_window(d: int, L: int) -> WindowGraph:
         raise ValueError("dimension d must be positive")
     if L < 3:
         raise ValueError("torus side L must satisfy L >= 3")
-    gens = torus_generators(d)
-    weights = [L**i for i in range(d)]
-
-    def shifted(idx: int, axis: int, step: int) -> int:
-        coord = (idx // weights[axis]) % L
-        return idx + ((coord + step) % L - coord) * weights[axis]
-
     n = L**d
-    adjacency = []
-    for u in range(n):
-        entries = []
-        for axis in range(d):
-            entries.append((shifted(u, axis, +1), f"+e{axis + 1}"))
-            entries.append((shifted(u, axis, -1), f"-e{axis + 1}"))
-        adjacency.append(tuple(sorted(entries, key=lambda e: (e[1], e[0]))))
-    return WindowGraph(n, tuple(adjacency), gens, "torus", {"d": d, "L": L})
+    u = np.arange(n, dtype=np.int64)
+    dst = []
+    for axis in range(d):  # label ids 2 * axis (+e) and 2 * axis + 1 (-e)
+        weight = L**axis
+        coord = (u // weight) % L
+        dst += [u + ((coord + 1) % L - coord) * weight, u + ((coord - 1) % L - coord) * weight]
+    return WindowGraph(n, np.tile(u, 2 * d), np.concatenate(dst), np.repeat(np.arange(2 * d), n),
+                       torus_generators(d), "torus", {"d": d, "L": L})
 
 
 def build_random_regular(k: int, n: int, seed: int) -> WindowGraph:
@@ -207,16 +234,12 @@ def build_random_regular(k: int, n: int, seed: int) -> WindowGraph:
     if n < 2 * k + 1:
         raise ValueError("need n >= 2k + 1 vertices")
     rng = derive_rng(seed, "random-regular")
-    gens = free_generators(k)
-    out: list[list[tuple[int, str]]] = [[] for _ in range(n)]
-    for i in range(k):
-        sigma = rng.permutation(n)
-        for v in range(n):
-            image = int(sigma[v])
-            out[v].append((image, f"s{i + 1}"))
-            out[image].append((v, f"s{i + 1}'"))
-    adjacency = tuple(tuple(sorted(entries, key=lambda e: (e[1], e[0]))) for entries in out)
-    return WindowGraph(n, adjacency, gens, "random-regular", {"k": k, "n": n}, seed=seed)
+    v = np.tile(np.arange(n, dtype=np.int64), k)
+    sigma = np.concatenate([rng.permutation(n) for _ in range(k)])
+    out_label = np.repeat(2 * np.arange(k), n)  # s_{i+1} has id 2i, its inverse 2i + 1
+    return WindowGraph(n, np.concatenate([v, sigma]), np.concatenate([sigma, v]),
+                       np.concatenate([out_label, out_label + 1]), free_generators(k),
+                       "random-regular", {"k": k, "n": n}, seed=seed)
 
 
 def build_explicit(
@@ -241,22 +264,19 @@ def build_explicit(
         seen.add(key)
 
     used_at: list[set[int]] = [set() for _ in range(n)]
-    out: list[list[tuple[int, str]]] = [[] for _ in range(n)]
-    palette = 0
+    src, dst, label = [], [], []
     for u, v in sorted((min(a, b), max(a, b)) for a, b in edges):
         idx = 0
         while idx in used_at[u] or idx in used_at[v]:
             idx += 1
         used_at[u].add(idx)
         used_at[v].add(idx)
-        palette = max(palette, idx + 1)
-        out[u].append((v, f"e{idx + 1}"))
-        out[v].append((u, f"e{idx + 1}"))
-    if palette == 0:
-        palette = 1  # edgeless window still needs a nonempty label set
+        src += [u, v]
+        dst += [v, u]
+        label += [idx, idx]
+    palette = max(label, default=0) + 1  # an edgeless window still needs a nonempty label set
     gens = GeneratorSet.paired([(f"e{i + 1}", f"e{i + 1}") for i in range(palette)])
-    adjacency = tuple(tuple(sorted(entries, key=lambda e: (e[1], e[0]))) for entries in out)
-    return WindowGraph(n, adjacency, gens, "explicit", {"n": n, "tag": tag})
+    return WindowGraph(n, src, dst, label, gens, "explicit", {"n": n, "tag": tag})
 
 
 def build_path(n: int) -> WindowGraph:
@@ -280,28 +300,21 @@ def build_complete(n: int) -> WindowGraph:
 
 
 def window_to_dict(w: WindowGraph) -> dict:
-    rows = []
-    self_paired_loops: Counter = Counter()
-    for u, entries in enumerate(w.adjacency):
-        for v, s in entries:
-            t = w.gens.inverse[s]
-            if s < t:
-                rows.append([u, v, s])
-            elif s == t:
-                # self-inverse label: the mirror entry carries the same label
-                if u < v:
-                    rows.append([u, v, s])
-                elif u == v:
-                    self_paired_loops[(u, s)] += 1
-    for (u, s), count in sorted(self_paired_loops.items()):
-        rows.extend([[u, u, s]] * (count // 2))
-    rows.sort()
+    src, dst = w.edge_arrays
+    label, rank, size = w.label_id, w.gens.name_rank, w.gens.size
+    inverse = w.gens.inverse_id[label]
+    keep = rank[label] * w.n + src < rank[inverse] * w.n + dst  # the smaller label, else the smaller end
+    # a loop under a self-inverse label is two equal entries: one row per pair
+    loop, count = np.unique((src * size + label)[(label == inverse) & (src == dst)], return_counts=True)
+    loop = np.repeat(loop, count // 2)
+    rows = np.concatenate([np.stack([src, dst, label], 1)[keep], np.stack([loop // size, loop // size, loop % size], 1)])
+    rows = rows[np.lexsort((rank[rows[:, 2]], rows[:, 1], rows[:, 0]))].tolist()
     return {
         "model": w.model,
         "params": dict(w.params),
         "seed": w.seed,
         "n": w.n,
-        "edges": rows,
+        "edges": [[u, v, w.gens.labels[s]] for u, v, s in rows],
     }
 
 
@@ -322,17 +335,20 @@ def window_from_dict(data: dict) -> WindowGraph:
         gens = GeneratorSet.paired([(s, s) for s in labels])
     else:
         raise ValueError(f"unknown window model {model!r}")
-    out: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    if type(n) is not int:
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
+    rows = []
     for u, v, s in data["edges"]:
-        t = gens.inverse[s]
-        if u == v:
-            out[u].append((u, s))
-            out[u].append((u, t))
-        else:
-            out[u].append((v, s))
-            out[v].append((u, t))
-    adjacency = tuple(tuple(sorted(entries, key=lambda e: (e[1], e[0]))) for entries in out)
-    return WindowGraph(n, adjacency, gens, model, params, seed=data.get("seed"))
+        # bool is an int subclass, and the int64 array below would truncate a float
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {[u, v, s]!r}: vertex ids must be integers in 0..{n - 1}")
+        if s not in gens.labels:
+            raise ValueError(f"edge {[u, v, s]!r}: unknown edge label {s!r}")
+        rows.append((u, v, gens.labels.index(s)))
+    u, v, s = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    # each row stands for (u, v, s) and its mirror (v, u, s^-1); a loop row gives both at u
+    return WindowGraph(n, np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([s, gens.inverse_id[s]]),
+                       gens, model, params, seed=data.get("seed"))
 
 
 def window_from_json(text: str) -> WindowGraph:

@@ -166,8 +166,6 @@ def _initial_sizes(n: int, alpha: WeightVector, windows: list[tuple[int, int]]) 
 
 def _bichromatic_count(w: WindowGraph, colours: np.ndarray) -> int:
     src, dst = w.edge_arrays
-    if src.size == 0:
-        return 0
     return int(np.count_nonzero(colours[src] != colours[dst]))
 
 
@@ -182,7 +180,7 @@ def brute_force_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
     if k**w.n > 10**7:
         raise InstanceTooLargeError(f"{k}**{w.n} assignments exceed the 10**7 guard")
     windows = feasible_size_windows(w.n, problem.alpha, problem.eps)
-    edges = [(u, v) for u, entries in enumerate(w.adjacency) for v, _ in entries if u != v]
+    edges = list(zip(*(a.tolist() for a in w.edge_arrays)))  # a loop is never cut
 
     best: tuple[int, tuple[int, ...]] | None = None
     for assignment in itertools.product(range(1, k + 1), repeat=w.n):
@@ -219,7 +217,8 @@ def _recolour_delta(w: WindowGraph, colours: np.ndarray, u: int, new: int) -> in
     if new == old:
         return 0
     delta = 0
-    for v, _ in w.adjacency[u]:
+    ptr, idx = w.csr_lists
+    for v in idx[ptr[u]:ptr[u + 1]]:
         if v == u:
             continue  # loops are never bichromatic
         cv = int(colours[v])

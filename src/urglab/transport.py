@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .balls import RootedBall, ball
+from .balls import RootedBall, ball, breadth_first
 from .graphs import WindowGraph
 
 
@@ -71,28 +71,9 @@ def _reroot(b: RootedBall, new_root: int, radius: int) -> RootedBall:
     Valid whenever new_root lies within distance (b.radius - radius) of the
     old root, so shortest paths of the small ball stay inside the big one.
     """
-    from collections import deque
-
-    neighbours = b.neighbour_counts
-    dist = {new_root: 0}
-    order = [new_root]
-    queue = deque([new_root])
-    while queue:
-        x = queue.popleft()
-        if dist[x] == radius:
-            continue
-        for y in sorted(neighbours[x]):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                order.append(y)
-                queue.append(y)
+    order, dist = breadth_first(new_root, radius, lambda x: sorted(b.neighbour_counts[x]))
     local = {old: i for i, old in enumerate(order)}
-    edges = []
-    for i, j in b.edges:
-        if i in local and j in local:
-            a, c = local[i], local[j]
-            edges.append((min(a, c), max(a, c)))
-    edges.sort()
+    edges = sorted(tuple(sorted((local[i], local[j]))) for i, j in b.edges if i in local and j in local)
     return RootedBall(
         radius=radius,
         colours=tuple(b.colours[x] for x in order),
@@ -122,14 +103,13 @@ def mtp_check(w: WindowGraph, c, f: TransportFunction) -> MTPReport:
             cache[key] = val
         return cache[key]
 
+    src, dst = (a.tolist() for a in w.edge_arrays)  # row order fixes the float summation order
     lhs = 0.0
     rhs = 0.0
-    for u, entries in enumerate(w.adjacency):
-        for v, _ in entries:
-            lhs += value(u, v)
-    for u, entries in enumerate(w.adjacency):
-        for v, _ in entries:
-            rhs += value(v, u)
+    for u, v in zip(src, dst):
+        lhs += value(u, v)
+    for u, v in zip(src, dst):
+        rhs += value(v, u)
     lhs /= w.n
     rhs /= w.n
     diff = abs(lhs - rhs)

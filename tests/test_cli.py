@@ -213,9 +213,24 @@ def test_main_exit_codes(tmp_path, capsys):
         path.write_text(text)
         return str(path)
 
+    def window_file(name, edges):
+        data = {"model": "torus", "params": {"d": 1, "L": 4}, "seed": None, "n": 4, "edges": edges}
+        return ["mtp-check", "--model", "window-file", "--window-file", config_file(name, json.dumps(data))]
+
+    rows = [[0, 1, "+e1"], [0, 3, "-e1"], [1, 2, "+e1"], [2, 3, "+e1"]]  # a 4-cycle
+    assert main([*window_file("cycle.json", rows), "--out", str(tmp_path)]) == 0
     cycle = ["--model", "cycle", "--L", "8"]
     malformed = [
         (["percolation", "--config", config_file("bad.cfg", 'L = "abc"\n')], "L: invalid value 'abc'"),
+        (["percolation", "--config", config_file("fraction.cfg", "L = 8.9\n")], "L: invalid value 8.9"),
+        (["percolation", "--config", config_file("int_bool.cfg", "L = true\n")], "L: invalid value True"),
+        (["palm", "--config", config_file("float_bool.cfg", "t = true\n")], "t: invalid value True"),
+        (window_file("fraction.json", [[1.5, 1, "+e1"], *rows[1:]]), "window_file: cannot read"),
+        (window_file("id_n.json", [[4, 1, "+e1"], *rows[1:]]), "window_file: cannot read"),
+        (window_file("negative.json", [[-1, 1, "+e1"], *rows[1:]]), "window_file: cannot read"),
+        (window_file("bool_id.json", [*rows[:2], [True, 2, "+e1"], rows[3]]), "window_file: cannot read"),
+        (window_file("label.json", [[0, 1, "+e9"], *rows[1:]]), "window_file: cannot read"),
+        (window_file("degree.json", [*rows, [0, 2, "+e1"]]), "window_file: cannot read"),  # 3 > 2d at 0
         (["mtp-check", "--transport", "constant", "--transport-colour", "2"],
          "transport constant takes no transport_colour"),
         (["percolation", "--model", "cycle", "--L", "2"], "cycle: length L"),
@@ -234,10 +249,12 @@ def test_main_exit_codes(tmp_path, capsys):
         (["kazhdan", *cycle, "--config", config_file("typo.cfg", "budgt = 5\n")], "unknown key budgt"),
         (["gauss-check", "--config", str(tmp_path / "missing.cfg")], "config: cannot read"),
     ]
+    refused = tmp_path / "refused"
     for argv, message in malformed:
         capsys.readouterr()
-        assert main([*argv, "--out", str(tmp_path)]) == 2, argv
-        assert message in capsys.readouterr().err
+        assert main([*argv, "--out", str(refused)]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+        assert not refused.exists(), argv  # a refused run creates no output directory
     assert main(["palm", "--t", "0.001", "--L", "5", "--d", "1", "--check", "cellvol",
                  "--out", str(tmp_path)]) == 3
     assert main(["gauss-check", "--rho", "0", "--n", "1000", "--seed", "1",

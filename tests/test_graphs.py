@@ -1,18 +1,24 @@
 """Window builders, their invariants, and serialization."""
 
+import hashlib
 from collections import Counter, deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urglab.balls import ball
 from urglab.graphs import (
     GeneratorSet,
+    WindowGraph,
     build_complete,
     build_explicit,
     build_path,
     build_random_regular,
     build_torus_window,
+    torus_generators,
+    window_from_dict,
     window_from_json,
     window_to_dict,
     window_to_json,
@@ -156,6 +162,19 @@ def test_window_serialization_round_trip():
         back = window_from_json(window_to_json(w))
         assert back.adjacency == w.adjacency
         assert back.n == w.n
+        for name in ("indptr", "indices", "label_id"):
+            assert np.array_equal(getattr(back, name), getattr(w, name)), name
+        assert all(np.array_equal(a, b) for a, b in zip(back.edge_arrays, w.edge_arrays))
+
+
+def test_window_serialization_keeps_self_inverse_loops():
+    # a loop under a self-inverse label is two equal entries of its row, one file row
+    data = {"model": "explicit", "params": {"n": 3, "tag": "t"}, "seed": None, "n": 3,
+            "edges": [[0, 0, "e1"], [0, 1, "e2"], [1, 2, "e1"], [2, 2, "e3"]]}
+    w = window_from_dict(data)
+    assert w.adjacency[0] == ((0, "e1"), (0, "e1"), (1, "e2"))
+    assert [w.degree(u) for u in range(3)] == [3, 2, 3]
+    assert window_to_dict(w) == data
 
 
 def test_window_serialization_edge_count():
@@ -187,3 +206,137 @@ def test_random_regular_property(k, n, seed):
         for v, s in adj:
             entries[(u, v, s)] += 1
     assert all(entries[(v, u, w.gens.inverse[s])] == c for (u, v, s), c in entries.items())
+
+
+# Recorded from the tuple-of-tuples window representation before the CSR
+# arrays replaced it: sha256 of window_to_json, of the edge_arrays bytes
+# (src then dst) and of repr(adjacency), and the discovery order of radius-2
+# balls.  Each row's (label name, neighbour) order drives all of them.
+GOLDEN_WINDOWS = {
+    "torus(2,5)": (
+        lambda: build_torus_window(2, 5),
+        "aaa8b7106a37120233bbac98c24753952005969a38c3e053262a21134d3489c6",
+        "cebe035bc2193cb4836b3ed0d91248e2440bd73fcaadab9fa4a6dbf97a55aa97",
+        "f82450e86dc62523d2d6f29537626850c33e3ea2825c3e83b2bdc42a4d1a66a5",
+        {0: (0, 1, 5, 4, 20, 2, 6, 21, 10, 9, 3, 24, 15),
+         24: (24, 20, 4, 23, 19, 21, 0, 15, 9, 3, 22, 18, 14)},
+    ),
+    "torus(3,3)": (
+        lambda: build_torus_window(3, 3),
+        "ca7ae4085ca77eddeb540433b890cfaf87bf3abda8da06430eab997032fa7e0d",
+        "7c12ac1ea202c6e3b241446809535c25afedcdf1ead66c1a8b3178b0cee0e52e",
+        "4dc6e75f431a7e7be63cc452e0052a1890d1cdf89c9f5d615436b577f7fb9b88",
+        {0: (0, 1, 3, 9, 2, 6, 18, 4, 10, 7, 19, 12, 5, 21, 11, 15, 8, 20, 24),
+         26: (26, 24, 20, 8, 25, 23, 17, 18, 6, 21, 15, 2, 19, 11, 7, 5, 22, 16, 14)},
+    ),
+    "random_regular(2,64,0)": (
+        lambda: build_random_regular(2, 64, seed=0),
+        "62a2b2e11e5c3d63227a70c2d95e31b8bb1ac3bfad0bc934594c99d7e68f18bf",
+        "75b3540faad76e1771ac5f8e9ca66f9a70c80afd3a792440fda7cb6ae8ac4716",
+        "467c52646ae42c1e37089d8a6b646ba5971f374d4cac82e2628bfa098869c6e4",
+        {0: (0, 34, 22, 55, 56, 31, 47, 43, 44, 16, 57, 39, 10, 3, 41),
+         1: (1, 27, 61, 8, 44, 21, 5, 16, 18, 60, 50, 24, 22),
+         63: (63, 26, 14, 36, 33, 6, 11, 54, 18, 15, 25, 23, 16, 7)},
+    ),
+    "complete(5)": (
+        lambda: build_complete(5),
+        "5bb9619b7d326dd6b838324227485e11b6834a3a2208beb55ed3d751759fbd7e",
+        "73ff07be4379f1f1cf50d6c69e5afdfc9dee146fbbf353261700a7d3be717b08",
+        "2dc58911447eecb196ae277c493a0439c49b156426733d06b4c4dfaa13c476bf",
+        {0: (0, 1, 2, 3, 4), 1: (1, 0, 3, 2, 4), 4: (4, 0, 1, 2, 3)},
+    ),
+    # loops and parallel edges
+    "random_regular(3,7,1)": (
+        lambda: build_random_regular(3, 7, seed=1),
+        "776776b780a3454af5884ae9ab5d788e21789ad572795086d2c85df689e3c6f9",
+        "9b7d957a6dbc621189f821ff62807623f4a93f4765d49ad66ff8854981fa1354",
+        "ba96436f61b0fdc44a48abf6fc517b3d20624e1a39b32053d0853bd21071ce88",
+        {},
+    ),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", GOLDEN_WINDOWS)
+def test_window_row_order_golden(name):
+    build, json_digest, edge_digest, adjacency_digest, balls = GOLDEN_WINDOWS[name]
+    w = build()
+    assert sha256(window_to_json(w).encode()) == json_digest
+    src, dst = w.edge_arrays
+    assert sha256(src.tobytes() + dst.tobytes()) == edge_digest
+    assert sha256(repr(w.adjacency).encode()) == adjacency_digest
+    for root, original in balls.items():
+        assert ball(w, None, root, 2).original == original
+
+
+def test_rows_ordered_by_label_name_then_neighbour():
+    # label names sort as strings: s10 before s2, e10 before e2
+    for w in (build_torus_window(3, 4), build_random_regular(10, 25, seed=0), build_complete(12)):
+        for entries in w.adjacency:
+            assert list(entries) == sorted(entries, key=lambda e: (e[1], e[0]))
+
+
+def test_neighbours_by_label_table():
+    w = build_path(3)  # 0 -e1- 1 -e2- 2
+    assert w.gens.labels == ("e1", "e2")
+    assert w.neighbours_by_label.tolist() == [[1, -1], [0, 2], [-1, 1]]
+    repeated = window_from_dict({"model": "explicit", "params": {}, "n": 3,
+                                 "edges": [[0, 1, "e1"], [0, 2, "e1"], [1, 2, "e2"]]})
+    with pytest.raises(ValueError, match="label repeats"):
+        repeated.neighbours_by_label
+
+
+def cycle_entries():
+    """Directed entries of the 4-cycle torus(1, 4): label 0 is +e1, label 1 is -e1."""
+    u = np.arange(4)
+    return np.concatenate([u, u]), np.concatenate([(u + 1) % 4, (u - 1) % 4]), np.repeat([0, 1], 4)
+
+
+def test_window_arrays_constructor_accepts_the_cycle():
+    src, dst, label = cycle_entries()
+    order = np.random.default_rng(0).permutation(src.size)  # entry order is free
+    w = WindowGraph(4, src[order], dst[order], label[order], torus_generators(1), "torus", {"d": 1, "L": 4})
+    assert w.adjacency == build_torus_window(1, 4).adjacency
+
+
+def _missing_mirror(src, dst, label):
+    return src[1:], dst[1:], label[1:]
+
+
+def _wrong_inverse(src, dst, label):
+    label = label.copy()
+    label[4] = 0  # the mirror of 0 -> 1 (+e1) must be 1 -> 0 (-e1), not +e1
+    return src, dst, label
+
+
+def _neighbour_out_of_range(src, dst, label):
+    dst = dst.copy()
+    dst[0] = 4
+    return src, dst, label
+
+
+def _unknown_label(src, dst, label):
+    label = label.copy()
+    label[0] = 2
+    return src, dst, label
+
+
+def _above_degree_bound(src, dst, label):
+    # a symmetric extra edge 0 -+e1-> 2, so only the degree bound is broken
+    return np.append(src, [0, 2]), np.append(dst, [2, 0]), np.append(label, [0, 1])
+
+
+@pytest.mark.parametrize("breakage, message", [
+    (_missing_mirror, "not symmetric"),
+    (_wrong_inverse, "not symmetric"),
+    (_neighbour_out_of_range, "neighbour 4 out of range"),
+    (_unknown_label, "label id 2 out of range"),
+    (_above_degree_bound, "vertex 0 exceeds the degree bound 2"),
+])
+def test_window_arrays_constructor_rejects(breakage, message):
+    src, dst, label = breakage(*cycle_entries())
+    with pytest.raises(ValueError, match=message):
+        WindowGraph(4, src, dst, label, torus_generators(1), "torus", {"d": 1, "L": 4})
