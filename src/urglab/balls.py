@@ -12,7 +12,6 @@ largest radius at which their balls are isomorphic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,13 +20,15 @@ from .graphs import WindowGraph
 
 @dataclass(frozen=True, eq=False)
 class RootedBall:
-    """Induced ball; local vertex 0 is the root, local ids follow
-    (BFS distance, discovery order) with discovery driven by sorted labels."""
+    """Induced ball; local vertex 0 is the root, local ids follow BFS
+    discovery order over the window's rows (row order: module docstring of
+    ``graphs``).  ``rows[i]`` lists i's in-ball neighbours as local ids in
+    that row order, one per edge end, so a loop appears twice."""
 
     radius: int
     colours: tuple[int, ...]
     distances: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]  # undirected, i <= j, repeated per multiplicity
+    rows: tuple[tuple[int, ...], ...]
     original: tuple[int, ...]  # local id -> window vertex
 
     def __post_init__(self):
@@ -43,64 +44,69 @@ class RootedBall:
         return {orig: i for i, orig in enumerate(self.original)}
 
     @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Undirected edges (i, j), i <= j, sorted and repeated per multiplicity."""
+        edges = [(i, j) for i, row in enumerate(self.rows) for j in row if i < j]
+        edges += [(i, i) for i, row in enumerate(self.rows) for _ in range(row.count(i) // 2)]
+        return tuple(sorted(edges))
+
+    @cached_property
     def neighbour_counts(self) -> tuple[dict[int, int], ...]:
-        counts: list[dict[int, int]] = [{} for _ in range(self.n)]
-        for i, j in self.edges:
-            for a, b in ((i, j), (j, i)):  # a loop (i == j) counts twice: two to the degree
-                counts[a][b] = counts[a].get(b, 0) + 1
+        """Per local vertex, neighbour -> multiplicity; a loop counts twice."""
+        counts: list[dict[int, int]] = [{} for _ in self.rows]
+        for count, row in zip(counts, self.rows):
+            for j in row:
+                count[j] = count.get(j, 0) + 1
         return tuple(counts)
 
     def degree(self, i: int) -> int:
-        return sum(self.neighbour_counts[i].values())
+        return len(self.rows[i])
+
+    def ball(self, x: int, r: int) -> RootedBall:
+        """Radius-r ball around local vertex x, cut inside this ball.
+
+        It equals the window's own ball around ``original[x]`` because x lies
+        within ``radius - r`` of the root, so every path the cut explores stays
+        inside this ball.
+        """
+        if not (0 <= x < self.n):
+            raise ValueError(f"root {x} out of range")
+        if self.distances[x] + r > self.radius:
+            raise ValueError(f"radius-{r} ball around {x} reaches beyond the radius-{self.radius} ball")
+        return _cut(x, r, self.rows.__getitem__, self.colours, self.original)
 
 
-def breadth_first(root: int, radius: int, neighbours) -> tuple[list[int], dict[int, int]]:
-    """Vertices within ``radius`` of ``root`` in discovery order, and their
-    distances; ``neighbours(x)`` lists x's neighbours in discovery order."""
-    order = [root]
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        if dist[x] == radius:
-            continue
-        for y in neighbours(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
+def _cut(root: int, r: int, row, colours, original) -> RootedBall:
+    """The radius-r ball around ``root`` in a graph whose vertex x has the
+    neighbours ``row(x)`` (in row order), the colour ``colours[x]`` (all 1 when
+    ``colours`` is None) and the window vertex ``original[x]``."""
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    order, local, distances = [root], {root: 0}, [0]
+    for i, x in enumerate(order):  # the list grows while it is read: a BFS queue
+        if distances[i] == r:
+            break  # discovery order never decreases in distance
+        for y in row(x):
+            if y not in local:
+                local[y] = len(order)
                 order.append(y)
-                queue.append(y)
-    return order, dist
+                distances.append(distances[i] + 1)
+    return RootedBall(
+        radius=r,
+        colours=(1,) * len(order) if colours is None else tuple(int(colours[x]) for x in order),
+        distances=tuple(distances),
+        rows=tuple(tuple(local[y] for y in row(x) if y in local) for x in order),
+        original=tuple(original[x] for x in order),
+    )
 
 
 def ball(w: WindowGraph, colouring, u: int, r: int) -> RootedBall:
     """Radius-r ball around u with colour marks (all-1 marks when colouring is None)."""
     if not (0 <= u < w.n):
         raise ValueError(f"root {u} out of range")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    colours = None if colouring is None else colouring.colours
     ptr, idx = w.csr_lists
-    order, dist = breadth_first(u, r, lambda x: idx[ptr[x]:ptr[x + 1]])  # in row order
-    local = {orig: i for i, orig in enumerate(order)}
-    edges = []
-    for i, x in enumerate(order):
-        loop_entries = 0
-        for y in idx[ptr[x]:ptr[x + 1]]:
-            j = local.get(y, -1)
-            if i < j:  # each edge once, from its smaller end
-                edges.append((i, j))
-            elif i == j:
-                loop_entries += 1
-        edges += [(i, i)] * (loop_entries // 2)  # a loop is two entries of its row
-    edges.sort()
-    marks = tuple(1 for _ in order) if colours is None else tuple(int(colours[x]) for x in order)
-    return RootedBall(
-        radius=r,
-        colours=marks,
-        distances=tuple(dist[x] for x in order),
-        edges=tuple(edges),
-        original=tuple(order),
-    )
+    colours = None if colouring is None else colouring.colours
+    return _cut(u, r, lambda x: idx[ptr[x]:ptr[x + 1]], colours, range(w.n))
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,9 @@ A window is stored as CSR arrays: row u, the slice ``indptr[u]:indptr[u+1]``
 of ``indices`` (neighbours) and ``label_id`` (indices into ``gens.labels``),
 holds one entry per edge end at u, so a loop fills two.  Rows are ordered by
 (label *name*, neighbour); ball discovery and mass-transport summation follow
-that order.  ``adjacency``, per-vertex (neighbour, label name) tuples, is a
+that order.  ``mirror`` pairs each entry (u, v, s) with an entry (v, u, s^-1)
+and is its own inverse (a loop under a self-inverse label is its own mirror).
+``adjacency``, per-vertex (neighbour, label name) tuples, is a
 read-only view derived from the arrays for tests and outside tooling.
 """
 
@@ -95,6 +97,7 @@ class WindowGraph:
     indptr: np.ndarray
     indices: np.ndarray
     label_id: np.ndarray
+    mirror: np.ndarray  # entry (u, v, s) -> the entry (v, u, s^-1) paired with it
     gens: GeneratorSet
     model: str
     params: dict
@@ -118,17 +121,22 @@ class WindowGraph:
         degree = np.bincount(src, minlength=n)
         if degree.max() > gens.size:
             raise ValueError(f"vertex {degree.argmax()} exceeds the degree bound {gens.size}")
-        # each entry and its required mirror, encoded as one integer apiece
-        forward = (src * n + dst) * gens.size + label_id
-        mirror = (dst * n + src) * gens.size + gens.inverse_id[label_id]
-        if not np.array_equal(np.sort(forward), np.sort(mirror)):
-            raise ValueError("edge labelling is not symmetric under inversion")
         order = np.lexsort((dst, gens.name_rank[label_id], src))
-        indptr, indices, label_id = np.concatenate(([0], np.cumsum(degree))), dst[order], label_id[order]
-        for a in (indptr, indices, label_id):
+        src, dst, label_id = src[order], dst[order], label_id[order]
+        # each entry and its required mirror, encoded as one integer apiece; the stable
+        # sorts pair the k-th entry of a key with the k-th entry whose mirror has that key
+        key = (src * n + dst) * gens.size + label_id
+        mirror_key = (dst * n + src) * gens.size + gens.inverse_id[label_id]
+        forward, backward = np.argsort(key, kind="stable"), np.argsort(mirror_key, kind="stable")
+        if not np.array_equal(key[forward], mirror_key[backward]):
+            raise ValueError("edge labelling is not symmetric under inversion")
+        mirror = np.empty_like(forward)
+        mirror[backward] = forward
+        indptr = np.concatenate(([0], np.cumsum(degree)))
+        for a in (indptr, dst, label_id, mirror):
             a.flags.writeable = False
         # the class is frozen, so the fields are stored past its __setattr__
-        self.__dict__.update(n=n, indptr=indptr, indices=indices, label_id=label_id, gens=gens,
+        self.__dict__.update(n=n, indptr=indptr, indices=dst, label_id=label_id, mirror=mirror, gens=gens,
                              model=model, params={} if params is None else params, seed=seed)
 
     # -- derived views -------------------------------------------------

@@ -305,16 +305,14 @@ def check_local_finiteness(
         raise ValueError("need at least one sampled location")
     torus = config.torus
     h = np.asarray(h, dtype=float)
-    d2 = np.sort(torus.distance_sq(config.points, h))
-    r_sq = float(d2[0])
-    k = int(np.count_nonzero(d2 <= r_sq + 1e-12))
+    d2 = torus.distance_sq(config.points, h)
+    r_sq = float(d2.min())
+    minimizers = np.flatnonzero(d2 <= r_sq + 1e-12)
+    k = len(minimizers)
     if k == len(config):
         eps = torus.side / 2.0
     else:
-        eps = float(math.sqrt(d2[k]) - math.sqrt(r_sq))
-    minimizers = set(
-        int(i) for i in np.flatnonzero(torus.distance_sq(config.points, h) <= r_sq + 1e-12)
-    )
+        eps = float(math.sqrt(np.partition(d2, k)[k]) - math.sqrt(r_sq))  # nearest non-minimizer
 
     rng = derive_rng(seed, "local-finiteness")
     radius = eps / 2.0
@@ -325,7 +323,7 @@ def check_local_finiteness(
         accepted.append(h + batch[inside])
     locations = torus.wrap(np.vstack(accepted)[:trials])
     _, assigned = bulk_nearest(config, locations)
-    violations = int(np.count_nonzero(~np.isin(assigned, list(minimizers))))
+    violations = int(np.count_nonzero(~np.isin(assigned, minimizers)))
     return LocalFinitenessReport(
         nearest_distance=math.sqrt(r_sq),
         minimizer_count=k,

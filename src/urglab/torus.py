@@ -156,23 +156,3 @@ def find_point_index(config: PointConfiguration, point) -> int:
     if d2[idx] > TIE_TOL_SQ:
         raise ValueError("point is not part of the configuration")
     return idx
-
-
-@dataclass(frozen=True, eq=False)
-class VoronoiAssignment:
-    """Sampled cell membership: locations paired with their assigned points."""
-
-    configuration: PointConfiguration
-    locations: np.ndarray
-    assigned_indices: np.ndarray
-
-    @property
-    def assigned_points(self) -> np.ndarray:
-        return self.configuration.points[self.assigned_indices]
-
-
-def assign_locations(config: PointConfiguration, locations) -> VoronoiAssignment:
-    """Exact assignment of each location, with the lexicographic tie-break."""
-    locations = np.asarray(locations, dtype=float).reshape(-1, config.torus.dim)
-    indices = np.asarray([nearest_index(config, g) for g in locations], dtype=np.int64)
-    return VoronoiAssignment(config, locations, indices)

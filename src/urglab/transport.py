@@ -8,7 +8,9 @@ window with uniform vertex weights, the outflow average
     lhs = (1/n) * sum over directed edges (u,v) of f(u, v)
 
 and the inflow average rhs (same sum with f(v, u)) are the same finite sum
-reindexed, so they must agree to roundoff.  ``mtp_check`` verifies that, and
+reindexed, so they must agree to roundoff.  ``mtp_check`` verifies that in
+one pass over the window's directed entries, with one ball alive at a time:
+rhs reads f(v, u) as the value of the entry's ``WindowGraph.mirror``.
 ``norm_bound_check`` verifies the gradient norm estimate
 
     (1/n) * sum |f(u) - f(v)|  <=  2 D * (1/n) * sum |f(u)|
@@ -23,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .balls import RootedBall, ball, breadth_first
+from .balls import RootedBall, ball
 from .graphs import WindowGraph
 
 
@@ -65,51 +67,34 @@ class NormBoundReport:
     holds: bool
 
 
-def _reroot(b: RootedBall, new_root: int, radius: int) -> RootedBall:
-    """Ball of ``radius`` around a vertex of ``b``, cut inside ``b``.
-
-    Valid whenever new_root lies within distance (b.radius - radius) of the
-    old root, so shortest paths of the small ball stay inside the big one.
-    """
-    order, dist = breadth_first(new_root, radius, lambda x: sorted(b.neighbour_counts[x]))
-    local = {old: i for i, old in enumerate(order)}
-    edges = sorted(tuple(sorted((local[i], local[j]))) for i, j in b.edges if i in local and j in local)
-    return RootedBall(
-        radius=radius,
-        colours=tuple(b.colours[x] for x in order),
-        distances=tuple(dist[x] for x in order),
-        edges=tuple(edges),
-        original=tuple(b.original[x] for x in order),
-    )
-
-
 def mtp_check(w: WindowGraph, c, f: TransportFunction) -> MTPReport:
     """Outflow vs inflow average of ``f``; negative values are rejected.
 
-    The two sums run over the same directed edge set in opposite roles, so
-    any disagreement beyond roundoff is a bug in the transport evaluation.
+    One pass over the vertices builds each ball, evaluates ``f`` on the
+    vertex's directed entries in row order and drops the ball, so one ball
+    is alive at a time.  lhs adds those values in row order; rhs adds, in
+    the same order, the value of each entry's ``mirror``.  The two sums run
+    over the same directed edge set in opposite roles, so any disagreement
+    beyond roundoff is a bug in the transport evaluation.
     """
     r = max(f.radius, 1)
-    balls = {u: ball(w, c, u, r) for u in range(w.n)}
-    cache: dict[tuple[int, int], float] = {}
-
-    def value(u: int, v: int) -> float:
-        b = balls[u]
-        key = (u, b.local_index[v])
-        if key not in cache:
-            val = float(f.evaluate(b, key[1]))
-            if val < 0:
-                raise ValueError(f"transport {f.name!r} returned a negative value at {key}")
-            cache[key] = val
-        return cache[key]
-
-    src, dst = (a.tolist() for a in w.edge_arrays)  # row order fixes the float summation order
+    values: list[float] = []  # f on each directed entry, in row order
+    for u in range(w.n):
+        b = ball(w, c, u, r)
+        row_values: dict[int, float] = {}  # parallel entries share one evaluation
+        for v in b.rows[0]:  # r >= 1, so the root's row holds every entry of u, in row order
+            if v not in row_values:
+                val = row_values[v] = float(f.evaluate(b, v))
+                if val < 0:
+                    raise ValueError(f"transport {f.name!r} returned a negative value at {(u, v)}")
+            values.append(row_values[v])
+    # left-to-right float loops: the summation order fixes the reported bytes
     lhs = 0.0
+    for val in values:
+        lhs += val
     rhs = 0.0
-    for u, v in zip(src, dst):
-        lhs += value(u, v)
-    for u, v in zip(src, dst):
-        rhs += value(v, u)
+    for e in w.mirror.tolist():
+        rhs += values[e]
     lhs /= w.n
     rhs /= w.n
     diff = abs(lhs - rhs)
@@ -126,8 +111,8 @@ def f_arrow(f_vertex: VertexFunction, signed: bool = False) -> TransportFunction
     r = f_vertex.radius
 
     def evaluate(b: RootedBall, v_local: int) -> float:
-        fu = f_vertex.evaluate(_reroot(b, 0, r))
-        fv = f_vertex.evaluate(_reroot(b, v_local, r))
+        fu = f_vertex.evaluate(b.ball(0, r))
+        fv = f_vertex.evaluate(b.ball(v_local, r))
         return (fu - fv) if signed else abs(fu - fv)
 
     suffix = "signed" if signed else "abs"

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own algorithms: cluster counts come
 from a BFS flood fill rather than scipy.sparse.csgraph, ball isomorphism from a
 permutation backtracking search rather than canonical labelling, shortest
-paths from plain BFS, and exact partition optima from combinations
-enumeration.  Expected values in tests are computed (or were frozen) from
+paths from plain BFS, exact partition optima from combinations
+enumeration, and mass-transport sums from two fresh balls per directed edge
+rather than one streaming pass through the window's mirror permutation.  Expected values in tests are computed (or were frozen) from
 these, never from the code paths under test.
 """
 
@@ -14,6 +15,8 @@ import itertools
 from collections import deque
 
 import numpy as np
+
+from urglab.balls import ball
 
 
 def flood_fill_clusters(window, mask) -> list[list[int]]:
@@ -132,6 +135,23 @@ def ball_is_tree(ball) -> bool:
     if len(set(ball.edges)) != len(ball.edges):
         return False
     return len(ball.edges) == ball.n - 1
+
+
+def mtp_sums(window, colouring, transport) -> tuple[float, float]:
+    """Outflow and inflow averages of an edge transport.
+
+    For every directed entry (u, v) in row order, a fresh ball around u gives
+    f(u, v) and a fresh ball around v gives f(v, u); both sums are plain
+    left-to-right float additions.
+    """
+    r = max(transport.radius, 1)
+    lhs = rhs = 0.0
+    for u, entries in enumerate(window.adjacency):
+        for v, _ in entries:
+            around_u, around_v = ball(window, colouring, u, r), ball(window, colouring, v, r)
+            lhs += float(transport.evaluate(around_u, around_u.local_index[v]))
+            rhs += float(transport.evaluate(around_v, around_v.local_index[u]))
+    return lhs / window.n, rhs / window.n
 
 
 def directed_bichromatic_count(window, colours) -> int:

@@ -37,6 +37,35 @@ def test_torus_ball_radius_one():
     assert len(b.edges) == 4
 
 
+@pytest.mark.parametrize("w", [
+    build_torus_window(2, 6),
+    build_random_regular(2, 40, seed=3),
+    build_random_regular(1, 6, seed=2),
+    build_random_regular(3, 7, seed=1),  # loops and parallel edges of multiplicity up to 4
+], ids=["torus", "random-regular", "random-regular-k1", "random-regular-multi"])
+def test_ball_cut_inside_a_ball_is_the_direct_ball(w):
+    c = sample(uniform_bernoulli_model(2), w, 4)
+    fields = ("original", "colours", "distances", "edges")
+    checked = 0
+    for u in range(w.n):
+        big = ball(w, c, u, 2)
+        for x in range(big.n):
+            if big.distances[x] <= 1:
+                cut, direct = big.ball(x, 1), ball(w, c, big.original[x], 1)
+                assert [getattr(cut, f) for f in fields] == [getattr(direct, f) for f in fields]
+                checked += 1
+    assert checked > w.n
+
+
+def test_ball_cut_refuses_to_reach_past_its_ball():
+    w = build_torus_window(2, 6)
+    big = ball(w, None, 0, 2)
+    leaf = big.distances.index(2)
+    assert big.ball(leaf, 0).original == (big.original[leaf],)
+    with pytest.raises(ValueError):
+        big.ball(leaf, 1)
+
+
 def test_identical_balls_isomorphic():
     w = build_torus_window(2, 5)
     c = sample(uniform_bernoulli_model(3), w, 9)

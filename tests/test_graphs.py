@@ -167,14 +167,16 @@ def test_window_serialization_round_trip():
         assert all(np.array_equal(a, b) for a, b in zip(back.edge_arrays, w.edge_arrays))
 
 
+LOOP_FILE = {"model": "explicit", "params": {"n": 3, "tag": "t"}, "seed": None, "n": 3,
+             "edges": [[0, 0, "e1"], [0, 1, "e2"], [1, 2, "e1"], [2, 2, "e3"]]}
+
+
 def test_window_serialization_keeps_self_inverse_loops():
     # a loop under a self-inverse label is two equal entries of its row, one file row
-    data = {"model": "explicit", "params": {"n": 3, "tag": "t"}, "seed": None, "n": 3,
-            "edges": [[0, 0, "e1"], [0, 1, "e2"], [1, 2, "e1"], [2, 2, "e3"]]}
-    w = window_from_dict(data)
+    w = window_from_dict(LOOP_FILE)
     assert w.adjacency[0] == ((0, "e1"), (0, "e1"), (1, "e2"))
     assert [w.degree(u) for u in range(3)] == [3, 2, 3]
-    assert window_to_dict(w) == data
+    assert window_to_dict(w) == LOOP_FILE
 
 
 def test_window_serialization_edge_count():
@@ -287,6 +289,24 @@ def test_neighbours_by_label_table():
                                  "edges": [[0, 1, "e1"], [0, 2, "e1"], [1, 2, "e2"]]})
     with pytest.raises(ValueError, match="label repeats"):
         repeated.neighbours_by_label
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_torus_window(2, 5),
+    lambda: build_random_regular(1, 6, seed=2),
+    lambda: build_random_regular(3, 7, seed=1),  # loops and parallel edges
+    lambda: build_explicit(5, [(0, 1), (1, 2), (2, 0), (3, 4), (0, 4)]),
+    lambda: window_from_dict(LOOP_FILE),  # loops under self-inverse labels
+], ids=["torus", "random-regular-k1", "random-regular-multi", "explicit", "self-inverse-loop-file"])
+def test_mirror_pairs_each_entry_with_its_reverse(build):
+    w = build()
+    src, dst = w.edge_arrays
+    mirror = w.mirror
+    assert np.array_equal(np.sort(mirror), np.arange(src.size))  # a permutation
+    assert np.array_equal(src[mirror], dst) and np.array_equal(dst[mirror], src)
+    assert np.array_equal(w.label_id[mirror], w.gens.inverse_id[w.label_id])
+    assert np.array_equal(mirror[mirror], np.arange(src.size))
+    assert not mirror.flags.writeable
 
 
 def cycle_entries():

@@ -28,7 +28,7 @@ from urglab.torus import (
     FlatTorus,
     PointConfiguration,
     TorusBox,
-    assign_locations,
+    bulk_nearest,
     nearest_distance,
     nearest_index,
     nearest_point,
@@ -149,16 +149,16 @@ def test_nearest_empty_rejected():
     assert nearest_distance(empty, np.zeros(2)) == math.inf
 
 
-def test_assignment_record_minimizes_distance():
+def test_bulk_assignment_minimizes_distance():
     rng = np.random.default_rng(6)
     config = sample_poisson(0.5, T2, seed=14)
     locations = rng.uniform(0, 10, (40, 2))
-    record = assign_locations(config, locations)
-    assert record.assigned_points.shape == (40, 2)
-    for g, point, idx in zip(record.locations, record.assigned_points, record.assigned_indices):
+    dists, assigned = bulk_nearest(config, locations)
+    assert dists.shape == assigned.shape == (40,)
+    for g, dist, idx in zip(locations, dists, assigned):
         d_all = T2.distance_sq(config.points, g)
         assert d_all[idx] <= d_all.min() + 1e-12
-        assert np.array_equal(point, config.points[idx])
+        assert dist == pytest.approx(math.sqrt(d_all[idx]), abs=1e-12)
 
 
 def test_translation_invariance_of_assignment():

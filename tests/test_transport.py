@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from oracles import directed_bichromatic_count
+from oracles import directed_bichromatic_count, mtp_sums
 
 from urglab.balls import ball
 from urglab.colourings import sample, subset_colouring, uniform_bernoulli_model
-from urglab.graphs import build_random_regular, build_torus_window
+from urglab.graphs import build_explicit, build_random_regular, build_torus_window, window_from_dict
 from urglab.transport import (
     TransportFunction,
     bichromatic_indicator,
@@ -156,3 +156,31 @@ def test_mtp_exact_on_random_regular_with_multiedges():
                       f_arrow(neighbour_colour_count(1))):
         report = mtp_check(w, c, transport)
         assert report.exact
+
+
+SUM_WINDOWS = {
+    "torus": lambda: build_torus_window(2, 5),
+    "random-regular-k1": lambda: build_random_regular(1, 6, seed=2),
+    "random-regular-multi": lambda: build_random_regular(3, 7, seed=1),  # loops, parallel edges
+    "explicit": lambda: build_explicit(5, [(0, 1), (1, 2), (2, 0), (3, 4), (0, 4)]),
+    # loops under self-inverse labels: each such entry is its own mirror
+    "self-inverse-loop-file": lambda: window_from_dict(
+        {"model": "explicit", "params": {"n": 3, "tag": "t"}, "seed": None, "n": 3,
+         "edges": [[0, 0, "e1"], [0, 1, "e2"], [1, 2, "e1"], [2, 2, "e3"]]}),
+}
+
+
+def inexact_transport() -> TransportFunction:
+    """deg(u) / 3 + colour(v) / 10: its float sums round differently in another order."""
+    return TransportFunction("inexact", 1, lambda b, v: b.degree(0) / 3 + b.colours[v] / 10)
+
+
+@pytest.mark.parametrize("name", SUM_WINDOWS)
+def test_mtp_sums_equal_fresh_ball_oracle_exactly(name):
+    w = SUM_WINDOWS[name]()
+    for seed in range(3):
+        c = bern(w, seed)
+        for transport in (degree_weighted_indicator(1), bichromatic_indicator(),
+                          f_arrow(neighbour_colour_count(1)), inexact_transport()):
+            report = mtp_check(w, c, transport)
+            assert (report.lhs, report.rhs) == mtp_sums(w, c, transport), (seed, transport.name)
