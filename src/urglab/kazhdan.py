@@ -264,6 +264,7 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
         sizes = list(sizes0)
         count = _bichromatic_count(w, colours)
         run_count, run_colours = count, colours.copy()
+        changed = False  # whether a move was applied since the last snapshot
         temperature = t0
 
         for step in range(problem.budget):
@@ -274,6 +275,7 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
                 accepted = _try_merge_move(w, colours, sizes, windows, rng)
                 if accepted is not None:
                     count += accepted
+                    changed = True
             elif kind < 0.65:
                 u = int(rng.integers(w.n))
                 v = int(rng.integers(w.n))
@@ -286,6 +288,7 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
                     if delta <= 0 or rng.random() < math.exp(-(delta / w.n) / temperature):
                         colours[v] = cu
                         count += delta
+                        changed = True
                     else:
                         colours[u] = cu
             else:
@@ -299,9 +302,12 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
                         sizes[old - 1] -= 1
                         sizes[new - 1] += 1
                         count += delta
+                        changed = True
             temperature *= problem.cooling
-            if _improves(count, colours, run_count, run_colours):
+            # unchanged colours equal the snapshot (count included), which never improves on itself
+            if changed and _improves(count, colours, run_count, run_colours):
                 run_count, run_colours = count, colours.copy()
+                changed = False
             if (step + 1) % epoch_len == 0:
                 trace.append((restart, step + 1, run_count / w.n))
 

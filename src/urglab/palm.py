@@ -11,6 +11,11 @@ Two identities are checked numerically:
   whose inner integral is estimated by uniform torus samples filtered to
   the origin cell (numerator and cell volume share the same draws).
 
+Both filter their uniform locations with ``torus.cell_members``: an exact
+bisector prefilter discards the locations that provably lie in another
+cell, and only the survivors are queried in the KD-tree, so the in-cell
+sets and distances are those of a full ``bulk_nearest`` query.
+
 For a rate-t Poisson process the root-conditioned law is the process plus
 an added origin point, which is how ``palm_sample_poisson`` constructs it.
 """
@@ -31,6 +36,7 @@ from .torus import (
     PointConfiguration,
     TorusBox,
     bulk_nearest,
+    cell_members,
     find_point_index,
     nearest_distance,
 )
@@ -56,20 +62,24 @@ def _check_point_guard(t: float, torus: FlatTorus) -> None:
 # ----------------------------------------------------------------------
 
 
-def sample_poisson(t: float, torus: FlatTorus, seed: int) -> PointConfiguration:
-    """Rate-t Poisson sample: Poisson(t * volume) points, iid uniform."""
+def _poisson_points(t: float, torus: FlatTorus, seed: int) -> np.ndarray:
+    """Poisson(t * volume) iid uniform points in [0, side)^d."""
     if t <= 0:
         raise ValueError("intensity t must be positive")
     rng = derive_rng(seed, "poisson")
     count = int(rng.poisson(t * torus.volume))
-    points = rng.uniform(0.0, torus.side, size=(count, torus.dim))
-    return PointConfiguration(torus, points)
+    return rng.uniform(0.0, torus.side, size=(count, torus.dim))
+
+
+def sample_poisson(t: float, torus: FlatTorus, seed: int) -> PointConfiguration:
+    """Rate-t Poisson sample: Poisson(t * volume) points, iid uniform."""
+    return PointConfiguration(torus, _poisson_points(t, torus, seed))
 
 
 def palm_sample_poisson(t: float, torus: FlatTorus, seed: int) -> PointConfiguration:
-    """Root-conditioned Poisson sample: a plain sample plus the origin point."""
-    base = sample_poisson(t, torus, seed)
-    points = np.vstack([np.zeros((1, torus.dim)), base.points])
+    """Root-conditioned Poisson sample: the plain sample's points plus the
+    origin, listed first, in one configuration."""
+    points = np.vstack([np.zeros((1, torus.dim)), _poisson_points(t, torus, seed)])
     return PointConfiguration(torus, points, rooted=True)
 
 
@@ -86,8 +96,8 @@ def cell_volume_mc(config: PointConfiguration, point, m: int, seed: int) -> Esti
     idx = find_point_index(config, point)
     rng = derive_rng(seed, "cell-volume")
     locations = rng.uniform(0.0, config.torus.side, size=(m, config.torus.dim))
-    _, assigned = bulk_nearest(config, locations)
-    p_hat = float(np.count_nonzero(assigned == idx)) / m
+    members, _ = cell_members(config, idx, locations)
+    p_hat = float(len(members)) / m
     vol = config.torus.volume
     return EstimateReport(
         quantity=f"cell-volume[{idx}]",
@@ -240,12 +250,11 @@ def verify_voronoi_inversion(
         config = palm_sample_poisson(t, torus, derive_seed(seed, "inversion-palm", i))
         rng = derive_rng(seed, "inversion-inner", i)
         locations = rng.uniform(0.0, torus.side, size=(m, torus.dim))
-        dists, assigned = bulk_nearest(config, locations)
-        in_cell = assigned == 0
+        in_cell, dists = cell_members(config, 0, locations)
         if f.radial is not None:
             # for u in the origin cell, the nearest point of (w - u) to the
             # origin is the shifted root, at distance |u|
-            return vol * float(f.radial(dists[in_cell]).sum()) / m
+            return vol * float(f.radial(dists).sum()) / m
         total = 0.0
         for u in locations[in_cell]:
             total += f.value(config.shifted(-u))

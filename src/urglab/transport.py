@@ -109,9 +109,17 @@ def f_arrow(f_vertex: VertexFunction, signed: bool = False) -> TransportFunction
     is *not* admissible for ``mtp_check`` unless f is constant.
     """
     r = f_vertex.radius
+    # (last ball, f of its root's radius-r ball): ``mtp_check`` hands one ball
+    # to all entries of its root in a row, so f(u) is evaluated once per ball.
+    # Holding the ball keeps ``is`` from matching a new ball at a recycled
+    # address; the pair is swapped as one tuple, so threads read it whole.
+    last: list = [(None, 0.0)]
 
     def evaluate(b: RootedBall, v_local: int) -> float:
-        fu = f_vertex.evaluate(b.ball(0, r))
+        seen, fu = last[0]
+        if seen is not b:
+            fu = f_vertex.evaluate(b.ball(0, r))
+            last[0] = (b, fu)
         fv = f_vertex.evaluate(b.ball(v_local, r))
         return (fu - fv) if signed else abs(fu - fv)
 

@@ -29,6 +29,7 @@ from urglab.torus import (
     PointConfiguration,
     TorusBox,
     bulk_nearest,
+    cell_members,
     nearest_distance,
     nearest_index,
     nearest_point,
@@ -75,6 +76,14 @@ def test_palm_contains_origin():
         config = palm_sample_poisson(1.0, T2, seed=seed)
         assert config.rooted
         assert np.all(config.points[0] == 0.0)
+
+
+def test_palm_sample_is_the_plain_sample_plus_origin():
+    for torus in (T2, FlatTorus(1, 30.0), FlatTorus(3, 4.0)):
+        for seed in range(4):
+            palm = palm_sample_poisson(1.0, torus, seed=seed)
+            plain = sample_poisson(1.0, torus, seed=seed)
+            assert np.array_equal(palm.points[1:], plain.points)
 
 
 def test_palm_void_probability():
@@ -159,6 +168,95 @@ def test_bulk_assignment_minimizes_distance():
         d_all = T2.distance_sq(config.points, g)
         assert d_all[idx] <= d_all.min() + 1e-12
         assert dist == pytest.approx(math.sqrt(d_all[idx]), abs=1e-12)
+
+
+def _cell_members_by_full_query(config, idx, locations):
+    dists, assigned = bulk_nearest(config, locations)
+    hit = assigned == idx
+    return np.flatnonzero(hit), dists[hit]
+
+
+def _prefilter_cases():
+    """(config, idx, locations): Palm samples in d = 1, 2, 3, a non-origin
+    site, a single point, small configurations, and exact ties."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for seed, (t, side, dim) in enumerate(((1.0, 20.0, 2), (4.0, 20.0, 2), (1.0, 50.0, 1), (1.0, 6.0, 3))):
+        torus = FlatTorus(dim, side)
+        config = palm_sample_poisson(t, torus, seed=seed)
+        locations = rng.uniform(0.0, side, (4000, dim))
+        cases.append((config, 0, locations))
+        cases.append((config, 5, locations))
+    for n in (1, 5, 17, 18):
+        config = PointConfiguration(T2, rng.uniform(0.0, 10.0, (n, 2)))
+        cases.append((config, n - 1, rng.uniform(0.0, 10.0, (2000, 2))))
+    antipodal = PointConfiguration(FlatTorus(1, 2.0), np.array([[0.5], [1.5]]))
+    ties = np.vstack([np.array([[0.0], [1.0]]), rng.uniform(0.0, 2.0, (500, 1))])
+    cases += [(antipodal, 0, ties), (antipodal, 1, ties)]
+    pair = PointConfiguration(FlatTorus(1, 8.0), np.array([[0.0], [2.0]]))
+    ties = np.array([[1.0], [5.0], [0.5], [3.0]])  # 1 and 5 are equidistant from both
+    cases += [(pair, 0, ties), (pair, 1, ties)]
+    lattice = PointConfiguration(T2, np.array([[i, j] for i in (1.0, 3.5, 6.0, 8.5) for j in (1.0, 3.5, 6.0, 8.5)]))
+    steps = np.arange(1.0, 11.0, 1.25) % 10.0  # sites, edge midpoints (2-way ties), corners (4-way)
+    cases += [(lattice, i, np.array([[x, y] for x in steps for y in steps])) for i in (0, 5, 15)]
+    return cases
+
+
+PREFILTER_CASES = _prefilter_cases()
+
+
+def test_cell_members_equal_full_query_filtered():
+    for config, idx, locations in PREFILTER_CASES:
+        members, dists = cell_members(config, idx, locations)
+        want_members, want_dists = _cell_members_by_full_query(config, idx, locations)
+        assert np.array_equal(members, want_members)
+        assert np.array_equal(dists, want_dists)
+
+
+def test_cell_members_query_few_locations(monkeypatch):
+    import urglab.torus
+
+    queried = []
+    full = urglab.torus.bulk_nearest
+    monkeypatch.setattr(urglab.torus, "bulk_nearest", lambda c, locs: queried.append(len(locs)) or full(c, locs))
+    config = palm_sample_poisson(1.0, FlatTorus(2, 20.0), seed=3)
+    locations = np.random.default_rng(4).uniform(0.0, 20.0, (10**4, 2))
+    members, _ = cell_members(config, 0, locations)
+    assert len(members) <= queried[0] <= len(locations) // 100  # the cell is about 1/400 of the torus
+
+
+def _filtered_members(config, idx, locations, bound):
+    """``cell_members`` with its exclusion bound written as ``bound(|p|^2, side)``."""
+    torus = config.torus
+    site = config.points[idx]
+    _, near = config.kdtree.query(site, k=min(17, len(config)))
+    near = np.atleast_1d(near)
+    offsets = torus.delta(config.points[near[near != idx]], site)
+    rel = torus.delta(locations, site)
+    where = np.arange(len(locations))
+    for p in offsets:
+        where = where[rel[where] @ p <= bound(p @ p, torus.side)]
+    dists, assigned = bulk_nearest(config, locations[where])
+    return where[assigned == idx], dists[assigned == idx]
+
+
+def _prefilter_matches(bound):
+    for config, idx, locations in PREFILTER_CASES:
+        members, dists = _filtered_members(config, idx, locations, bound)
+        want_members, want_dists = _cell_members_by_full_query(config, idx, locations)
+        if not (np.array_equal(members, want_members) and np.array_equal(dists, want_dists)):
+            return False
+    return True
+
+
+def test_prefilter_equivalence_rejects_broken_bisectors():
+    assert _prefilter_matches(lambda sq, side: sq / 2 + 1e-9 * side**2)
+    # a margin of the wrong sign drops exact ties the KD-tree assigns here
+    assert not _prefilter_matches(lambda sq, side: sq / 2 - 1e-9 * side**2)
+    # a half-space cut at a quarter of |p|^2 instead of half drops cell locations
+    assert not _prefilter_matches(lambda sq, side: sq / 4 + 1e-9 * side**2)
+    # |p|^2 in place of |p|^2 / 2 only lets more locations through to the KD-tree
+    assert _prefilter_matches(lambda sq, side: sq + 1e-9 * side**2)
 
 
 def test_translation_invariance_of_assignment():

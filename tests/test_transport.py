@@ -1,5 +1,8 @@
 """Outflow/inflow identity, edge differences, and the gradient norm bound."""
 
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from oracles import directed_bichromatic_count, mtp_sums
@@ -9,6 +12,7 @@ from urglab.colourings import sample, subset_colouring, uniform_bernoulli_model
 from urglab.graphs import build_explicit, build_random_regular, build_torus_window, window_from_dict
 from urglab.transport import (
     TransportFunction,
+    VertexFunction,
     bichromatic_indicator,
     constant_transport,
     degree_weighted_indicator,
@@ -104,6 +108,33 @@ def test_f_arrow_signed_sums_to_zero():
     assert total == pytest.approx(0.0, abs=1e-9)
 
 
+def test_f_arrow_cuts_the_root_ball_once_per_vertex(monkeypatch):
+    from urglab.balls import RootedBall
+
+    cuts = []
+    cut = RootedBall.ball
+    monkeypatch.setattr(RootedBall, "ball", lambda b, x, r: cuts.append(x) or cut(b, x, r))
+    w = build_torus_window(2, 32)
+    mtp_check(w, bern(w, 3), f_arrow(neighbour_colour_count(1)))
+    assert len(cuts) == 4096 + 1024  # one cut per directed entry, one per root
+    assert cuts.count(0) == 1024
+
+
+def test_f_arrow_shared_across_threads_matches_serial():
+    def vertex_id() -> VertexFunction:
+        # yields the interpreter lock inside every evaluation, so threads
+        # interleave between reading and refreshing f_arrow's root value
+        return VertexFunction("vertex-id", 1, lambda b: time.sleep(0) or float(b.original[0]))
+
+    w = build_torus_window(2, 12)
+    colourings = [bern(w, seed) for seed in range(8)]
+    serial = [mtp_check(w, c, f_arrow(vertex_id())) for c in colourings]
+    grad = f_arrow(vertex_id())
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        shared = list(pool.map(lambda c: mtp_check(w, c, grad), colourings, timeout=60))
+    assert shared == serial
+
+
 def test_norm_bound_zero_function():
     w = build_torus_window(1, 8)
     c = subset_colouring(w, np.zeros(8, dtype=bool))
@@ -150,7 +181,12 @@ def test_gradient_triangle_inequality():
 
 def test_mtp_exact_on_random_regular_with_multiedges():
     # loops and parallel edges must not break the reindexing identity
-    w = build_random_regular(1, 6, seed=2)  # tiny: loops are likely
+    w = build_random_regular(3, 7, seed=1)
+    ptr, idx = w.csr_lists
+    rows = [idx[ptr[u]:ptr[u + 1]] for u in range(w.n)]
+    assert any(u in row for u, row in enumerate(rows)), "window has no loop"
+    assert any(len(set(row) - {u}) < len(row) - row.count(u) for u, row in enumerate(rows)), \
+        "window has no parallel edge"
     c = bern(w, 1)
     for transport in (constant_transport(2.0), bichromatic_indicator(),
                       f_arrow(neighbour_colour_count(1))):
