@@ -401,5 +401,8 @@ def voronoi_adjacency_graph(config: PointConfiguration, m: int, seed: int) -> Wi
     rng = derive_rng(seed, "voronoi-adjacency")
     locations = rng.uniform(0.0, config.torus.side, size=(m, config.torus.dim))
     _, idx = config.kdtree.query(locations, k=2)
-    edges = sorted({(int(min(a, b)), int(max(a, b))) for a, b in idx if a != b})
-    return build_explicit(len(config), edges, tag="voronoi-adjacency")
+    a, b = idx.T
+    n = len(config)
+    keys = np.unique((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
+    edges = list(zip((keys // n).tolist(), (keys % n).tolist()))
+    return build_explicit(n, edges, tag="voronoi-adjacency")

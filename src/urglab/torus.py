@@ -79,7 +79,9 @@ class PointConfiguration:
     """A finite point set on a torus; optionally rooted at the origin.
 
     Points are stored in canonical coordinates and must be pairwise distinct
-    beyond 1e-12.  When rooted, the origin is the first listed point.
+    beyond 1e-12: the periodic KD-tree, built once here and kept for later
+    queries, must find no pair at wrapped distance <= 1e-12.  When rooted,
+    the origin is the first listed point.
     """
 
     torus: FlatTorus
@@ -90,10 +92,8 @@ class PointConfiguration:
         pts = self.torus.wrap(np.asarray(self.points, dtype=float).reshape(-1, self.torus.dim))
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if len(pts) > 1:
-            dists, _ = self.kdtree.query(pts, k=2)
-            if float(dists[:, 1].min()) <= 1e-12:
-                raise ValueError("configuration points must be pairwise distinct")
+        if len(pts) > 1 and len(self.kdtree.query_pairs(1e-12, output_type="ndarray")):
+            raise ValueError("configuration points must be pairwise distinct")
         if self.rooted:
             if len(pts) == 0 or np.any(np.abs(self.torus.delta(pts[0], 0.0)) > 1e-12):
                 raise ValueError("rooted configurations must list the origin first")
@@ -167,8 +167,12 @@ def cell_members(config: PointConfiguration, idx: int, locations: np.ndarray) ->
     bounds = 0.5 * np.sum(offsets * offsets, axis=1) + 1e-9 * torus.side**2
     rel = torus.delta(locations, site)
     where = np.arange(len(locations))
-    for p, bound in zip(offsets, bounds):  # shrinking survivors beat one (m x k) product
-        where = where[rel[where] @ p <= bound]
+    # only the first pass reads all of ``rel``; each pass carries the
+    # survivors' offset rows along with their indices (``take`` is far
+    # cheaper than fancy indexing), so later passes gather nothing from it
+    for p, bound in zip(offsets, bounds):
+        keep = np.flatnonzero(rel @ p <= bound)
+        rel, where = rel.take(keep, axis=0), where.take(keep)
     dists, assigned = bulk_nearest(config, locations[where])
     hit = assigned == idx
     return where[hit], dists[hit]

@@ -218,3 +218,9 @@ def prim_tree_weight(weights) -> int:
         total += best[nxt]
         best = [min(b, wt) for b, wt in zip(best, weights[nxt])]
     return total
+
+
+def nearest_pair_edges(pairs) -> list[tuple[int, int]]:
+    """Sorted undirected edges {a, b}, a != b, from (nearest, second-nearest)
+    index rows, deduplicated through a Python set."""
+    return sorted({(int(min(a, b)), int(max(a, b))) for a, b in pairs if a != b})
