@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Profile the best balanced-partition value against window size.
 
-Cycle windows should decay like 4/n; random-regular windows should plateau
-well above zero.  Emits one CSV row per window.
+Each row holds the best value the annealer found within its budget: an
+upper bound on the optimum, not the optimum.  At the default budget it
+reaches the cycle optimum 4/n only up to n = 32, and on random-regular
+windows the value grows with n, so the rows do not yet show the
+amenable/expander contrast past small n.  Emits one CSV row per window.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from urglab.graphs import build_random_regular, build_torus_window
 from urglab.kazhdan import kazhdan_profile
-from urglab.reporting import fmt_float
+from urglab.reporting import fmt_float, write_csv
 
 
 def main() -> int:
@@ -40,12 +42,9 @@ def main() -> int:
 
     rows = kazhdan_profile(windows, k=args.k, eps=args.eps, budget=args.budget,
                            restarts=args.restarts, seed=args.seed)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("n", "best_value", "balance_gap", "wall_time_s"))
-        for row in rows:
-            writer.writerow((row.n, fmt_float(row.value), fmt_float(row.balance_gap),
-                             fmt_float(row.wall_time)))
+    write_csv(args.out, ("n", "best_value", "balance_gap", "wall_time_s"),
+              [(row.n, fmt_float(row.value), fmt_float(row.balance_gap), fmt_float(row.wall_time))
+               for row in rows])
     for row in rows:
         print(f"n={row.n:6d}  value={row.value:.6f}  gap={row.balance_gap:.4f}  "
               f"{row.wall_time:.2f}s")

@@ -13,9 +13,9 @@ Exit codes: 0 success, 2 validation failure, 3 numerical-guard refusal.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -48,7 +48,7 @@ from .palm import (
     verify_mean_cell_volume,
     verify_voronoi_inversion,
 )
-from .reporting import fmt_float, sha256_of, write_json
+from .reporting import fmt_float, sha256_of, write_csv, write_json
 from .rng import derive_rng, derive_seed, parallel_trials
 from .torus import FlatTorus
 from .transport import BUILTIN_TRANSPORTS, mtp_check
@@ -89,11 +89,14 @@ class RunManifest:
 
 
 def _float_list(value) -> list[float]:
-    """Comma-separated text (from a flag) or a JSON list (from a config file)."""
+    """Comma-separated text (from a flag), or a JSON list or a bare number
+    (from a config file or run() params); never empty."""
     if isinstance(value, str):
-        return [float(part) for part in value.split(",") if part.strip()]
-    if any(isinstance(x, bool) for x in value):
-        raise TypeError(value)
+        value = [part for part in value.split(",") if part.strip()]
+    elif isinstance(value, (int, float)):
+        value = [value]
+    if not value or any(isinstance(x, bool) for x in value):
+        raise ValueError(value)
     return [float(x) for x in value]
 
 
@@ -179,8 +182,9 @@ class GaussSpec(_Spec):
 class PalmSpec(_Spec):
     """point-process checks on a flat torus"""
 
-    t: float = _field(1.0, "process intensity", check=(lambda t: t > 0, "intensity t must be positive"))
-    L: float = _field(20.0, "torus side", check=(lambda L: L > 0, "side L must be positive"))
+    t: float = _field(1.0, "process intensity",
+                      check=(lambda t: 0 < t < math.inf, "intensity t must be positive and finite"))
+    L: float = _field(20.0, "torus side", check=(lambda L: 0 < L < math.inf, "side L must be positive and finite"))
     d: int = _field(2, "torus dimension", check=(lambda d: d >= 1, "dimension d must be positive"))
     m: int = _field(10**4, "samples per trial",
                     check=(lambda m: m >= 1, "per-trial sample count m must be positive"))
@@ -240,15 +244,19 @@ class WindowSpec(_Spec):
 
 @dataclass(frozen=True)
 class PercolationSpec(WindowSpec):
-    """cluster statistics and cost bounds per trial"""
+    """cluster statistics and cost bounds per (p, trial)"""
 
-    p: float = _field(0.2, "occupation probability",
-                      check=(lambda p: 0.0 <= p <= 1.0, "occupation probability p must lie in [0, 1]"))
+    p: list[float] = _field([0.2], "comma-separated occupation probabilities, each run for every trial",
+                            check=(lambda p: all(0.0 <= x <= 1.0 for x in p),
+                                   "occupation probability p must lie in [0, 1]"))
 
 
 @dataclass(frozen=True)
-class CostBoundSpec(PercolationSpec):
+class CostBoundSpec(WindowSpec):
     """single-instance cost bounds, JSON out"""
+
+    p: float = _field(0.2, "occupation probability",
+                      check=(lambda p: 0.0 <= p <= 1.0, "occupation probability p must lie in [0, 1]"))
 
 
 @dataclass(frozen=True)
@@ -264,7 +272,7 @@ class KazhdanSpec(WindowSpec):
     brute_force: bool = _field(False, "exhaustive search with an optimality certificate")
 
     def weights(self) -> list[float]:
-        """``alpha``, or uniform weights when it is unset or empty."""
+        """``alpha``, or uniform weights when it is unset."""
         return self.alpha or [1.0 / self.k] * self.k
 
     def cross_problems(self) -> list[str]:
@@ -337,14 +345,6 @@ def build_window(params: dict, seed: int) -> WindowGraph:
 # ----------------------------------------------------------------------
 
 
-def _csv_writer(path: Path, header: tuple[str, ...], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
 def _run_gauss_check(spec: GaussSpec, config: ExperimentConfig, out: Path, w: None) -> list[Path]:
     rows = []
     for i, rho in enumerate(spec.rho):
@@ -355,7 +355,7 @@ def _run_gauss_check(spec: GaussSpec, config: ExperimentConfig, out: Path, w: No
             (fmt_float(rho), fmt_float(closed), fmt_float(mc.estimate), fmt_float(mc.stderr), ok)
         )
     path = out / "gauss_check.csv"
-    _csv_writer(path, ("rho", "closed_form", "mc", "stderr", "ok"), rows)
+    write_csv(path, ("rho", "closed_form", "mc", "stderr", "ok"), rows)
     return [path]
 
 
@@ -381,29 +381,30 @@ def _run_mtp_check(spec: MtpSpec, config: ExperimentConfig, out: Path, w: Window
     return [path]
 
 
-def _percolation_row(w: WindowGraph, p: float, seed: int):
+def _cost_pipeline(w: WindowGraph, p: float, seed: int):
+    """A Bernoulli(p) subset, its clusters and its connection-cost bounds."""
     subset = sample(bernoulli_model([p, 1.0 - p]), w, seed)
     dec = decompose(w, subset)
-    extra = connect_clusters(w, dec)
-    bound = cost_upper_bound(w, subset, dec, extra)
-    largest = max(dec.sizes) / w.n if dec.count else 0.0
-    return (
-        fmt_float(p),
-        fmt_float(intensity(subset, 1)),
-        str(dec.count),
-        fmt_float(largest),
-        fmt_float(bound.lemma_bound),
-        fmt_float(bound.empirical_bound),
-    )
+    return subset, dec, cost_upper_bound(w, subset, dec, connect_clusters(w, dec))
 
 
 def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
-    rows = parallel_trials(
-        lambda i: _percolation_row(w, spec.p, derive_seed(config.seed, "percolation", i)),
-        config.trials,
-    )
+    def row(i: int):  # trial i % trials at p[i // trials]: one p value gives a plain trial run
+        p = spec.p[i // config.trials]
+        subset, dec, bound = _cost_pipeline(w, p, derive_seed(config.seed, "percolation", i))
+        largest = max(dec.sizes) / w.n if dec.count else 0.0
+        return (
+            fmt_float(p),
+            fmt_float(intensity(subset, 1)),
+            str(dec.count),
+            fmt_float(largest),
+            fmt_float(bound.lemma_bound),
+            fmt_float(bound.empirical_bound),
+        )
+
+    rows = parallel_trials(row, len(spec.p) * config.trials)
     path = out / "percolation.csv"
-    _csv_writer(
+    write_csv(
         path,
         ("p", "intensity", "cluster_count", "largest_cluster_fraction",
          "cost_bound_lemma", "cost_bound_empirical"),
@@ -413,17 +414,13 @@ def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, out: Path,
 
 
 def _run_cost_bound(spec: CostBoundSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
-    p = spec.p
-    subset = sample(bernoulli_model([p, 1.0 - p]), w, derive_seed(config.seed, "subset"))
-    dec = decompose(w, subset)
-    extra = connect_clusters(w, dec)
-    bound = cost_upper_bound(w, subset, dec, extra)
+    _, dec, bound = _cost_pipeline(w, spec.p, derive_seed(config.seed, "subset"))
     path = out / "cost_bound.json"
     write_json(
         path,
         {
             "window": w.window_id,
-            "p": p,
+            "p": spec.p,
             "intensity": bound.intensity,
             "half_degree": bound.half_degree,
             "lemma_bound": bound.lemma_bound,
@@ -468,7 +465,7 @@ def _run_kazhdan(spec: KazhdanSpec, config: ExperimentConfig, out: Path, w: Wind
         },
     )
     trace_path = out / "kazhdan_trace.csv"
-    _csv_writer(
+    write_csv(
         trace_path,
         ("restart", "step", "best_value"),
         [(str(r), str(s), fmt_float(v)) for r, s, v in result.trace],
@@ -485,7 +482,7 @@ def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path, w: None) -> l
     if spec.check == "cellvol":
         report, values = verify_mean_cell_volume(t, torus, config.trials, m, config.seed)
         write_json(json_path, report)
-        _csv_writer(csv_path, ("trial", "volume"), [(str(i), fmt_float(v)) for i, v in enumerate(values)])
+        write_csv(csv_path, ("trial", "volume"), [(str(i), fmt_float(v)) for i, v in enumerate(values)])
     elif spec.check == "inversion":
         names = [spec.functional] if spec.functional else list(BUILTIN_FUNCTIONALS)
         reports = []
@@ -501,7 +498,7 @@ def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path, w: None) -> l
                 for i, (lv, rv) in enumerate(zip(lhs_values, rhs_values))
             )
         write_json(json_path, {"checks": reports})
-        _csv_writer(csv_path, ("functional", "trial", "lhs_value", "rhs_value"), rows)
+        write_csv(csv_path, ("functional", "trial", "lhs_value", "rhs_value"), rows)
     else:  # locfin
         rows = []
         total_violations = 0
@@ -518,7 +515,7 @@ def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path, w: None) -> l
             )
         write_json(json_path, {"trials": len(rows), "total_violations": total_violations,
                                "all_hold": total_violations == 0})
-        _csv_writer(csv_path, ("trial", "nearest_distance", "minimizers", "eps", "violations", "holds"), rows)
+        write_csv(csv_path, ("trial", "nearest_distance", "minimizers", "eps", "violations", "holds"), rows)
     return [json_path, csv_path]
 
 
@@ -534,18 +531,12 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 
-def run(config: ExperimentConfig, dry_run: bool = False) -> RunManifest | None:
-    """Validate, dispatch, write outputs and the manifest.
-
-    ``dry_run`` resolves everything cheap (validation, dispatch, window
-    parameters for small models) without sampling or writing.
-    """
+def run(config: ExperimentConfig) -> RunManifest:
+    """Validate, dispatch, write outputs and the manifest."""
     spec = _resolve_config(config)
     start = time.perf_counter()
     # built before the output directory is made: a refused window file leaves none behind
     w = spec.build(config.seed) if isinstance(spec, WindowSpec) else None
-    if dry_run:
-        return None
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = _KINDS[config.kind][1](spec, config, out, w)
@@ -643,7 +634,6 @@ def main(argv: list[str] | None = None) -> int:
     except (GuardViolation, InstanceTooLargeError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 3
-    assert manifest is not None
     print(json.dumps({"outputs": manifest.outputs, "wall_time_s": manifest.wall_time_s}))
     return 0
 

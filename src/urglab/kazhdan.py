@@ -95,10 +95,7 @@ class KazhdanProblem:
     eps: float
     budget: int = 4000
     restarts: int = 10
-    t0: float | None = None  # default: the window degree bound
-    cooling: float = 0.995
     seed: int = 0
-    merge_move_period: int = 25
 
     def __post_init__(self):
         if self.k < 1:
@@ -119,6 +116,19 @@ class KazhdanResult:
     trace: tuple[tuple[int, int, float], ...]  # (restart, step, best value so far)
     certificate: bool  # set only by exhaustive search
     empty_parts: tuple[int, ...]
+
+
+def _result(partition: Colouring, count: int, trace: tuple, certificate: bool) -> KazhdanResult:
+    """The result for a partition with ``count`` directed cross-part incidences."""
+    counts = partition.counts()
+    return KazhdanResult(
+        partition=partition,
+        value=count / partition.window.n,
+        weights=weight_vector(partition),
+        trace=trace,
+        certificate=certificate,
+        empty_parts=tuple(int(i + 1) for i in range(partition.d) if counts[i] == 0),
+    )
 
 
 def feasible_size_windows(n: int, alpha: WeightVector, eps: float) -> list[tuple[int, int]]:
@@ -194,22 +204,15 @@ def brute_force_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
             best = (cut, assignment)
     if best is None:
         raise InfeasibleBalanceError("no admissible partition exists")
-    colours = np.asarray(best[1], dtype=np.int64)
-    partition = Colouring(w, k, colours)
-    counts = partition.counts()
-    return KazhdanResult(
-        partition=partition,
-        value=best[0] / w.n,
-        weights=weight_vector(partition),
-        trace=(),
-        certificate=True,
-        empty_parts=tuple(int(i + 1) for i in range(k) if counts[i] == 0),
-    )
+    return _result(Colouring(w, k, np.asarray(best[1], dtype=np.int64)), best[0], (), certificate=True)
 
 
 # ----------------------------------------------------------------------
 # Simulated annealing
 # ----------------------------------------------------------------------
+
+COOLING = 0.995  # temperature factor per step; the first step runs at the window degree bound
+MERGE_MOVE_PERIOD = 25  # a merge move may be proposed only on steps divisible by this
 
 
 def _recolour_delta(w: WindowGraph, colours: np.ndarray, u: int, new: int) -> int:
@@ -251,7 +254,6 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
     w, k = problem.window, problem.k
     windows = feasible_size_windows(w.n, problem.alpha, problem.eps)
     sizes0 = _initial_sizes(w.n, problem.alpha, windows)
-    t0 = problem.t0 if problem.t0 is not None else float(w.degree_bound)
     epoch_len = max(1, problem.budget // 50)
 
     best_count, best_colours = 0, np.empty(0, dtype=np.int64)  # replaced by restart 0
@@ -265,13 +267,13 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
         count = _bichromatic_count(w, colours)
         run_count, run_colours = count, colours.copy()
         changed = False  # whether a move was applied since the last snapshot
-        temperature = t0
+        temperature = float(w.degree_bound)
 
         for step in range(problem.budget):
             kind = rng.random()
             if k == 1:
                 break
-            if kind < 0.05 and step % problem.merge_move_period == 0:
+            if kind < 0.05 and step % MERGE_MOVE_PERIOD == 0:
                 accepted = _try_merge_move(w, colours, sizes, windows, rng)
                 if accepted is not None:
                     count += accepted
@@ -303,7 +305,7 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
                         sizes[new - 1] += 1
                         count += delta
                         changed = True
-            temperature *= problem.cooling
+            temperature *= COOLING
             # unchanged colours equal the snapshot (count included), which never improves on itself
             if changed and _improves(count, colours, run_count, run_colours):
                 run_count, run_colours = count, colours.copy()
@@ -314,16 +316,17 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
         if restart == 0 or _improves(run_count, run_colours, best_count, best_colours):
             best_count, best_colours = run_count, run_colours
 
-    partition = Colouring(w, k, best_colours)
-    counts = partition.counts()
-    return KazhdanResult(
-        partition=partition,
-        value=best_count / w.n,
-        weights=weight_vector(partition),
-        trace=tuple(trace),
-        certificate=False,
-        empty_parts=tuple(int(i + 1) for i in range(k) if counts[i] == 0),
-    )
+    return _result(Colouring(w, k, best_colours), best_count, tuple(trace), certificate=False)
+
+
+def _boundary_entries(w: WindowGraph, colours: np.ndarray, from_part: int, to_part: int):
+    """The clusters of ``from_part`` and, per cluster, its directed entries
+    into ``to_part`` (an array of length ``dec.count``)."""
+    dec = decompose(w, subset_colouring(w, colours == from_part))
+    src, dst = w.edge_arrays
+    cluster = dec.cluster_id[src]
+    into = (cluster >= 0) & (colours[dst] == to_part)
+    return dec, np.bincount(cluster[into], minlength=dec.count)
 
 
 def _try_merge_move(w, colours, sizes, windows, rng) -> int | None:
@@ -339,11 +342,8 @@ def _try_merge_move(w, colours, sizes, windows, rng) -> int | None:
     b = int(rng.integers(1, k + 1))
     if r == b:
         return None
-    dec = decompose(w, subset_colouring(w, colours == r))
-    if dec.count == 0:
-        return None
-    src, dst = w.edge_arrays
-    touching = np.unique(dec.cluster_id[src[(dec.cluster_id[src] >= 0) & (colours[dst] == b)]])
+    dec, entries = _boundary_entries(w, colours, r, b)
+    touching = np.flatnonzero(entries)
     if touching.size == 0:
         return None
     cluster = int(touching[int(rng.integers(touching.size))])
@@ -354,11 +354,10 @@ def _try_merge_move(w, colours, sizes, windows, rng) -> int | None:
         and sizes[b - 1] + moved <= windows[b - 1][1]
     ):
         return None
-    boundary = int(np.count_nonzero((dec.cluster_id[src] == cluster) & (colours[dst] == b)))
     colours[members] = b
     sizes[r - 1] -= moved
     sizes[b - 1] += moved
-    return -2 * boundary
+    return -2 * int(entries[cluster])
 
 
 # ----------------------------------------------------------------------
@@ -404,10 +403,8 @@ def cluster_merge_move(
         raise ValueError("eps must lie in [0, 1]")
 
     colours = partition.colours
-    dec = decompose(w, subset_colouring(w, colours == from_part))
-    src, dst = w.edge_arrays
-    boundary_edge = (dec.cluster_id[src] >= 0) & (colours[dst] == to_part)
-    adjacent = np.unique(dec.cluster_id[src[boundary_edge]])
+    dec, entries = _boundary_entries(w, colours, from_part, to_part)
+    adjacent = np.flatnonzero(entries)
     if adjacent.size == 0:
         return MergeMoveResult(partition, 0.0, 0, (), no_adjacent_clusters=True)
 
@@ -419,9 +416,7 @@ def cluster_merge_move(
     new_colours[flip_mask] = to_part
     new_partition = Colouring(w, k, new_colours)
 
-    decrement_count = 2 * int(
-        np.count_nonzero(np.isin(dec.cluster_id[src], flipped) & (colours[dst] == to_part))
-    )
+    decrement_count = 2 * int(entries[flipped].sum())
     old_count = _bichromatic_count(w, colours)
     new_count = _bichromatic_count(w, new_colours)
     assert old_count - new_count == decrement_count, "merge decrement identity violated"

@@ -47,6 +47,9 @@ class GuardViolation(RuntimeError):
 
 
 MIN_EXPECTED_POINTS = 20.0
+# a sample holds 8*d bytes per point plus a KD-tree over them, so 1e8 points take
+# gigabytes (numpy's Poisson sampler itself fails above a mean of about 9.2e18)
+MAX_EXPECTED_POINTS = 1e8
 
 
 def _check_point_guard(t: float, torus: FlatTorus) -> None:
@@ -66,8 +69,12 @@ def _poisson_points(t: float, torus: FlatTorus, seed: int) -> np.ndarray:
     """Poisson(t * volume) iid uniform points in [0, side)^d."""
     if t <= 0:
         raise ValueError("intensity t must be positive")
+    expected = t * torus.volume
+    if expected > MAX_EXPECTED_POINTS:
+        raise GuardViolation(f"expected point count t*L^d = {expected:.3g} is above the guard "
+                             f"{MAX_EXPECTED_POINTS:g}; one sample would take gigabytes")
     rng = derive_rng(seed, "poisson")
-    count = int(rng.poisson(t * torus.volume))
+    count = int(rng.poisson(expected))
     return rng.uniform(0.0, torus.side, size=(count, torus.dim))
 
 

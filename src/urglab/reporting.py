@@ -55,12 +55,16 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_estimates_csv(path: Path, reports: Iterable[EstimateReport]) -> None:
+def write_csv(path: Path, header: tuple[str, ...], rows: Iterable) -> None:
+    """One header row, then the rows, in the csv module's default dialect."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ESTIMATE_CSV_HEADER)
-        for report in reports:
-            writer.writerow(report.csv_row())
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_estimates_csv(path: Path, reports: Iterable[EstimateReport]) -> None:
+    write_csv(path, ESTIMATE_CSV_HEADER, (report.csv_row() for report in reports))
 
 
 def write_json(path: Path, payload) -> None:

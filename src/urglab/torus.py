@@ -9,6 +9,7 @@ function even on cell boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +35,10 @@ class FlatTorus:
 
     @property
     def volume(self) -> float:
-        return self.side**self.dim
+        try:
+            return self.side**self.dim
+        except OverflowError:  # a float power past the double range raises rather than giving inf
+            return math.inf
 
     def wrap(self, points) -> np.ndarray:
         """Canonical coordinates in [0, side)."""

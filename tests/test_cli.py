@@ -1,7 +1,11 @@
 """Config validation, experiment dispatch, and reproducibility contracts."""
 
 import argparse
+import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,9 @@ from urglab.cli import (
     run,
     validate,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read(path):
@@ -248,6 +255,12 @@ def test_main_exit_codes(tmp_path, capsys):
          "brute_force: invalid value 'no'"),
         (["kazhdan", *cycle, "--config", config_file("typo.cfg", "budgt = 5\n")], "unknown key budgt"),
         (["gauss-check", "--config", str(tmp_path / "missing.cfg")], "config: cannot read"),
+        (["palm", "--L", "inf"], "side L must be positive and finite"),
+        (["palm", "--t", "inf"], "intensity t must be positive and finite"),
+        (["gauss-check", "--rho="], "rho: invalid value ''"),
+        (["percolation", "--L", "8", "--p="], "p: invalid value ''"),
+        (["percolation", "--L", "8", "--p", "0.1,1.5"], "occupation probability p must lie in [0, 1]"),
+        (["cost-bound", "--L", "8", "--p", "0.1,0.2"], "p: invalid value '0.1,0.2'"),
     ]
     refused = tmp_path / "refused"
     for argv, message in malformed:
@@ -255,10 +268,55 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main([*argv, "--out", str(refused)]) == 2, argv
         assert message in capsys.readouterr().err, argv
         assert not refused.exists(), argv  # a refused run creates no output directory
-    assert main(["palm", "--t", "0.001", "--L", "5", "--d", "1", "--check", "cellvol",
-                 "--out", str(tmp_path)]) == 3
+    guarded = [
+        ["--t", "0.001", "--L", "5", "--d", "1", "--check", "cellvol"],
+        ["--t", "1e300", "--L", "5"],
+        ["--t", "1e300", "--check", "locfin"],
+        ["--L", "1e200"],  # L^d overflows a double
+    ]
+    for argv in guarded:
+        capsys.readouterr()
+        assert main(["palm", *argv, "--out", str(tmp_path)]) == 3, argv
+        assert "guard: expected point count" in capsys.readouterr().err, argv
     assert main(["gauss-check", "--rho", "0", "--n", "1000", "--seed", "1",
                  "--out", str(tmp_path)]) == 0
+
+
+def test_percolation_p_grid_rows(tmp_path):
+    def percolation_csv(name, p):
+        argv = ["percolation", "--L", "8", "--p", p, "--trials", "3", "--seed", "4"]
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        return read(tmp_path / name / "percolation.csv")
+
+    grid = percolation_csv("grid", "0.1,0.3")
+    # row i is trial i % trials at p[i // trials]
+    assert [row.split(",")[0] for row in grid.decode().splitlines()[1:]] == ["0.1"] * 3 + ["0.3"] * 3
+    assert hashlib.sha256(grid).hexdigest() == (
+        "ab7a57146e5e485911ba0cceb5406fa317b8057b266e0ae32abaeb1a52fa2e7a")
+    # the first value's rows are the one-value run, header included
+    assert grid.startswith(percolation_csv("one", "0.1"))
+
+
+def test_percolation_takes_a_bare_p(tmp_path):
+    cfg = tmp_path / "perc.cfg"
+    cfg.write_text("L = 8\np = 0.3\n")
+    assert main(["percolation", "--config", str(cfg), "--trials", "2", "--out", str(tmp_path / "cli")]) == 0
+    manifest = run(ExperimentConfig("percolation", {"L": 8, "p": 0.3}, trials=2, out_dir=str(tmp_path / "run")))
+    assert manifest.config["params"]["p"] == [0.3]
+    assert read(tmp_path / "cli" / "percolation.csv") == read(tmp_path / "run" / "percolation.csv")
+
+
+def test_readme_commands_parse():
+    readme = (ROOT / "README.md").read_text()
+    lines = [line.split("#")[0].strip() for block in re.findall(r"```\w*\n(.*?)```", readme, re.S)
+             for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("urglab ")]
+    assert len(commands) >= len(KINDS)
+    for argv in commands:
+        config_from_args(build_parser().parse_args(argv))
+    scripts = set(re.findall(r"scripts/\w+\.py", readme))
+    assert scripts
+    assert all((ROOT / name).is_file() for name in scripts), scripts
 
 
 # the fewest settings each kind needs (the torus window needs its side L)
@@ -349,15 +407,16 @@ def _random_config(rng) -> ExperimentConfig:
 
 
 def test_valid_configs_clear_run_validation_fuzz():
-    # validate() empty implies the run dispatcher accepts the config; heavy
-    # work is skipped via dry_run, a subsample runs for real
+    # validate() empty implies the window of a window kind builds, the only
+    # step of run() before sampling; a subsample runs for real below
     rng = np.random.default_rng(2024)
     accepted = 0
     for i in range(1000):
         config = _random_config(rng)
         if validate(config):
             continue
-        run(config, dry_run=True)
+        if config.kind not in ("gauss-check", "palm"):
+            build_window(config.params, config.seed)
         accepted += 1
     assert accepted >= 800
 

@@ -287,6 +287,30 @@ def test_merge_move_decrement_matches_recount_k3():
         assert result.decrement_count >= 0
 
 
+def test_merge_move_golden_on_criterion_7_pool():
+    # flipped clusters, decrements and partitions pinned on the 100 eps = 0.8
+    # instances of acceptance criterion 7 (305 flips, 2694 directed entries)
+    rng = np.random.default_rng(7)
+    pool = [build_torus_window(2, 6), build_torus_window(1, 20), build_random_regular(2, 24, seed=1)]
+    results = []
+    for i in range(100):
+        w = pool[i % len(pool)]
+        k = 2 if i % 2 == 0 else 3
+        partition = sample(uniform_bernoulli_model(k), w, seed=1000 + i)
+        parts = rng.permutation(k)[:2] + 1
+        results.append(cluster_merge_move(w, partition, int(parts[0]), int(parts[1]), 0.8, seed=i))
+    flipped = [r.flipped_clusters for r in results]
+    decrements = [r.decrement_count for r in results]
+    colours = b"".join(r.partition.colours.tobytes() for r in results)
+    assert (sum(map(len, flipped)), sum(decrements)) == (305, 2694)
+    assert hashlib.sha256(repr(flipped).encode()).hexdigest() == (
+        "6a23d3413a34b077b8f44c2a0ab06a4fb90dcbf29353382d09ff9f9fc38936e3")
+    assert hashlib.sha256(repr(decrements).encode()).hexdigest() == (
+        "0633def62c7e32c6ef6467e29d806a31ac64b3d08b3acfd753e8055b5778c509")
+    assert hashlib.sha256(colours).hexdigest() == (
+        "258e94298a23d70154f8af2ced7de4af25cc643ca1d990808c5142f2bcdefaaa")
+
+
 def test_merge_move_validation():
     w, partition = arcs_partition(8)
     with pytest.raises(ValueError):

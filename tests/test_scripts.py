@@ -34,17 +34,6 @@ def test_kazhdan_profile_script(tmp_path):
     assert [row[0] for row in rows] == ["16", "32"]
 
 
-def test_percolation_sweep_script(tmp_path):
-    out = tmp_path / "sweep.csv"
-    run_script("percolation_sweep.py", "--L", "8", "--p-grid", "0.1,0.3", "--trials", "3",
-               "--out", str(out), cwd=tmp_path)
-    header, *rows = read_csv(out)
-    assert header == ["p", "trial", "intensity", "cluster_count", "largest_cluster_fraction",
-                      "cost_bound_lemma", "cost_bound_empirical"]
-    assert len(rows) == 2 * 3
-    assert [row[1] for row in rows] == ["0", "1", "2"] * 2
-
-
 def test_palm_checks_script(tmp_path):
     # writes no CSV: one cell-volume line and one line per built-in functional
     proc = run_script("palm_checks.py", "--L", "6", "--trials", "4", "--m", "50", cwd=tmp_path)
