@@ -32,7 +32,7 @@ class RootedBall:
     original: tuple[int, ...]  # local id -> window vertex
 
     def __post_init__(self):
-        if any(d > self.radius for d in self.distances):
+        if max(self.distances) > self.radius:
             raise ValueError("ball contains a vertex beyond its radius")
 
     @property
@@ -73,30 +73,36 @@ class RootedBall:
             raise ValueError(f"root {x} out of range")
         if self.distances[x] + r > self.radius:
             raise ValueError(f"radius-{r} ball around {x} reaches beyond the radius-{self.radius} ball")
-        return _cut(x, r, self.rows.__getitem__, self.colours, self.original)
+        return _cut(x, r, self.rows, self.colours, self.original)
 
 
-def _cut(root: int, r: int, row, colours, original) -> RootedBall:
+def _cut(root: int, r: int, rows, colours, original) -> RootedBall:
     """The radius-r ball around ``root`` in a graph whose vertex x has the
-    neighbours ``row(x)`` (in row order), the colour ``colours[x]`` (all 1 when
-    ``colours`` is None) and the window vertex ``original[x]``."""
+    neighbours ``rows[x]`` (in row order), the colour ``colours[x]`` (all 1 when
+    ``colours`` is None) and the window vertex ``original[x]`` (x itself when
+    ``original`` is None).  ``rows`` and ``colours`` are indexed per vertex,
+    so they should be Python sequences, not arrays."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     order, local, distances = [root], {root: 0}, [0]
-    for i, x in enumerate(order):  # the list grows while it is read: a BFS queue
-        if distances[i] == r:
-            break  # discovery order never decreases in distance
-        for y in row(x):
-            if y not in local:
-                local[y] = len(order)
-                order.append(y)
-                distances.append(distances[i] + 1)
+    start = 0
+    for d in range(1, r + 1):  # one BFS layer per pass: order[start:end] lies at distance d - 1
+        end = len(order)
+        for x in order[start:end]:
+            for y in rows[x]:
+                if y not in local:
+                    local[y] = len(order)
+                    order.append(y)
+        if len(order) == end:
+            break  # no vertex at distance d, so none further out
+        distances += [d] * (len(order) - end)
+        start = end
     return RootedBall(
         radius=r,
-        colours=(1,) * len(order) if colours is None else tuple(int(colours[x]) for x in order),
+        colours=(1,) * len(order) if colours is None else tuple([colours[x] for x in order]),
         distances=tuple(distances),
-        rows=tuple(tuple(local[y] for y in row(x) if y in local) for x in order),
-        original=tuple(original[x] for x in order),
+        rows=tuple([tuple([local[y] for y in rows[x] if y in local]) for x in order]),
+        original=tuple(order) if original is None else tuple([original[x] for x in order]),
     )
 
 
@@ -104,9 +110,8 @@ def ball(w: WindowGraph, colouring, u: int, r: int) -> RootedBall:
     """Radius-r ball around u with colour marks (all-1 marks when colouring is None)."""
     if not (0 <= u < w.n):
         raise ValueError(f"root {u} out of range")
-    ptr, idx = w.csr_lists
-    colours = None if colouring is None else colouring.colours
-    return _cut(u, r, lambda x: idx[ptr[x]:ptr[x + 1]], colours, range(w.n))
+    colours = None if colouring is None else colouring.colour_list
+    return _cut(u, r, w.neighbour_rows, colours, None)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,13 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .clusters import connect_clusters, cost_upper_bound, decompose, gaboriau_induction
+from .clusters import (
+    DisconnectedClustersError,
+    connect_clusters,
+    cost_upper_bound,
+    decompose,
+    gaboriau_induction,
+)
 from .colourings import bernoulli_model, colouring_to_dict, constant_model, intensity, sample
 from .gaussian import orthant_probability, orthant_probability_mc
 from .graphs import (
@@ -34,6 +40,7 @@ from .graphs import (
     window_from_json,
 )
 from .kazhdan import (
+    InfeasibleBalanceError,
     InstanceTooLargeError,
     KazhdanProblem,
     WeightVector,
@@ -44,6 +51,7 @@ from .palm import (
     BUILTIN_FUNCTIONALS,
     GuardViolation,
     check_local_finiteness,
+    check_sample_guard,
     sample_poisson,
     verify_mean_cell_volume,
     verify_voronoi_inversion,
@@ -346,6 +354,7 @@ def build_window(params: dict, seed: int) -> WindowGraph:
 
 
 def _run_gauss_check(spec: GaussSpec, config: ExperimentConfig, out: Path, w: None) -> list[Path]:
+    check_sample_guard("n", spec.n)
     rows = []
     for i, rho in enumerate(spec.rho):
         closed = orthant_probability(rho)
@@ -474,6 +483,7 @@ def _run_kazhdan(spec: KazhdanSpec, config: ExperimentConfig, out: Path, w: Wind
 
 
 def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path, w: None) -> list[Path]:
+    check_sample_guard("m", spec.m)
     torus = FlatTorus(spec.d, spec.L)
     t, m = spec.t, spec.m
     json_path = out / "palm_report.json"
@@ -628,14 +638,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         manifest = run(config_from_args(args))
     except ValidationError as exc:
-        for message in exc.messages:
-            print(f"validation: {message}", file=sys.stderr)
-        return 2
+        messages = exc.messages
+    # refusals that depend on the built window or the sampled data
+    except InfeasibleBalanceError as exc:
+        messages = [f"eps: {exc}"]
+    except DisconnectedClustersError as exc:
+        messages = [f"model: the window is disconnected and {exc}"]
     except (GuardViolation, InstanceTooLargeError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps({"outputs": manifest.outputs, "wall_time_s": manifest.wall_time_s}))
-    return 0
+    else:
+        print(json.dumps({"outputs": manifest.outputs, "wall_time_s": manifest.wall_time_s}))
+        return 0
+    for message in messages:
+        print(f"validation: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

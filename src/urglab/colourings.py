@@ -11,6 +11,7 @@ bichromatic edge count over n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -39,6 +40,11 @@ class Colouring:
             raise ValueError(f"colours must lie in 1..{self.d}")
         arr.setflags(write=False)
         object.__setattr__(self, "colours", arr)
+
+    @cached_property
+    def colour_list(self) -> list[int]:
+        """``colours`` as a list: Python loops read it faster than the array."""
+        return self.colours.tolist()
 
     def counts(self) -> np.ndarray:
         """Occurrences of each colour 1..d."""

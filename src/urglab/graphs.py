@@ -20,8 +20,10 @@ holds one entry per edge end at u, so a loop fills two.  Rows are ordered by
 (label *name*, neighbour); ball discovery and mass-transport summation follow
 that order.  ``mirror`` pairs each entry (u, v, s) with an entry (v, u, s^-1)
 and is its own inverse (a loop under a self-inverse label is its own mirror).
-``adjacency``, per-vertex (neighbour, label name) tuples, is a
-read-only view derived from the arrays for tests and outside tooling.
+``neighbour_rows``, each row's neighbours as a list, is the view that the
+Python loops (ball cuts, annealer steps) read; ``adjacency``, per-vertex
+(neighbour, label name) tuples, is a read-only view derived from the arrays
+for tests and outside tooling.
 """
 
 from __future__ import annotations
@@ -149,9 +151,10 @@ class WindowGraph:
         return int(self.indptr[u + 1] - self.indptr[u])
 
     @cached_property
-    def csr_lists(self) -> tuple[list[int], list[int]]:
-        """``indptr`` and ``indices`` as lists: Python loops slice these faster than arrays."""
-        return self.indptr.tolist(), self.indices.tolist()
+    def neighbour_rows(self) -> tuple[list[int], ...]:
+        """Per vertex, its row of ``indices`` as a list: Python loops read these faster than arrays."""
+        idx, ptr = self.indices.tolist(), self.indptr.tolist()
+        return tuple(idx[a:b] for a, b in zip(ptr, ptr[1:]))
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -192,9 +195,8 @@ class WindowGraph:
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, str], ...], ...]:
         """Derived view: per vertex, its ``(neighbour, label name)`` entries in row order."""
-        ptr, idx = self.csr_lists
-        entries = list(zip(idx, (self.gens.labels[s] for s in self.label_id.tolist())))
-        return tuple(tuple(entries[a:b]) for a, b in zip(ptr, ptr[1:]))
+        labels, ptr = [self.gens.labels[s] for s in self.label_id.tolist()], self.indptr.tolist()
+        return tuple(tuple(zip(row, labels[a:b])) for row, a, b in zip(self.neighbour_rows, ptr, ptr[1:]))
 
     @property
     def window_id(self) -> str:

@@ -220,8 +220,7 @@ def _recolour_delta(w: WindowGraph, colours: np.ndarray, u: int, new: int) -> in
     if new == old:
         return 0
     delta = 0
-    ptr, idx = w.csr_lists
-    for v in idx[ptr[u]:ptr[u + 1]]:
+    for v in w.neighbour_rows[u]:
         if v == u:
             continue  # loops are never bichromatic
         cv = int(colours[v])

@@ -50,6 +50,9 @@ MIN_EXPECTED_POINTS = 20.0
 # a sample holds 8*d bytes per point plus a KD-tree over them, so 1e8 points take
 # gigabytes (numpy's Poisson sampler itself fails above a mean of about 9.2e18)
 MAX_EXPECTED_POINTS = 1e8
+# per-trial sample counts (palm's m locations, gauss-check's n normal pairs) cost
+# tens of bytes per sample, so 1e8 samples take gigabytes
+MAX_SAMPLES = 10**8
 
 
 def _check_point_guard(t: float, torus: FlatTorus) -> None:
@@ -58,6 +61,13 @@ def _check_point_guard(t: float, torus: FlatTorus) -> None:
             f"expected point count t*L^d = {t * torus.volume:.3g} is below the "
             f"guard {MIN_EXPECTED_POINTS:g}; empty or near-empty samples would dominate"
         )
+
+
+def check_sample_guard(field: str, count: int) -> None:
+    """Refuse the per-trial sample count ``count`` of ``field`` above MAX_SAMPLES."""
+    if count > MAX_SAMPLES:
+        raise GuardViolation(f"{field}: {count} samples per trial is above the guard {MAX_SAMPLES:g}; "
+                             "one trial would take gigabytes")
 
 
 # ----------------------------------------------------------------------

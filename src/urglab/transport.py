@@ -67,6 +67,13 @@ class NormBoundReport:
     holds: bool
 
 
+def _sum_left_to_right(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ..., one addition at a time, as a float
+    loop adds them: the summation order fixes the reported bytes.  ``cumsum``
+    accumulates strictly in order, where ``np.sum`` would add pairwise."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
 def mtp_check(w: WindowGraph, c, f: TransportFunction) -> MTPReport:
     """Outflow vs inflow average of ``f``; negative values are rejected.
 
@@ -88,15 +95,9 @@ def mtp_check(w: WindowGraph, c, f: TransportFunction) -> MTPReport:
                 if val < 0:
                     raise ValueError(f"transport {f.name!r} returned a negative value at {(u, v)}")
             values.append(row_values[v])
-    # left-to-right float loops: the summation order fixes the reported bytes
-    lhs = 0.0
-    for val in values:
-        lhs += val
-    rhs = 0.0
-    for e in w.mirror.tolist():
-        rhs += values[e]
-    lhs /= w.n
-    rhs /= w.n
+    entry_values = np.array(values, dtype=np.float64)
+    lhs = _sum_left_to_right(entry_values) / w.n
+    rhs = _sum_left_to_right(entry_values[w.mirror]) / w.n
     diff = abs(lhs - rhs)
     return MTPReport(lhs, rhs, diff, w.n, exact=diff <= 1e-9 * max(lhs, 1.0))
 

@@ -3,7 +3,7 @@
 These deliberately avoid the library's own algorithms: cluster counts come
 from a BFS flood fill rather than scipy.sparse.csgraph, ball isomorphism from a
 permutation backtracking search rather than canonical labelling, shortest
-paths from plain BFS, exact partition optima from combinations
+paths and ball cuts from plain BFS, exact partition optima from combinations
 enumeration, and mass-transport sums from two fresh balls per directed edge
 rather than one streaming pass through the window's mirror permutation.  Expected values in tests are computed (or were frozen) from
 these, never from the code paths under test.
@@ -73,6 +73,34 @@ def set_distance(window, a: set[int], b: set[int]) -> int:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return -1 if best is None else best
+
+
+def bfs_ball(window, colouring, root: int, r: int) -> dict:
+    """The radius-r ball's ``colours``, ``distances``, ``rows`` and ``original``
+    by a deque BFS over the window's CSR arrays.
+
+    Local ids follow dequeue order; ``rows[i]`` lists i's in-ball neighbours
+    as local ids in the window's row order (a loop twice).
+    """
+    ptr, idx = window.indptr, window.indices
+    dist = {root: 0}
+    order = []
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        order.append(x)
+        if dist[x] < r:
+            for y in idx[ptr[x]:ptr[x + 1]]:
+                if int(y) not in dist:
+                    dist[int(y)] = dist[x] + 1
+                    queue.append(int(y))
+    local = {x: i for i, x in enumerate(order)}
+    return {
+        "colours": tuple(1 if colouring is None else int(colouring.colours[x]) for x in order),
+        "distances": tuple(dist[x] for x in order),
+        "rows": tuple(tuple(local[int(y)] for y in idx[ptr[x]:ptr[x + 1]] if int(y) in local) for x in order),
+        "original": tuple(order),
+    }
 
 
 def rooted_coloured_isomorphic(a, b) -> bool:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import rooted_coloured_isomorphic
+from oracles import bfs_ball, rooted_coloured_isomorphic
 
 from urglab.balls import BallSource, ball, balls_isomorphic, local_distance
 from urglab.colourings import sample, subset_colouring, uniform_bernoulli_model
@@ -35,6 +35,21 @@ def test_torus_ball_radius_one():
     # no edges among the four neighbours at spacing >= 2
     assert all(0 in (i, j) for i, j in b.edges)
     assert len(b.edges) == 4
+
+
+@pytest.mark.parametrize("w", [
+    build_torus_window(2, 5),
+    build_torus_window(1, 7),  # radius 3 covers the whole cycle
+    build_random_regular(3, 7, seed=1),  # loops and parallel edges of multiplicity up to 4
+], ids=["torus", "cycle", "random-regular-multi"])
+def test_ball_matches_bfs_oracle(w):
+    for colouring in (None, sample(uniform_bernoulli_model(3), w, 5)):
+        for u in range(w.n):
+            for r in range(4):
+                b = ball(w, colouring, u, r)
+                expected = bfs_ball(w, colouring, u, r)
+                assert {f: getattr(b, f) for f in expected} == expected, (u, r)
+                assert all(type(x) is int for x in b.colours + b.original)
 
 
 @pytest.mark.parametrize("w", [

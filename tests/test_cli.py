@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from urglab import cli
 from urglab.cli import (
     KINDS,
     ExperimentConfig,
@@ -212,7 +213,7 @@ def test_parse_config_file_rejects_garbage(tmp_path):
         parse_config_file(bad)
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["percolation", "--model", "torus", "--d", "2", "--L", "2", "--p", "0.2",
                  "--out", str(tmp_path)]) == 2
     def config_file(name, text):
@@ -268,6 +269,29 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main([*argv, "--out", str(refused)]) == 2, argv
         assert message in capsys.readouterr().err, argv
         assert not refused.exists(), argv  # a refused run creates no output directory
+    # refused only once the window is built or the subsets are sampled
+    refused_late = [
+        (["kazhdan", "--model", "cycle", "--L", "9", "--k", "2", "--eps", "0.01"],
+         "validation: eps: no integer part sizes"),
+        (["percolation", "--model", "random-regular", "--k-rank", "1", "--n", "40", "--p", "0.3", "--trials", "3"],
+         "validation: model: the window is disconnected"),
+    ]
+    for argv, message in refused_late:
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path)]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+    with monkeypatch.context() as patch:
+        def unreachable(*args):
+            raise AssertionError("a sample count above the guard reached the sampler")
+
+        # a sampler call here would try to allocate terabytes
+        patch.setattr(cli, "verify_mean_cell_volume", unreachable)
+        patch.setattr(cli, "orthant_probability_mc", unreachable)
+        for argv, message in [(["palm", "--m", "10000000000000", "--trials", "1"], "guard: m: "),
+                              (["gauss-check", "--n", "10000000000000"], "guard: n: ")]:
+            capsys.readouterr()
+            assert main([*argv, "--out", str(tmp_path)]) == 3, argv
+            assert message in capsys.readouterr().err, argv
     guarded = [
         ["--t", "0.001", "--L", "5", "--d", "1", "--check", "cellvol"],
         ["--t", "1e300", "--L", "5"],

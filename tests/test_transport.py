@@ -1,5 +1,6 @@
 """Outflow/inflow identity, edge differences, and the gradient norm bound."""
 
+import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,9 +9,11 @@ import pytest
 from oracles import directed_bichromatic_count, mtp_sums
 
 from urglab.balls import ball
+from urglab.cli import ExperimentConfig, run
 from urglab.colourings import sample, subset_colouring, uniform_bernoulli_model
 from urglab.graphs import build_explicit, build_random_regular, build_torus_window, window_from_dict
 from urglab.transport import (
+    BUILTIN_TRANSPORTS,
     TransportFunction,
     VertexFunction,
     bichromatic_indicator,
@@ -182,8 +185,7 @@ def test_gradient_triangle_inequality():
 def test_mtp_exact_on_random_regular_with_multiedges():
     # loops and parallel edges must not break the reindexing identity
     w = build_random_regular(3, 7, seed=1)
-    ptr, idx = w.csr_lists
-    rows = [idx[ptr[u]:ptr[u + 1]] for u in range(w.n)]
+    rows = w.neighbour_rows
     assert any(u in row for u, row in enumerate(rows)), "window has no loop"
     assert any(len(set(row) - {u}) < len(row) - row.count(u) for u, row in enumerate(rows)), \
         "window has no parallel edge"
@@ -220,3 +222,46 @@ def test_mtp_sums_equal_fresh_ball_oracle_exactly(name):
                           f_arrow(neighbour_colour_count(1)), inexact_transport()):
             report = mtp_check(w, c, transport)
             assert (report.lhs, report.rhs) == mtp_sums(w, c, transport), (seed, transport.name)
+
+
+def test_mtp_sums_add_left_to_right():
+    # a 2**53 outflow at vertex 0 among 1.0s: added one at a time, the 1.0s after a
+    # large partial sum are rounded away, while pairwise summation (np.sum) keeps
+    # groups of them, so the two orders give different floats
+    w = build_torus_window(2, 5)
+    c = subset_colouring(w, np.arange(w.n) == 0)
+    spike = TransportFunction("spike", 0, lambda b, v: 2.0**53 if b.colours[0] == 1 else 1.0)
+    report = mtp_check(w, c, spike)
+    values = [2.0**53 if u == 0 else 1.0 for u in w.edge_arrays[0].tolist()]  # per entry, in row order
+    lhs = rhs = 0.0
+    for val in values:
+        lhs += val
+    for e in w.mirror.tolist():
+        rhs += values[e]
+    assert (report.lhs, report.rhs) == (lhs / w.n, rhs / w.n)
+    # the values tell the orders apart
+    assert float(np.sum(values)) / w.n != report.lhs
+    assert float(np.sum(np.array(values)[w.mirror])) / w.n != report.rhs
+
+
+# sha256 of mtp_report.json at master seed 0, recorded while mtp_check summed
+# with Python float loops; the gradient transport is no CLI built-in, so it is
+# registered under the degree-weighted name (the report's "transport" field)
+MTP_REPORT_GOLDENS = {
+    "bichromatic-torus16": (
+        {"model": "torus", "d": 2, "L": 16, "transport": "bichromatic"}, None,
+        "c3fb5867f75e264c75e1dd2c1e4e67e74b6c56e856bcd9360b28cf3aac82a818"),
+    "grad-random-regular-multi": (
+        {"model": "random-regular", "k_rank": 3, "n": 7, "window_seed": 1, "transport": "degree-weighted"},
+        lambda colour=1: f_arrow(neighbour_colour_count(colour)),
+        "51099bc4914c5541da8bdb3afe6cbb69a595ce86d9c90e48a27348ae8bf404c5"),
+}
+
+
+@pytest.mark.parametrize("name", MTP_REPORT_GOLDENS)
+def test_mtp_report_matches_golden_digest(name, tmp_path, monkeypatch):
+    params, factory, digest = MTP_REPORT_GOLDENS[name]
+    if factory is not None:
+        monkeypatch.setitem(BUILTIN_TRANSPORTS, params["transport"], factory)
+    run(ExperimentConfig("mtp-check", params, trials=1, seed=0, out_dir=str(tmp_path)))
+    assert hashlib.sha256((tmp_path / "mtp_report.json").read_bytes()).hexdigest() == digest
