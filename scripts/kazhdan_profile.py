@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from urglab.graphs import build_random_regular, build_torus_window
 from urglab.kazhdan import kazhdan_profile
@@ -29,7 +30,7 @@ def main() -> int:
     parser.add_argument("--budget", type=int, default=4000)
     parser.add_argument("--restarts", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=str, default="kazhdan_profile.csv")
+    parser.add_argument("--out", type=Path, default=Path("kazhdan_profile.csv"))
     args = parser.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",")]

@@ -545,10 +545,9 @@ def run(config: ExperimentConfig) -> RunManifest:
     """Validate, dispatch, write outputs and the manifest."""
     spec = _resolve_config(config)
     start = time.perf_counter()
-    # built before the output directory is made: a refused window file leaves none behind
     w = spec.build(config.seed) if isinstance(spec, WindowSpec) else None
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # the writers make ``out``, so a run refused before its first write leaves no directory
     outputs = _KINDS[config.kind][1](spec, config, out, w)
     manifest = RunManifest(
         config={

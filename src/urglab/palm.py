@@ -14,7 +14,9 @@ Two identities are checked numerically:
 Both filter their uniform locations with ``torus.cell_members``: an exact
 bisector prefilter discards the locations that provably lie in another
 cell, and only the survivors are queried in the KD-tree, so the in-cell
-sets and distances are those of a full ``bulk_nearest`` query.
+sets and distances are those of a full ``bulk_nearest`` query.  That
+query builds the Palm sample's tree; the plain samples of the lhs and the
+translates of the generic rhs path only feed ``f.value``, and build none.
 
 For a rate-t Poisson process the root-conditioned law is the process plus
 an added origin point, which is how ``palm_sample_poisson`` constructs it.
@@ -47,7 +49,7 @@ class GuardViolation(RuntimeError):
 
 
 MIN_EXPECTED_POINTS = 20.0
-# a sample holds 8*d bytes per point plus a KD-tree over them, so 1e8 points take
+# a sample holds 8*d bytes per point plus, once queried, a KD-tree over them, so 1e8 points take
 # gigabytes (numpy's Poisson sampler itself fails above a mean of about 9.2e18)
 MAX_EXPECTED_POINTS = 1e8
 # per-trial sample counts (palm's m locations, gauss-check's n normal pairs) cost

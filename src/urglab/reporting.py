@@ -56,7 +56,9 @@ def fmt_float(x: float) -> str:
 
 
 def write_csv(path: Path, header: tuple[str, ...], rows: Iterable) -> None:
-    """One header row, then the rows, in the csv module's default dialect."""
+    """One header row, then the rows, in the csv module's default dialect;
+    makes the parent directory if it is missing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -68,6 +70,8 @@ def write_estimates_csv(path: Path, reports: Iterable[EstimateReport]) -> None:
 
 
 def write_json(path: Path, payload) -> None:
+    """Sorted, indented JSON; makes the parent directory if it is missing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     if hasattr(payload, "__dataclass_fields__"):
         payload = asdict(payload)
     with open(path, "w") as fh:

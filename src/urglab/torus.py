@@ -5,6 +5,10 @@ Distances compare squared wrapped offsets; ties are detected with an
 absolute 1e-12 threshold on the squared distance and resolved toward the
 lexicographically smallest point coordinates, so assignment is a genuine
 function even on cell boundaries.
+
+A configuration's periodic KD-tree is built by the first query that reads
+it.  Construction only checks distinctness, and that check needs the tree
+only when two sorted first coordinates lie suspiciously close.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 TIE_TOL_SQ = 1e-12
+DISTINCT_TOL = 1e-12  # points closer than this (wrapped) are one point
 CELL_NEIGHBOURS = 16  # bisectors that prefilter ``cell_members``
 
 
@@ -83,9 +88,11 @@ class PointConfiguration:
     """A finite point set on a torus; optionally rooted at the origin.
 
     Points are stored in canonical coordinates and must be pairwise distinct
-    beyond 1e-12: the periodic KD-tree, built once here and kept for later
-    queries, must find no pair at wrapped distance <= 1e-12.  When rooted,
-    the origin is the first listed point.
+    beyond DISTINCT_TOL: the periodic KD-tree must find no pair at wrapped
+    distance <= DISTINCT_TOL.  The tree is built on the first query that
+    reads it; construction asks it for pairs only when
+    ``_close_pair_suspected`` cannot rule them out.  When rooted, the origin
+    is the first listed point.
     """
 
     torus: FlatTorus
@@ -96,7 +103,8 @@ class PointConfiguration:
         pts = self.torus.wrap(np.asarray(self.points, dtype=float).reshape(-1, self.torus.dim))
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if len(pts) > 1 and len(self.kdtree.query_pairs(1e-12, output_type="ndarray")):
+        if (len(pts) > 1 and _close_pair_suspected(pts, self.torus.side)
+                and len(self.kdtree.query_pairs(DISTINCT_TOL, output_type="ndarray"))):
             raise ValueError("configuration points must be pairwise distinct")
         if self.rooted:
             if len(pts) == 0 or np.any(np.abs(self.torus.delta(pts[0], 0.0)) > 1e-12):
@@ -113,6 +121,22 @@ class PointConfiguration:
 
     def shifted(self, offset) -> "PointConfiguration":
         return PointConfiguration(self.torus, self.points + np.asarray(offset, dtype=float))
+
+
+def _close_pair_suspected(points: np.ndarray, side: float) -> bool:
+    """False only when no two canonical points lie within DISTINCT_TOL.
+
+    Two such points have wrapped first coordinates within DISTINCT_TOL, so
+    some circular gap between the sorted first coordinates, the seam gap
+    from the last back round to the first included, is at most that.  The
+    bound doubles DISTINCT_TOL and adds room for the rounding of the seam
+    gap, a difference of numbers near ``side``.  A few thousand random
+    points clear it by orders of magnitude; lattices sharing a first
+    coordinate never do and go to the exact pair query.
+    """
+    xs = np.sort(points[:, 0])
+    gaps = np.diff(xs, append=xs[0] + side)
+    return bool(gaps.min() <= 2 * DISTINCT_TOL + 1e-14 * side)
 
 
 def nearest_index(config: PointConfiguration, location) -> int:

@@ -278,8 +278,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     ]
     for argv, message in refused_late:
         capsys.readouterr()
-        assert main([*argv, "--out", str(tmp_path)]) == 2, argv
+        assert main([*argv, "--out", str(refused)]) == 2, argv
         assert message in capsys.readouterr().err, argv
+        assert not refused.exists(), argv
     with monkeypatch.context() as patch:
         def unreachable(*args):
             raise AssertionError("a sample count above the guard reached the sampler")
@@ -290,8 +291,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         for argv, message in [(["palm", "--m", "10000000000000", "--trials", "1"], "guard: m: "),
                               (["gauss-check", "--n", "10000000000000"], "guard: n: ")]:
             capsys.readouterr()
-            assert main([*argv, "--out", str(tmp_path)]) == 3, argv
+            assert main([*argv, "--out", str(refused)]) == 3, argv
             assert message in capsys.readouterr().err, argv
+            assert not refused.exists(), argv
     guarded = [
         ["--t", "0.001", "--L", "5", "--d", "1", "--check", "cellvol"],
         ["--t", "1e300", "--L", "5"],
@@ -300,10 +302,13 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     ]
     for argv in guarded:
         capsys.readouterr()
-        assert main(["palm", *argv, "--out", str(tmp_path)]) == 3, argv
+        assert main(["palm", *argv, "--out", str(refused)]) == 3, argv
         assert "guard: expected point count" in capsys.readouterr().err, argv
+        assert not refused.exists(), argv
+    # the writers make a missing output directory, nested ones included
     assert main(["gauss-check", "--rho", "0", "--n", "1000", "--seed", "1",
-                 "--out", str(tmp_path)]) == 0
+                 "--out", str(refused / "nested")]) == 0
+    assert sorted(p.name for p in (refused / "nested").iterdir()) == ["gauss_check.csv", "run.manifest.json"]
 
 
 def test_percolation_p_grid_rows(tmp_path):

@@ -82,22 +82,108 @@ def _near_pair(dim, first, second):
     return points
 
 
+def _distinctness_cases(dim, side):
+    """(name, points, distinct, exact): configurations around the 1e-12 rule.
+
+    ``exact`` says whether construction must hand the points to the exact
+    pair query (and so build the KD-tree): True for first coordinates within
+    the prefilter's bound, False for a random crowd, None where either is
+    right.  Rejected configurations have no tree to look at.
+    """
+    rng = np.random.default_rng(dim)
+    crowd = rng.uniform(0.0, side, (400, dim))
+    cases = [
+        ("5e-13 apart", _near_pair(dim, 1.0, 1.0 + 5e-13), False, None),
+        ("4e-13 apart across the seam", _near_pair(dim, 0.0, side - 4e-13), False, None),
+        ("5e-13 apart across the seam, neither at 0", _near_pair(dim, side - 3e-13, 2e-13), False, None),
+        ("1e-11 apart", _near_pair(dim, 1.0, 1.0 + 1e-11), True, None),
+        ("random crowd", crowd, True, False),
+        ("duplicate hidden in the crowd", np.insert(crowd, 123, crowd[301], axis=0), False, None),
+        ("empty", np.zeros((0, dim)), True, False),
+        ("one point", np.full((1, dim), 2.0), True, False),
+    ]
+    if side >= 1e3:
+        # first coordinates 5e-12 apart lie inside the rounding margin that grows with side
+        cases += [
+            ("5e-12 apart", _near_pair(dim, 1.0, 1.0 + 5e-12), True, True),
+            ("5e-12 apart across the seam", _near_pair(dim, 0.0, side - 5e-12), True, True),
+        ]
+    if dim > 1:
+        # rows of a lattice share first coordinates, so only the exact query can clear them
+        axis = np.linspace(0.0, side, 7, endpoint=False)
+        lattice = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        hidden = np.insert(lattice, 40, lattice[17] + np.eye(dim)[-1] * 3e-13, axis=0)
+        cases += [("lattice", lattice, True, True), ("near-duplicate hidden in a lattice", hidden, False, None)]
+    return cases
+
+
+def _misjudged(dim, side):
+    """Names of the cases whose verdict, or whose route to the exact query, is wrong."""
+    torus = FlatTorus(dim, side)
+    wrong = []
+    for name, points, distinct, exact in _distinctness_cases(dim, side):
+        try:
+            config = PointConfiguration(torus, points)
+        except ValueError as exc:
+            assert "pairwise distinct" in str(exc)
+            if distinct:
+                wrong.append(name)
+            continue
+        if not distinct or exact not in (None, "kdtree" in config.__dict__):
+            wrong.append(name)
+    return wrong
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_distinctness_rule_at_the_1e12_threshold(dim):
-    torus = FlatTorus(dim, 10.0)
-    # pairs at wrapped distance <= 1e-12 are rejected, also across the seam
-    for points in (_near_pair(dim, 1.0, 1.0 + 5e-13), _near_pair(dim, 0.0, 10.0 - 4e-13)):
-        with pytest.raises(ValueError, match="pairwise distinct"):
-            PointConfiguration(torus, points)
-    crowd = np.random.default_rng(dim).uniform(0.0, 10.0, (400, dim))
-    PointConfiguration(torus, crowd)
-    hidden = np.insert(crowd, 123, crowd[301], axis=0)  # one duplicated pair among 401 points
-    with pytest.raises(ValueError, match="pairwise distinct"):
-        PointConfiguration(torus, hidden)
-    # 1e-11 apart is distinct; empty and one-point configurations are valid
-    assert len(PointConfiguration(torus, _near_pair(dim, 1.0, 1.0 + 1e-11))) == 2
-    assert len(PointConfiguration(torus, np.zeros((0, dim)))) == 0
-    assert len(PointConfiguration(torus, np.full((1, dim), 2.0))) == 1
+    for side in (10.0, 1e3):
+        assert _misjudged(dim, side) == [], side
+
+
+def _gaps_mutant(seam=True, margin=True):
+    def suspected(points, side):
+        xs = np.sort(points[:, 0])
+        gaps = np.diff(xs, append=xs[0] + side) if seam else np.diff(xs)
+        return bool(gaps.min() <= 2e-12 + (1e-14 * side if margin else 0.0))
+
+    return suspected
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [_gaps_mutant(seam=False), _gaps_mutant(margin=False), lambda points, side: False],
+    ids=["no-seam-gap", "zero-margin", "never-suspect"],
+)
+def test_distinctness_cases_reject_broken_prefilters(monkeypatch, mutant):
+    import urglab.torus
+
+    monkeypatch.setattr(urglab.torus, "_close_pair_suspected", mutant)
+    assert any(_misjudged(dim, side) for dim in (1, 2, 3) for side in (10.0, 1e3))
+
+
+def test_trees_are_built_by_their_first_query(monkeypatch):
+    import urglab.torus
+
+    built = []
+    tree = urglab.torus.cKDTree
+    monkeypatch.setattr(urglab.torus, "cKDTree", lambda *args, **kw: built.append(1) or tree(*args, **kw))
+    f = BUILTIN_FUNCTIONALS["capped-nearest-distance"]()
+    config = sample_poisson(1.0, T2, seed=3)
+    f.value(config)
+    moved = config.shifted(-config.points[0])
+    f.value(moved)
+    assert "kdtree" not in config.__dict__ and "kdtree" not in moved.__dict__ and built == []
+    palm = palm_sample_poisson(1.0, T2, seed=3)
+    locations = np.random.default_rng(3).uniform(0.0, 10.0, (500, 2))
+    for idx in (0, 1, 2):
+        cell_members(palm, idx, locations)
+    bulk_nearest(palm, locations)
+    assert len(built) == 1
+    # one tree per Palm configuration, none for the lhs samples or the translates
+    built.clear()
+    generic = BoundedFunctional("generic", f.bound, f.value)
+    verify_voronoi_inversion(generic, 1.0, FlatTorus(2, 6.0), 4, 300, seed=2)
+    assert len(built) == 4
 
 
 def test_palm_contains_origin():
