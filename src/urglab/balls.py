@@ -5,9 +5,6 @@ root, carrying vertex colours, root, and BFS distances.  Isomorphism of two
 balls means a root-preserving, colour-preserving, multiplicity-preserving
 graph isomorphism; it is decided through a canonical form built by colour
 refinement plus backtracking, which is cheap because degrees are bounded.
-
-The local similarity of two rooted windows is 2**(-r*) where r* is the
-largest radius at which their balls are isomorphic.
 """
 
 from __future__ import annotations
@@ -202,49 +199,3 @@ def balls_isomorphic(a: RootedBall, b: RootedBall) -> bool:
         return False
     return canonical_form(a) == canonical_form(b)
 
-
-# ----------------------------------------------------------------------
-# Local similarity of rooted windows
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BallSource:
-    """A rooted, optionally coloured window from which balls can be cut."""
-
-    window: WindowGraph
-    colouring: object  # Colouring or None
-    root: int
-
-    def ball(self, r: int) -> RootedBall:
-        return ball(self.window, self.colouring, self.root, r)
-
-
-@dataclass(frozen=True)
-class LocalDistanceResult:
-    value: float
-    matched_radius: int | None  # largest radius with isomorphic balls; None if even r=0 differs
-    indistinguishable: bool  # all radii up to the horizon matched
-
-
-def local_distance(a: BallSource, b: BallSource, r_max: int) -> LocalDistanceResult:
-    """2**(-r*) for the largest r* <= r_max with isomorphic balls.
-
-    Root-level disagreement gives 1.  When every radius up to the horizon
-    matches, finite windows cannot certify isomorphism beyond it, so the
-    value is reported as 2**-(r_max + 1) with the ``indistinguishable`` flag
-    set instead of an exact 0.
-    """
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
-    matched: int | None = None
-    for r in range(r_max + 1):
-        if balls_isomorphic(a.ball(r), b.ball(r)):
-            matched = r
-        else:
-            break
-    if matched is None:
-        return LocalDistanceResult(1.0, None, False)
-    if matched == r_max:
-        return LocalDistanceResult(2.0 ** -(r_max + 1), matched, True)
-    return LocalDistanceResult(2.0**-matched, matched, False)

@@ -1,5 +1,5 @@
-"""Percolation clusters, clusterwise coin flips, connecting factor edges,
-and connection-cost upper bounds.
+"""Percolation clusters, connecting factor edges, and connection-cost
+upper bounds.
 
 A subset of window vertices (the "in" class of a 2-colouring) decomposes
 into clusters: connected components of the induced subgraph.  The cheapest
@@ -23,9 +23,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra, minimum_spanning_tree
 
-from .colourings import Colouring, subset_colouring, subset_mask
+from .colourings import Colouring, subset_mask
 from .graphs import WindowGraph
-from .rng import derive_rng
 
 
 class DisconnectedClustersError(ValueError):
@@ -74,44 +73,6 @@ def decompose(w: WindowGraph, subset: Colouring) -> ClusterDecomposition:
         count=int(count),
         sizes=tuple(int(k) for k in np.bincount(labels, minlength=count)),
     )
-
-
-# ----------------------------------------------------------------------
-# Clusterwise coins
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ClusterBernoulli:
-    """One iid coin per cluster, copied to all its vertices.
-
-    ``colouring`` is a 2-colouring of the window: colour 1 on the vertices
-    of heads clusters, colour 2 elsewhere (including outside the subset).
-    """
-
-    coins: np.ndarray  # 0/1 per cluster id
-    colouring: Colouring
-
-
-def clusterwise_bernoulli(dec: ClusterDecomposition, eps: float, seed: int) -> ClusterBernoulli:
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError("eps must lie in [0, 1]")
-    rng = derive_rng(seed, "cluster-coins")
-    coins = (rng.random(dec.count) < eps).astype(np.int64)
-    heads = np.zeros(dec.window.n, dtype=bool)
-    if dec.count:
-        inside = dec.cluster_id >= 0
-        heads[inside] = coins[dec.cluster_id[inside]] == 1
-    return ClusterBernoulli(coins=coins, colouring=subset_colouring(dec.window, heads))
-
-
-def uniform_cluster_select(dec: ClusterDecomposition, seed: int) -> Colouring:
-    """One full cluster, chosen uniformly; strictly sparser when count >= 2."""
-    if dec.count < 1:
-        raise ValueError("no clusters to select from")
-    rng = derive_rng(seed, "cluster-select")
-    chosen = int(rng.integers(dec.count))
-    return subset_colouring(dec.window, dec.cluster_id == chosen)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Random d-colourings of windows: sampling models, intensity, balance,
-expansion, and finite-pattern marginal estimation.
+"""Random d-colourings of windows: iid and constant sampling models,
+intensity, delta-balance, and expansion.
 
 Colour values live in 1..d.  The d = 2 case doubles as a subset/percolation
 mask with colour 1 as the "in" class.  Expansion counts *directed*
@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .graphs import WindowGraph
-from .reporting import EstimateReport, binomial_stderr
-from .rng import derive_rng, derive_seed
+from .rng import derive_rng
 
 IN = 1  # subset convention for d = 2 colourings
 OUT = 2
@@ -67,19 +65,14 @@ def subset_mask(c: Colouring) -> np.ndarray:
 # Sampling models
 # ----------------------------------------------------------------------
 
-CUSTOM_SAMPLERS: dict[str, Callable[["ColouringModel", WindowGraph, int], np.ndarray]] = {}
-
 
 @dataclass(frozen=True)
 class ColouringModel:
-    """How to draw a colouring: iid per vertex, one global colour, a fixed
-    block assignment, or a registered custom sampler."""
+    """How to draw a colouring: iid per vertex, or one global colour."""
 
-    kind: str  # "bernoulli" | "constant" | "block" | "custom"
+    kind: str  # "bernoulli" | "constant"
     d: int
     p: tuple[float, ...] | None = None
-    blocks: tuple[int, ...] | None = None
-    sampler: str | None = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -89,12 +82,6 @@ class ColouringModel:
                 raise ValueError("bernoulli model needs a length-d probability vector")
             if min(self.p) < 0 or abs(sum(self.p) - 1.0) > 1e-12:
                 raise ValueError("probability vector must be nonnegative and sum to 1")
-        elif self.kind == "block":
-            if self.blocks is None:
-                raise ValueError("block model needs an explicit assignment")
-        elif self.kind == "custom":
-            if self.sampler is None:
-                raise ValueError("custom model needs a registered sampler id")
         elif self.kind != "constant":
             raise ValueError(f"unknown colouring model kind {self.kind!r}")
 
@@ -116,18 +103,8 @@ def sample(model: ColouringModel, w: WindowGraph, seed: int) -> Colouring:
     rng = derive_rng(seed, "colouring-sample")
     if model.kind == "bernoulli":
         colours = rng.choice(np.arange(1, model.d + 1), size=w.n, p=np.asarray(model.p))
-    elif model.kind == "constant":
+    else:
         colours = np.full(w.n, rng.integers(1, model.d + 1), dtype=np.int64)
-    elif model.kind == "block":
-        if len(model.blocks) != w.n:
-            raise ValueError("block assignment length must equal the vertex count")
-        colours = np.asarray(model.blocks, dtype=np.int64)
-    elif model.kind == "custom":
-        if model.sampler not in CUSTOM_SAMPLERS:
-            raise ValueError(f"no sampler registered under {model.sampler!r}")
-        colours = CUSTOM_SAMPLERS[model.sampler](model, w, seed)
-    else:  # pragma: no cover - rejected at construction
-        raise ValueError(f"unknown colouring model kind {model.kind!r}")
     return Colouring(w, model.d, colours)
 
 
@@ -159,74 +136,6 @@ def expansion(c: Colouring) -> float:
     """
     src, dst = c.window.edge_arrays
     return float(np.count_nonzero(c.colours[src] != c.colours[dst])) / c.window.n
-
-
-@dataclass(frozen=True)
-class MarginalPattern:
-    """Colour constraints at label-path offsets from a root.
-
-    Each offset is a tuple of generator labels walked from the root; the
-    empty tuple is the root itself.  Offsets must be distinct as paths.
-    """
-
-    constraints: tuple[tuple[tuple[str, ...], int], ...]
-
-    def __post_init__(self):
-        paths = [path for path, _ in self.constraints]
-        if len(set(paths)) != len(paths):
-            raise ValueError("pattern offsets must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.constraints)
-
-
-def resolve_pattern(w: WindowGraph, root: int, pattern: MarginalPattern) -> list[tuple[int, int]]:
-    """(vertex, colour) constraints after walking each offset from ``root``."""
-    table, labels = w.neighbours_by_label, w.gens.labels
-    resolved = []
-    for path, colour in pattern.constraints:
-        v = root
-        for label in path:
-            step = int(table[v, labels.index(label)]) if label in labels else -1
-            if step < 0:
-                raise ValueError(f"label {label!r} missing at vertex {v}; offset unresolvable")
-            v = step
-        resolved.append((v, colour))
-    return resolved
-
-
-def marginal_estimate(
-    model: ColouringModel,
-    w: WindowGraph,
-    pattern: MarginalPattern,
-    trials: int,
-    seed: int,
-) -> EstimateReport:
-    """Monte Carlo estimate of P[pattern holds at a uniform root].
-
-    Each trial draws a fresh colouring and a uniform root from derived
-    per-trial seeds; conflicting constraints that land on one vertex simply
-    fail to match.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if len(pattern) > w.n:
-        raise ValueError("pattern larger than window")
-    hits = 0
-    for i in range(trials):
-        c = sample(model, w, derive_seed(seed, "marginal-colouring", i))
-        root = int(derive_rng(seed, "marginal-root", i).integers(w.n))
-        resolved = resolve_pattern(w, root, pattern)
-        if all(c.colours[v] == colour for v, colour in resolved):
-            hits += 1
-    p_hat = hits / trials
-    return EstimateReport(
-        quantity=f"marginal[{len(pattern)} offsets]",
-        estimate=p_hat,
-        stderr=binomial_stderr(p_hat, trials),
-        trials=trials,
-        master_seed=seed,
-    )
 
 
 # serialization: {window_id, d, colours: run-length encoded}

@@ -177,22 +177,6 @@ class WindowGraph:
         return m
 
     @cached_property
-    def neighbours_by_label(self) -> np.ndarray:
-        """Read-only (n, |labels|) table of the neighbour of u along label id s, -1 if none.
-
-        Raises ValueError when a label repeats at a vertex (label paths would
-        be ambiguous); no built-in window model repeats one.
-        """
-        src, _ = self.edge_arrays
-        key = src * self.gens.size + self.label_id
-        if np.unique(key).size != key.size:
-            raise ValueError("label repeats at a vertex; label paths are ambiguous")
-        table = np.full((self.n, self.gens.size), -1, dtype=np.int64)
-        table[src, self.label_id] = self.indices
-        table.flags.writeable = False
-        return table
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, str], ...], ...]:
         """Derived view: per vertex, its ``(neighbour, label name)`` entries in row order."""
         labels, ptr = [self.gens.labels[s] for s in self.label_id.tolist()], self.indptr.tolist()

@@ -15,19 +15,14 @@ from __future__ import annotations
 import itertools
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clusters import decompose
-from .colourings import Colouring, expansion, subset_colouring
+from .colourings import Colouring, subset_colouring
 from .graphs import WindowGraph
 from .rng import derive_rng
-
-
-class KazhdanEmptyPartWarning(UserWarning):
-    """A partition handed in with an empty part (weight zero)."""
 
 
 class InfeasibleBalanceError(ValueError):
@@ -67,19 +62,6 @@ def d_infinity(a: WeightVector, b: WeightVector) -> float:
 def weight_vector(partition: Colouring) -> WeightVector:
     counts = partition.counts().astype(float) / partition.window.n
     return WeightVector(tuple(counts))
-
-
-def kazhdan_value(w: WindowGraph, partition: Colouring) -> float:
-    """Directed cross-part incidences per vertex (equals the expansion).
-
-    Empty parts are tolerated on finite windows but warned about, since the
-    balance constraints they satisfy are degenerate.
-    """
-    if partition.window is not w:
-        raise ValueError("partition belongs to a different window")
-    if np.any(partition.counts() == 0):
-        warnings.warn("partition has an empty part", KazhdanEmptyPartWarning, stacklevel=2)
-    return expansion(partition)
 
 
 # ----------------------------------------------------------------------

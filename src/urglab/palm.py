@@ -11,22 +11,26 @@ Two identities are checked numerically:
   whose inner integral is estimated by uniform torus samples filtered to
   the origin cell (numerator and cell volume share the same draws).
 
-Both filter their uniform locations with ``torus.cell_members``: an exact
-bisector prefilter discards the locations that provably lie in another
-cell, and only the survivors are queried in the KD-tree, so the in-cell
-sets and distances are those of a full ``bulk_nearest`` query.  That
-query builds the Palm sample's tree; the plain samples of the lhs and the
-translates of the generic rhs path only feed ``f.value``, and build none.
+A Palm sample lists the origin first, so both read the origin cell as the
+cell of point 0.  Both filter their uniform locations with
+``torus.cell_members``: an exact bisector prefilter discards the locations
+that provably lie in another cell, and only the survivors are queried in
+the KD-tree, so the in-cell sets and distances are those of a full
+``bulk_nearest`` query.  That query builds the Palm sample's tree; the
+plain samples of the lhs and the translates of the generic rhs path only
+feed ``f.value``, and build none.
 
 For a rate-t Poisson process the root-conditioned law is the process plus
 an added origin point, which is how ``palm_sample_poisson`` constructs it.
+``voronoi_adjacency_graph`` samples the cell-adjacency graph through the
+same KD-tree (nearest and second-nearest point of uniform locations).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -36,10 +40,8 @@ from .rng import derive_rng, derive_seed, parallel_trials
 from .torus import (
     FlatTorus,
     PointConfiguration,
-    TorusBox,
     bulk_nearest,
     cell_members,
-    find_point_index,
     nearest_distance,
 )
 
@@ -107,12 +109,13 @@ def palm_sample_poisson(t: float, torus: FlatTorus, seed: int) -> PointConfigura
 # ----------------------------------------------------------------------
 
 
-def cell_volume_mc(config: PointConfiguration, point, m: int, seed: int) -> EstimateReport:
-    """Volume of one point's cell: volume * (fraction of m uniform locations
-    assigned to it), with the binomial standard error."""
+def cell_volume_mc(config: PointConfiguration, idx: int, m: int, seed: int) -> EstimateReport:
+    """Volume of the cell of point ``idx``: volume * (fraction of m uniform
+    locations assigned to it), with the binomial standard error."""
     if m < 1:
         raise ValueError("need at least one volume sample")
-    idx = find_point_index(config, point)
+    if not 0 <= idx < len(config):
+        raise ValueError(f"point {idx} out of range")
     rng = derive_rng(seed, "cell-volume")
     locations = rng.uniform(0.0, config.torus.side, size=(m, config.torus.dim))
     members, _ = cell_members(config, idx, locations)
@@ -125,18 +128,6 @@ def cell_volume_mc(config: PointConfiguration, point, m: int, seed: int) -> Esti
         trials=m,
         master_seed=seed,
     )
-
-
-def cell_volumes_shared(config: PointConfiguration, m: int, seed: int) -> np.ndarray:
-    """All cell volumes from one shared sample set; sums to the torus volume
-    exactly because every location is assigned to exactly one point."""
-    if len(config) == 0:
-        raise ValueError("empty configuration")
-    rng = derive_rng(seed, "cell-volume-shared")
-    locations = rng.uniform(0.0, config.torus.side, size=(m, config.torus.dim))
-    _, assigned = bulk_nearest(config, locations)
-    counts = np.bincount(assigned, minlength=len(config))
-    return counts * (config.torus.volume / m)
 
 
 @dataclass(frozen=True)
@@ -158,7 +149,7 @@ def verify_mean_cell_volume(
 
     def one_trial(i: int) -> float:
         config = palm_sample_poisson(t, torus, derive_seed(seed, "cellvol-config", i))
-        report = cell_volume_mc(config, np.zeros(torus.dim), m, derive_seed(seed, "cellvol-mc", i))
+        report = cell_volume_mc(config, 0, m, derive_seed(seed, "cellvol-mc", i))
         return report.estimate
 
     values = np.asarray(parallel_trials(one_trial, trials))
@@ -363,38 +354,8 @@ def check_local_finiteness(
 
 
 # ----------------------------------------------------------------------
-# Intensity and cost composition
+# Cost composition
 # ----------------------------------------------------------------------
-
-
-def pp_intensity_estimate(
-    configs: Iterable[PointConfiguration],
-    torus: FlatTorus,
-    region: TorusBox | None = None,
-    master_seed: int = 0,
-) -> EstimateReport:
-    """Mean points per unit volume inside a window region (whole torus when
-    region is None)."""
-    if region is not None and region.volume <= 0:
-        raise ValueError("region must have positive volume")
-    counts = []
-    for config in configs:
-        if region is None:
-            counts.append(len(config) / torus.volume)
-        else:
-            if len(config) == 0:
-                counts.append(0.0)
-            else:
-                inside = region.contains(torus, config.points)
-                counts.append(float(np.count_nonzero(inside)) / region.volume)
-    estimate, stderr = mean_and_stderr(counts)
-    return EstimateReport(
-        quantity="pp-intensity",
-        estimate=estimate,
-        stderr=stderr,
-        trials=len(counts),
-        master_seed=master_seed,
-    )
 
 
 def pp_cost_bound(t: float, palm_cost_minus_one_bound: float) -> float:

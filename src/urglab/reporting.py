@@ -10,8 +10,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
-ESTIMATE_CSV_HEADER = ("quantity", "estimate", "stderr", "trials", "master_seed")
-
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -22,15 +20,6 @@ class EstimateReport:
     stderr: float
     trials: int
     master_seed: int
-
-    def csv_row(self) -> tuple[str, str, str, str, str]:
-        return (
-            self.quantity,
-            fmt_float(self.estimate),
-            fmt_float(self.stderr),
-            str(self.trials),
-            str(self.master_seed),
-        )
 
 
 def mean_and_stderr(values) -> tuple[float, float]:
@@ -63,10 +52,6 @@ def write_csv(path: Path, header: tuple[str, ...], rows: Iterable) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def write_estimates_csv(path: Path, reports: Iterable[EstimateReport]) -> None:
-    write_csv(path, ESTIMATE_CSV_HEADER, (report.csv_row() for report in reports))
 
 
 def write_json(path: Path, payload) -> None:

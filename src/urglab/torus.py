@@ -1,10 +1,11 @@
 """Flat torus geometry: wrapped distances, point configurations, and
-nearest-point (Voronoi) assignment with a fixed tie-break.
+nearest-point (Voronoi) assignment.
 
-Distances compare squared wrapped offsets; ties are detected with an
-absolute 1e-12 threshold on the squared distance and resolved toward the
-lexicographically smallest point coordinates, so assignment is a genuine
-function even on cell boundaries.
+Assignment has one rule: the periodic KD-tree query of ``bulk_nearest``.
+``cell_members`` only skips the locations that query could never assign
+to the given site.  An exact tie between two nearest points, a
+measure-zero event for random locations, goes whichever way the tree
+returns it.
 
 A configuration's periodic KD-tree is built by the first query that reads
 it.  Construction only checks distinctness, and that check needs the tree
@@ -20,7 +21,6 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-TIE_TOL_SQ = 1e-12
 DISTINCT_TOL = 1e-12  # points closer than this (wrapped) are one point
 CELL_NEIGHBOURS = 16  # bisectors that prefilter ``cell_members``
 
@@ -62,25 +62,6 @@ class FlatTorus:
 
     def distance(self, a, b) -> np.ndarray:
         return np.sqrt(self.distance_sq(a, b))
-
-
-@dataclass(frozen=True)
-class TorusBox:
-    """Axis-aligned box [0, lengths_i) inside a torus, for window counts."""
-
-    lengths: tuple[float, ...]
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.lengths))
-
-    def contains(self, torus: FlatTorus, points: np.ndarray) -> np.ndarray:
-        if len(self.lengths) != torus.dim:
-            raise ValueError("box dimension mismatch")
-        if any(not 0 < g <= torus.side for g in self.lengths):
-            raise ValueError("box lengths must lie in (0, side]")
-        canonical = torus.wrap(points)
-        return np.all(canonical < np.asarray(self.lengths), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,33 +120,10 @@ def _close_pair_suspected(points: np.ndarray, side: float) -> bool:
     return bool(gaps.min() <= 2 * DISTINCT_TOL + 1e-14 * side)
 
 
-def nearest_index(config: PointConfiguration, location) -> int:
-    """Index of the assigned (nearest) point, ties broken lexicographically.
-
-    Exact path: all squared wrapped distances are compared, and any point
-    within TIE_TOL_SQ of the minimum competes on coordinates.
-    """
-    if len(config) == 0:
-        raise ValueError("empty configuration")
-    d2 = config.torus.distance_sq(config.points, np.asarray(location, dtype=float))
-    tied = np.flatnonzero(d2 <= d2.min() + TIE_TOL_SQ)
-    if len(tied) == 1:
-        return int(tied[0])
-    keys = [tuple(config.points[i]) for i in tied]
-    return int(tied[min(range(len(tied)), key=keys.__getitem__)])
-
-
-def nearest_point(config: PointConfiguration, location) -> np.ndarray:
-    """The assigned point itself (wrapped-distance minimizer)."""
-    return config.points[nearest_index(config, location)]
-
-
 def bulk_nearest(config: PointConfiguration, locations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distances, indices) of assigned points for many query locations.
 
-    Fast periodic KD-tree path for Monte Carlo volume work; exact ties (a
-    measure-zero event for random locations) resolve arbitrarily here, use
-    ``nearest_index`` when the tie-break matters.  For the locations of one
+    The one assignment rule (module docstring).  For the locations of one
     point's cell alone, ``cell_members`` queries far fewer of them.
     """
     dists, idx = config.kdtree.query(np.asarray(locations, dtype=float))
@@ -212,11 +170,3 @@ def nearest_distance(config: PointConfiguration, location) -> float:
         return float("inf")
     return float(np.sqrt(config.torus.distance_sq(config.points, np.asarray(location, dtype=float)).min()))
 
-
-def find_point_index(config: PointConfiguration, point) -> int:
-    """Index of a configuration point given by coordinates (1e-12 match)."""
-    d2 = config.torus.distance_sq(config.points, np.asarray(point, dtype=float))
-    idx = int(np.argmin(d2))
-    if d2[idx] > TIE_TOL_SQ:
-        raise ValueError("point is not part of the configuration")
-    return idx

@@ -1,10 +1,10 @@
-"""Ball extraction, rooted-coloured isomorphism, and the local metric."""
+"""Ball extraction and rooted-coloured isomorphism."""
 
 import numpy as np
 import pytest
 from oracles import bfs_ball, rooted_coloured_isomorphic
 
-from urglab.balls import BallSource, ball, balls_isomorphic, local_distance
+from urglab.balls import ball, balls_isomorphic
 from urglab.colourings import sample, subset_colouring, uniform_bernoulli_model
 from urglab.graphs import build_random_regular, build_torus_window
 
@@ -154,50 +154,9 @@ def test_isomorphism_is_equivalence_on_sampled_triples():
             assert balls_isomorphic(a, d)
 
 
-def test_local_distance_same_window_flagged():
-    w = build_torus_window(1, 8)
-    c = all_ones(w)
-    res = local_distance(BallSource(w, c, 2), BallSource(w, c, 2), 3)
-    assert res.indistinguishable
-    assert res.value == 2.0**-4
-
-
-def test_local_distance_root_colours_differ():
-    w = build_torus_window(1, 8)
-    mask = np.zeros(8, dtype=bool)
-    mask[0] = True
-    res = local_distance(
-        BallSource(w, subset_colouring(w, mask), 0),
-        BallSource(w, subset_colouring(w, np.zeros(8, dtype=bool)), 0),
-        3,
-    )
-    assert res.value == 1.0 and res.matched_radius is None
-
-
-def test_local_distance_cycles_look_alike():
-    c8 = build_torus_window(1, 8)
-    c100 = build_torus_window(1, 100)
-    res = local_distance(BallSource(c8, all_ones(c8), 0), BallSource(c100, all_ones(c100), 0), 3)
-    assert res.indistinguishable and res.value == 2.0**-4
-
-
-def test_local_distance_detects_girth():
+def test_balls_isomorphic_detects_girth():
     c8 = build_torus_window(1, 8)
     c6 = build_torus_window(1, 6)
-    # radius-3 balls differ: C6 closes up at radius 3, C8 does not
-    res = local_distance(BallSource(c8, all_ones(c8), 0), BallSource(c6, all_ones(c6), 0), 4)
-    assert res.matched_radius == 2
-    assert res.value == 0.25
-
-
-def test_local_distance_ultrametric_on_sampled_triples():
-    rng = np.random.default_rng(5)
-    w = build_random_regular(2, 40, seed=9)
-    c = sample(uniform_bernoulli_model(2), w, 11)
-    sources = [BallSource(w, c, int(rng.integers(w.n))) for _ in range(12)]
-    for _ in range(60):
-        x, y, z = (sources[int(rng.integers(12))] for _ in range(3))
-        dxz = local_distance(x, z, 3).value
-        dxy = local_distance(x, y, 3).value
-        dyz = local_distance(y, z, 3).value
-        assert dxz <= max(dxy, dyz) + 1e-15
+    # C6 closes up at radius 3, C8 does not
+    for r in range(5):
+        assert balls_isomorphic(ball(c8, all_ones(c8), 0, r), ball(c6, all_ones(c6), 0, r)) == (r <= 2)

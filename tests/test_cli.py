@@ -169,19 +169,6 @@ def test_mtp_check_from_window_file(tmp_path):
     assert payload["window"] == w.window_id
 
 
-def test_estimate_report_csv_schema(tmp_path):
-    from urglab.reporting import ESTIMATE_CSV_HEADER, EstimateReport, write_estimates_csv
-
-    path = tmp_path / "estimates.csv"
-    write_estimates_csv(
-        path,
-        [EstimateReport("demo", 0.5, 0.01, 100, 7)],
-    )
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(ESTIMATE_CSV_HEADER)
-    assert lines[1].split(",")[0] == "demo"
-
-
 def test_threading_env_var_does_not_change_results(tmp_path, monkeypatch):
     config = ExperimentConfig(
         "palm", {"t": 1.0, "L": 8.0, "d": 2, "m": 300, "check": "cellvol"},

@@ -12,14 +12,12 @@ from oracles import (
 
 from urglab.clusters import (
     DisconnectedClustersError,
-    clusterwise_bernoulli,
     connect_clusters,
     cost_upper_bound,
     decompose,
     gaboriau_induction,
-    uniform_cluster_select,
 )
-from urglab.colourings import bernoulli_model, intensity, sample, subset_colouring, subset_mask
+from urglab.colourings import bernoulli_model, sample, subset_colouring
 from urglab.graphs import build_explicit, build_random_regular, build_torus_window
 
 
@@ -64,37 +62,6 @@ def test_decompose_matches_flood_fill_oracle():
         oracle = flood_fill_clusters(w, mask)
         assert dec.count == len(oracle)
         assert [sorted(dec.vertices_of(i).tolist()) for i in range(dec.count)] == oracle
-
-
-def test_clusterwise_coins_degenerate():
-    w = cycle(12)
-    dec = decompose(w, spaced_subset(w, 2))
-    zero = clusterwise_bernoulli(dec, 0.0, seed=1)
-    assert not np.any(zero.coins)
-    one = clusterwise_bernoulli(dec, 1.0, seed=1)
-    assert np.all(one.coins)
-    assert np.array_equal(subset_mask(one.colouring), dec.mask)
-
-
-def test_clusterwise_coins_constant_per_cluster():
-    w = build_torus_window(2, 8)
-    subset = sample(bernoulli_model([0.4, 0.6]), w, 5)
-    dec = decompose(w, subset)
-    result = clusterwise_bernoulli(dec, 0.5, seed=9)
-    heads = subset_mask(result.colouring)
-    for cid in range(dec.count):
-        members = dec.vertices_of(cid)
-        assert len(set(heads[members].tolist())) == 1
-        assert heads[members][0] == (result.coins[cid] == 1)
-
-
-def test_clusterwise_coin_fraction_binomial():
-    # 1000 singleton clusters, eps = 0.3: 3 sigma is about 0.0435
-    w = cycle(2000)
-    dec = decompose(w, spaced_subset(w, 2))
-    assert dec.count == 1000
-    result = clusterwise_bernoulli(dec, 0.3, seed=4)
-    assert abs(result.coins.mean() - 0.3) <= 0.045
 
 
 def test_connect_two_antipodal_vertices():
@@ -231,29 +198,3 @@ def test_gaboriau_monotone():
     for c in costs:
         values = [gaboriau_induction(c, mu) for mu in mus]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
-
-
-def test_uniform_cluster_select_single():
-    w = cycle(8)
-    dec = decompose(w, subset_colouring(w, np.ones(8, dtype=bool)))
-    chosen = uniform_cluster_select(dec, seed=0)
-    assert np.array_equal(subset_mask(chosen), dec.mask)
-
-
-def test_uniform_cluster_select_binomial():
-    w = cycle(8)
-    subset = subset_colouring(w, np.isin(np.arange(8), [0, 4]))
-    dec = decompose(w, subset)
-    picks = sum(bool(subset_mask(uniform_cluster_select(dec, seed=s))[0]) for s in range(10**4))
-    assert abs(picks - 5000) <= 150
-
-
-def test_uniform_cluster_select_strictly_sparser():
-    w = build_torus_window(2, 8)
-    subset = sample(bernoulli_model([0.3, 0.7]), w, 2)
-    dec = decompose(w, subset)
-    assert dec.count >= 2
-    chosen = uniform_cluster_select(dec, seed=5)
-    assert intensity(chosen, 1) < intensity(subset, 1)
-    with pytest.raises(ValueError):
-        uniform_cluster_select(decompose(w, subset_colouring(w, np.zeros(w.n, bool))), seed=0)

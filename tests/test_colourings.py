@@ -1,4 +1,4 @@
-"""Sampling models, intensity, balance, expansion, and marginals."""
+"""Sampling models, intensity, balance, and expansion."""
 
 import math
 
@@ -11,7 +11,6 @@ from oracles import directed_bichromatic_count
 from urglab.colourings import (
     Colouring,
     ColouringModel,
-    MarginalPattern,
     bernoulli_model,
     colouring_from_dict,
     colouring_to_dict,
@@ -19,7 +18,6 @@ from urglab.colourings import (
     expansion,
     intensity,
     is_delta_balanced,
-    marginal_estimate,
     sample,
     subset_colouring,
     uniform_bernoulli_model,
@@ -60,31 +58,6 @@ def test_sampling_is_deterministic():
 def test_unknown_model_kind_rejected():
     with pytest.raises(ValueError):
         ColouringModel("mystery", 2)
-
-
-def test_block_model_reproduces_assignment():
-    w = build_torus_window(1, 6)
-    blocks = (1, 1, 2, 2, 3, 3)
-    model = ColouringModel("block", 3, blocks=blocks)
-    for seed in (0, 5):
-        assert tuple(sample(model, w, seed).colours) == blocks
-
-
-def test_custom_sampler_registry():
-    from urglab.colourings import CUSTOM_SAMPLERS
-
-    def alternating(model, w, seed):
-        return np.arange(w.n) % model.d + 1
-
-    CUSTOM_SAMPLERS["alternating"] = alternating
-    try:
-        w = build_torus_window(1, 8)
-        c = sample(ColouringModel("custom", 2, sampler="alternating"), w, 0)
-        assert tuple(c.colours) == (1, 2, 1, 2, 1, 2, 1, 2)
-        with pytest.raises(ValueError):
-            sample(ColouringModel("custom", 2, sampler="missing"), w, 0)
-    finally:
-        del CUSTOM_SAMPLERS["alternating"]
 
 
 def test_intensity_examples():
@@ -191,44 +164,6 @@ def test_bernoulli_intensity_across_seeds():
     values = [intensity(sample(bernoulli_model([p, 1 - p]), w, s), 1) for s in range(120)]
     stderr = np.std(values, ddof=1) / math.sqrt(len(values))
     assert abs(np.mean(values) - p) <= 4 * stderr
-
-
-def test_marginal_empty_pattern():
-    w = build_torus_window(2, 4)
-    report = marginal_estimate(uniform_bernoulli_model(2), w, MarginalPattern(()), 50, 3)
-    assert report.estimate == 1.0
-
-
-def test_marginal_root_colour():
-    w = build_torus_window(2, 5)
-    p = (0.3, 0.7)
-    pattern = MarginalPattern((((), 1),))
-    report = marginal_estimate(bernoulli_model(p), w, pattern, 2000, 11)
-    assert abs(report.estimate - 0.3) <= 3 * max(report.stderr, 1e-9)
-
-
-def test_marginal_adjacent_same_colour():
-    # two adjacent vertices share a colour with probability 1/2 under
-    # uniform iid 2-colourings: (1,1) and (2,2) each hit 1/4
-    w = build_torus_window(2, 6)
-    model = uniform_bernoulli_model(2)
-    both = []
-    for colour in (1, 2):
-        pattern = MarginalPattern((((), colour), (("+e1",), colour)))
-        both.append(marginal_estimate(model, w, pattern, 3000, 40 + colour))
-    total = both[0].estimate + both[1].estimate
-    stderr = math.hypot(both[0].stderr, both[1].stderr)
-    assert abs(total - 0.5) <= 3 * stderr
-    assert abs(both[0].estimate - 0.25) <= 3 * both[0].stderr
-
-
-def test_marginal_pattern_validation():
-    with pytest.raises(ValueError):
-        MarginalPattern((((), 1), ((), 2)))
-    w = build_torus_window(1, 3)
-    too_big = MarginalPattern(tuple(((("+e1",) * i), 1) for i in range(4)))
-    with pytest.raises(ValueError):
-        marginal_estimate(uniform_bernoulli_model(2), w, too_big, 10, 0)
 
 
 def test_colouring_serialization_round_trip():

@@ -281,16 +281,6 @@ def test_rows_ordered_by_label_name_then_neighbour():
             assert list(entries) == sorted(entries, key=lambda e: (e[1], e[0]))
 
 
-def test_neighbours_by_label_table():
-    w = build_path(3)  # 0 -e1- 1 -e2- 2
-    assert w.gens.labels == ("e1", "e2")
-    assert w.neighbours_by_label.tolist() == [[1, -1], [0, 2], [-1, 1]]
-    repeated = window_from_dict({"model": "explicit", "params": {}, "n": 3,
-                                 "edges": [[0, 1, "e1"], [0, 2, "e1"], [1, 2, "e2"]]})
-    with pytest.raises(ValueError, match="label repeats"):
-        repeated.neighbours_by_label
-
-
 @pytest.mark.parametrize("build", [
     lambda: build_torus_window(2, 5),
     lambda: build_random_regular(1, 6, seed=2),

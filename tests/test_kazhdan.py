@@ -13,7 +13,6 @@ from urglab.graphs import build_complete, build_path, build_random_regular, buil
 from urglab.kazhdan import (
     InfeasibleBalanceError,
     InstanceTooLargeError,
-    KazhdanEmptyPartWarning,
     KazhdanProblem,
     WeightVector,
     _lex_less,
@@ -23,7 +22,6 @@ from urglab.kazhdan import (
     d_infinity,
     feasible_size_windows,
     kazhdan_profile,
-    kazhdan_value,
     uniform_weights,
 )
 
@@ -49,29 +47,21 @@ def test_weight_vector_validation():
         WeightVector((-0.1, 1.1))
 
 
+# the partition objective (the Kazhdan value) is the colouring expansion
 def test_kazhdan_value_monochromatic():
     w = build_torus_window(1, 8)
-    with pytest.warns(KazhdanEmptyPartWarning):
-        value = kazhdan_value(w, Colouring(w, 2, np.ones(8, dtype=np.int64)))
-    assert value == 0.0
+    assert expansion(Colouring(w, 2, np.ones(8, dtype=np.int64))) == 0.0
 
 
 def test_kazhdan_value_two_arcs():
     w, partition = arcs_partition(8)
-    assert kazhdan_value(w, partition) == 0.5
+    assert expansion(partition) == 0.5
 
 
 def test_kazhdan_value_complete_graph():
     w = build_complete(4)
     partition = Colouring(w, 2, np.array([1, 1, 2, 2]))
-    assert kazhdan_value(w, partition) == 2.0
-
-
-def test_kazhdan_value_equals_expansion():
-    w = build_random_regular(2, 30, seed=4)
-    for seed in range(10):
-        partition = sample(uniform_bernoulli_model(3), w, seed)
-        assert kazhdan_value(w, partition) == expansion(partition)
+    assert expansion(partition) == 2.0
 
 
 def test_kazhdan_value_invariant_under_relabelling():
@@ -79,7 +69,7 @@ def test_kazhdan_value_invariant_under_relabelling():
     partition = sample(uniform_bernoulli_model(3), w, 8)
     perm = np.array([3, 1, 2])
     relabelled = Colouring(w, 3, perm[partition.colours - 1])
-    assert kazhdan_value(w, relabelled) == kazhdan_value(w, partition)
+    assert expansion(relabelled) == expansion(partition)
 
 
 def test_feasible_windows_integrality_allowance():
@@ -254,10 +244,9 @@ def test_merge_move_eps_zero_identity():
 
 def test_merge_move_arcs_full_collapse():
     w, partition = arcs_partition(8)
-    with pytest.warns(KazhdanEmptyPartWarning):
-        result = cluster_merge_move(w, partition, 1, 2, 1.0, seed=5)
-        assert result.decrement == pytest.approx(0.5)
-        assert kazhdan_value(w, result.partition) == 0.0
+    result = cluster_merge_move(w, partition, 1, 2, 1.0, seed=5)
+    assert result.decrement == pytest.approx(0.5)
+    assert expansion(result.partition) == 0.0
 
 
 def test_merge_move_no_adjacent_flagged():

@@ -1,5 +1,6 @@
 """Poisson/Palm sampling, Voronoi assignment, cell volumes, the inversion
-identity, local finiteness, and intensity estimation."""
+identity, local finiteness, the cost composition, and the sampled
+cell-adjacency graph."""
 
 import hashlib
 import math
@@ -17,11 +18,9 @@ from urglab.palm import (
     BoundedFunctional,
     GuardViolation,
     cell_volume_mc,
-    cell_volumes_shared,
     check_local_finiteness,
     palm_sample_poisson,
     pp_cost_bound,
-    pp_intensity_estimate,
     sample_poisson,
     verify_mean_cell_volume,
     verify_voronoi_inversion,
@@ -31,12 +30,9 @@ from urglab.rng import derive_rng
 from urglab.torus import (
     FlatTorus,
     PointConfiguration,
-    TorusBox,
     bulk_nearest,
     cell_members,
     nearest_distance,
-    nearest_index,
-    nearest_point,
 )
 
 T2 = FlatTorus(2, 10.0)
@@ -250,26 +246,10 @@ def test_palm_nearest_neighbour_ks_against_poisson():
     assert result.pvalue > 0.01
 
 
-def test_nearest_point_single_and_exact_hit():
-    config = PointConfiguration(T2, np.array([[2.0, 3.0]]))
-    for g in (np.array([0.0, 0.0]), np.array([9.0, 9.0])):
-        assert np.array_equal(nearest_point(config, g), np.array([2.0, 3.0]))
-    multi = PointConfiguration(T2, np.array([[2.0, 3.0], [7.0, 1.0]]))
-    assert np.array_equal(nearest_point(multi, np.array([7.0, 1.0])), np.array([7.0, 1.0]))
-
-
-def test_nearest_point_tie_break_lexicographic():
-    torus = FlatTorus(1, 4.0)
-    config = PointConfiguration(torus, np.array([[3.0], [1.0]]))
-    for _ in range(3):
-        assert nearest_point(config, np.array([2.0]))[0] == 1.0
-        assert nearest_point(config, np.array([0.0]))[0] == 1.0  # wraps: both at distance 1
-
-
 def test_nearest_empty_rejected():
     empty = PointConfiguration(T2, np.zeros((0, 2)))
     with pytest.raises(ValueError):
-        nearest_index(empty, np.zeros(2))
+        bulk_nearest(empty, np.zeros((1, 2)))
     assert nearest_distance(empty, np.zeros(2)) == math.inf
 
 
@@ -380,14 +360,14 @@ def test_translation_invariance_of_assignment():
     for _ in range(25):
         g = rng.uniform(0, 10, 2)
         shift = rng.uniform(0, 10, 2)
-        base = nearest_point(config, g)
-        moved = nearest_point(config.shifted(shift), T2.wrap(g + shift))
-        assert np.allclose(T2.delta(moved, base + shift), 0.0, atol=1e-9)
+        _, (base,) = bulk_nearest(config, g[None])
+        _, (moved,) = bulk_nearest(config.shifted(shift), T2.wrap(g + shift)[None])
+        assert moved == base  # ``shifted`` keeps the point order
 
 
 def test_cell_volume_single_point_exact():
     config = PointConfiguration(T2, np.array([[4.0, 4.0]]))
-    report = cell_volume_mc(config, np.array([4.0, 4.0]), 500, seed=2)
+    report = cell_volume_mc(config, 0, 500, seed=2)
     assert report.estimate == T2.volume
     assert report.stderr == 0.0
 
@@ -395,21 +375,15 @@ def test_cell_volume_single_point_exact():
 def test_cell_volume_antipodal_pair():
     torus = FlatTorus(1, 2.0)
     config = PointConfiguration(torus, np.array([[0.5], [1.5]]))
-    report = cell_volume_mc(config, np.array([0.5]), 20000, seed=3)
+    report = cell_volume_mc(config, 0, 20000, seed=3)
     assert abs(report.estimate - 1.0) <= 3 * max(report.stderr, 1e-6)
 
 
 def test_cell_volume_requires_member_point():
     config = PointConfiguration(T2, np.array([[4.0, 4.0]]))
-    with pytest.raises(ValueError):
-        cell_volume_mc(config, np.array([1.0, 1.0]), 100, seed=0)
-
-
-def test_shared_cell_volumes_partition_exactly():
-    config = sample_poisson(1.0, T2, seed=4)
-    volumes = cell_volumes_shared(config, 5000, seed=5)
-    assert volumes.sum() == pytest.approx(T2.volume, abs=1e-9)
-    assert len(volumes) == len(config)
+    for idx in (1, -1):
+        with pytest.raises(ValueError):
+            cell_volume_mc(config, idx, 100, seed=0)
 
 
 def test_mean_cell_volume_small_run():
@@ -517,30 +491,6 @@ def test_local_finiteness_constructed_tie():
     assert report.minimizer_count == 2
     assert report.eps == pytest.approx(0.5)
     assert report.holds
-
-
-def test_intensity_poisson():
-    configs = [sample_poisson(2.0, T2, seed=s) for s in range(300)]
-    report = pp_intensity_estimate(configs, T2, master_seed=0)
-    assert abs(report.estimate - 2.0) <= 3 * report.stderr
-
-
-def test_intensity_lattice_exact():
-    torus = FlatTorus(2, 5.0)
-    grid = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
-    config = PointConfiguration(torus, grid)
-    report = pp_intensity_estimate([config], torus)
-    assert report.estimate == 1.0
-    boxed = pp_intensity_estimate([config], torus, region=TorusBox((3.0, 3.0)))
-    assert boxed.estimate == 1.0
-
-
-def test_intensity_empty_process():
-    empty = PointConfiguration(T2, np.zeros((0, 2)))
-    report = pp_intensity_estimate([empty, empty], T2)
-    assert report.estimate == 0.0
-    with pytest.raises(ValueError):
-        pp_intensity_estimate([empty], T2, region=TorusBox((0.0, 1.0)))
 
 
 def test_pp_cost_bound_arithmetic():

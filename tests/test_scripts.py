@@ -32,12 +32,3 @@ def test_kazhdan_profile_script(tmp_path):
     header, *rows = read_csv(out)
     assert header == ["n", "best_value", "balance_gap", "wall_time_s"]
     assert [row[0] for row in rows] == ["16", "32"]
-
-
-def test_palm_checks_script(tmp_path):
-    # writes no CSV: one cell-volume line and one line per built-in functional
-    proc = run_script("palm_checks.py", "--L", "6", "--trials", "4", "--m", "50", cwd=tmp_path)
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("cell volume:")
-    assert all(line.startswith("inversion[") for line in lines[1:])
