@@ -71,7 +71,7 @@ def decompose(w: WindowGraph, subset: Colouring) -> ClusterDecomposition:
         mask=mask,
         cluster_id=cluster_id,
         count=int(count),
-        sizes=tuple(int(k) for k in np.bincount(labels, minlength=count)),
+        sizes=tuple(np.bincount(labels, minlength=count).tolist()),
     )
 
 
@@ -103,9 +103,17 @@ def connect_clusters(w: WindowGraph, dec: ClusterDecomposition) -> FactorGraphEd
     through candidates no heavier than its length, so by the cycle property
     no minimum spanning tree keeps an overestimate.
 
+    The same tree decides whether the clusters can be joined at all.  Every
+    vertex of a window component that holds a cluster lies in some region,
+    and consecutive regions along any path are joined by a candidate, so the
+    candidate graph is connected exactly when all clusters share one window
+    component.  A tree with fewer than ``count - 1`` edges therefore means a
+    split window, and only then are the window components computed, to
+    name them in ``DisconnectedClustersError``.
+
     Ties: a vertex's anchor is whichever nearest in-vertex ``dijkstra``
-    reports as its source; a cluster pair keeps its smallest
-    ``(distance, u, v)`` candidate; the tree is scipy's
+    reports as its source; a cluster pair keeps its shortest candidate, the
+    first in ``edge_arrays`` row order among equal ones; the tree is scipy's
     ``minimum_spanning_tree``.  Which witness pairs are kept may change with
     the tie rule, the multiset of ``distances`` cannot, since every minimum
     spanning tree has the same edge weights.  Pairs are listed in increasing
@@ -115,38 +123,37 @@ def connect_clusters(w: WindowGraph, dec: ClusterDecomposition) -> FactorGraphEd
         return FactorGraphEdges((), (), ())
 
     inside = np.flatnonzero(dec.mask)
-    _, component = connected_components(w.csr, directed=False)
-    cluster_component = np.empty(dec.count, dtype=np.int64)
-    cluster_component[dec.cluster_id[inside]] = component[inside]
-    if np.any(cluster_component != cluster_component[0]):
+    dist, _, anchor = dijkstra(
+        w.csr, indices=inside, unweighted=True, min_only=True, return_predecessors=True
+    )
+    # each vertex's nearest cluster; -1 where no in-vertex reaches it
+    region = np.full(w.n, -1, dtype=np.int64)
+    reached = anchor >= 0
+    region[reached] = dec.cluster_id[anchor[reached]]
+    src, dst = w.edge_arrays
+    ca, cb = region[src], region[dst]
+    # each boundary edge appears once per direction; keep the one with ca < cb
+    keep = (ca >= 0) & (ca < cb)
+    src, dst, ca, cb = src[keep], dst[keep], ca[keep], cb[keep]
+    d = (dist[src] + 1 + dist[dst]).astype(np.int64)
+    pair = ca * dec.count + cb
+    order = np.lexsort((d, pair))
+    best = order[np.diff(pair[order], prepend=-1) != 0]  # first of each pair's run
+
+    quotient = sparse.csr_array((d[best], (ca[best], cb[best])), shape=(dec.count, dec.count))
+    rows, cols = minimum_spanning_tree(quotient).nonzero()
+    if len(rows) < dec.count - 1:
+        _, component = connected_components(w.csr, directed=False)
+        cluster_component = np.empty(dec.count, dtype=np.int64)
+        cluster_component[dec.cluster_id[inside]] = component[inside]
         grouping: dict[int, list[int]] = {}
         for cid, comp_id in enumerate(cluster_component.tolist()):
             grouping.setdefault(comp_id, []).append(cid)
         raise DisconnectedClustersError(grouping)
-
-    dist, _, anchor = dijkstra(
-        w.csr, indices=inside, unweighted=True, min_only=True, return_predecessors=True
-    )
-    src, dst = w.edge_arrays
-    reached = np.isfinite(dist[src])  # edges of cluster-free window components drop out
-    src, dst = src[reached], dst[reached]
-    u, v = anchor[src], anchor[dst]
-    ca, cb = dec.cluster_id[u], dec.cluster_id[v]
-    # each boundary edge appears once per direction; keep the one with ca < cb
-    keep = ca < cb
-    u, v, ca, cb = u[keep], v[keep], ca[keep], cb[keep]
-    d = (dist[src[keep]] + 1 + dist[dst[keep]]).astype(np.int64)
-    pair = ca * dec.count + cb
-    order = np.lexsort((v, u, d, pair))
-    best = order[np.unique(pair[order], return_index=True)[1]]
-    u, v, ca, cb, d, pair = u[best], v[best], ca[best], cb[best], d[best], pair[best]
-
-    quotient = sparse.csr_array((d, (ca, cb)), shape=(dec.count, dec.count))
-    rows, cols = minimum_spanning_tree(quotient).nonzero()
-    kept = np.isin(pair, np.minimum(rows, cols) * dec.count + np.maximum(rows, cols))
-    assert np.count_nonzero(kept) == dec.count - 1
+    tree_pairs = np.minimum(rows, cols) * dec.count + np.maximum(rows, cols)
+    kept = best[np.sort(np.searchsorted(pair[best], tree_pairs))]
     return FactorGraphEdges(
-        tuple(zip(u[kept].tolist(), v[kept].tolist())),
+        tuple(zip(anchor[src[kept]].tolist(), anchor[dst[kept]].tolist())),
         tuple(d[kept].tolist()),
         tuple(zip(ca[kept].tolist(), cb[kept].tolist())),
     )

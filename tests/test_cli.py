@@ -151,6 +151,19 @@ def test_cost_bound_json(tmp_path):
     assert payload["cluster_count"] >= 1
 
 
+# sha256 of cost_bound.json, recorded while connect_clusters still ran a
+# whole-window connected_components and a four-key candidate sort
+@pytest.mark.parametrize("params, seed, digest", [
+    ({"model": "torus", "d": 2, "L": 32, "p": 0.3}, 6,
+     "c6179d7d249ba3d30ec80a47a5b0f02b83c52394a73d2d73c732dcbd0c2b8854"),
+    ({"model": "random-regular", "k_rank": 2, "n": 400, "p": 0.3}, 10,
+     "a0fde45d7c4ab1a58c83da3d1a91f8ca8f80af7123bc44ab35074dfa518a3721"),
+], ids=["torus", "random-regular"])
+def test_cost_bound_golden_bytes(tmp_path, params, seed, digest):
+    run(ExperimentConfig("cost-bound", params, seed=seed, out_dir=str(tmp_path)))
+    assert hashlib.sha256(read(tmp_path / "cost_bound.json")).hexdigest() == digest
+
+
 def test_mtp_check_from_window_file(tmp_path):
     from urglab.graphs import build_random_regular, window_to_json
 
@@ -261,7 +274,8 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         (["kazhdan", "--model", "cycle", "--L", "9", "--k", "2", "--eps", "0.01"],
          "validation: eps: no integer part sizes"),
         (["percolation", "--model", "random-regular", "--k-rank", "1", "--n", "40", "--p", "0.3", "--trials", "3"],
-         "validation: model: the window is disconnected"),
+         "validation: model: the window is disconnected and clusters span multiple window components "
+         "(component 0: clusters [0, 1, 2, 6, 7, 8]; component 1: clusters [3, 4]; component 2: clusters [5])\n"),
     ]
     for argv, message in refused_late:
         capsys.readouterr()
@@ -311,6 +325,12 @@ def test_percolation_p_grid_rows(tmp_path):
         "ab7a57146e5e485911ba0cceb5406fa317b8057b266e0ae32abaeb1a52fa2e7a")
     # the first value's rows are the one-value run, header included
     assert grid.startswith(percolation_csv("one", "0.1"))
+    # a random-regular window (loops and parallel edges)
+    argv = ["percolation", "--model", "random-regular", "--k-rank", "2", "--n", "200",
+            "--p", "0.1,0.3", "--trials", "3", "--seed", "4", "--out", str(tmp_path / "rr")]
+    assert main(argv) == 0
+    assert hashlib.sha256(read(tmp_path / "rr" / "percolation.csv")).hexdigest() == (
+        "cb14404b81495f848a75ea649b53bebf9104018b7052e1c43e28b88c608f8cb8")
 
 
 def test_percolation_takes_a_bare_p(tmp_path):

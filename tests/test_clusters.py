@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import minimum_spanning_tree
 from oracles import (
     flood_fill_clusters,
     prim_tree_weight,
@@ -90,6 +91,31 @@ def test_connect_makes_subset_connected():
             extra = connect_clusters(w, dec)
             assert len(extra.pairs) == dec.count - 1
             assert spanning_connected(w, dec.mask, extra.pairs)
+            # pairs are listed in strictly increasing cluster_pairs order, ca < cb
+            assert all(ca < cb for ca, cb in extra.cluster_pairs)
+            assert all(a < b for a, b in zip(extra.cluster_pairs, extra.cluster_pairs[1:]))
+
+
+def test_connect_success_path_skips_window_components(monkeypatch):
+    # the window components are computed only to name a split window
+    w = build_random_regular(3, 200, seed=4)
+    dec = decompose(w, sample(bernoulli_model([0.2, 0.8]), w, 0))
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("connected_components ran on the success path")
+
+    monkeypatch.setattr("urglab.clusters.connected_components", unexpected)
+    assert len(connect_clusters(w, dec).pairs) == dec.count - 1
+
+
+def test_connect_order_does_not_rest_on_tree_storage(monkeypatch):
+    # the same tree stored transposed must list the same pairs in the same order
+    w = build_torus_window(2, 16)
+    dec = decompose(w, sample(bernoulli_model([0.2, 0.8]), w, 0))
+    expected = connect_clusters(w, dec)
+    monkeypatch.setattr("urglab.clusters.minimum_spanning_tree",
+                        lambda graph: minimum_spanning_tree(graph).T.tocsr())
+    assert connect_clusters(w, dec) == expected
 
 
 def test_connect_pairs_realize_cluster_distances():
@@ -132,7 +158,28 @@ def test_connect_rejects_split_windows():
     dec = decompose(w, subset_colouring(w, np.array([1, 0, 1, 0, 1, 0], dtype=bool)))
     with pytest.raises(DisconnectedClustersError) as err:
         connect_clusters(w, dec)
-    assert len(err.value.components) == 3
+    assert err.value.components == {0: [0], 1: [1], 2: [2]}
+    assert str(err.value) == ("clusters span multiple window components "
+                              "(component 0: clusters [0]; component 1: clusters [1]; "
+                              "component 2: clusters [2])")
+    # components keep the whole window's labels: the cluster-free {3, 4} is component 1
+    w = build_explicit(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8)])
+    dec = decompose(w, subset_colouring(w, np.isin(np.arange(9), [0, 2, 5, 8])))
+    with pytest.raises(DisconnectedClustersError) as err:
+        connect_clusters(w, dec)
+    assert err.value.components == {0: [0, 1], 2: [2, 3]}
+    assert str(err.value) == ("clusters span multiple window components "
+                              "(component 0: clusters [0, 1]; component 2: clusters [2, 3])")
+
+
+def test_connect_ignores_cluster_free_component():
+    # {4, 5} holds no cluster and is never reached; the clusters still connect
+    w = build_explicit(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    dec = decompose(w, subset_colouring(w, np.isin(np.arange(6), [0, 3])))
+    extra = connect_clusters(w, dec)
+    assert extra.pairs == ((0, 3),)
+    assert extra.distances == (3,)
+    assert extra.cluster_pairs == ((0, 1),)
 
 
 def test_cost_bound_spaced_subsets_closed_form():
