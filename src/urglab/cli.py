@@ -29,7 +29,7 @@ from .clusters import (
     decompose,
     gaboriau_induction,
 )
-from .colourings import bernoulli_model, colouring_to_dict, constant_model, intensity, sample
+from .colourings import bernoulli_model, colouring_to_dict, constant_model, sample, subset_mask
 from .gaussian import orthant_probability, orthant_probability_mc
 from .graphs import (
     WindowGraph,
@@ -62,6 +62,9 @@ from .torus import FlatTorus
 from .transport import BUILTIN_TRANSPORTS, mtp_check
 
 WINDOW_MODELS = ("torus", "cycle", "path", "complete", "random-regular", "window-file")
+# directed entries of a built-in window; one percolation trial on a 1024^2 torus (4.2e6 entries)
+# peaks at about 530 MB
+MAX_WINDOW_ENTRIES = 10**8
 # mtp-check field -> keyword of the transport factory that takes it
 _TRANSPORT_ARGS = {"transport_colour": "colour", "transport_value": "value"}
 
@@ -231,8 +234,27 @@ class WindowSpec(_Spec):
             v.append("window-file: missing path")
         return v
 
+    def check_size(self) -> None:
+        """Refuse a built-in window above MAX_WINDOW_ENTRIES directed entries
+        (GuardViolation), counted from the spec in Python ints."""
+        if self.model in ("torus", "cycle"):
+            d = self.d if self.model == "torus" else 1
+            # 2d * L^d, exact up to d = 64; past it L^64 >= 3^64 alone is over the guard
+            name, entries = "L", 2 * d * self.L ** min(d, 64)
+        elif self.model == "window-file":
+            return
+        else:
+            n = self.n
+            name, entries = "n", {"path": 2 * (n - 1), "complete": n * (n - 1),
+                                  "random-regular": 2 * self.k_rank * n}[self.model]
+        if entries > MAX_WINDOW_ENTRIES:
+            raise GuardViolation(f"{name}: a {self.model} window of this size has more than "
+                                 f"{MAX_WINDOW_ENTRIES:g} directed entries; building it would take gigabytes")
+
     def build(self, seed: int) -> WindowGraph:
-        """The window; a window file that cannot be read raises ValidationError."""
+        """The window; a window file that cannot be read raises ValidationError,
+        a built-in window above the size guard GuardViolation."""
+        self.check_size()
         if self.model == "torus":
             return build_torus_window(self.d, self.L)
         if self.model == "cycle":
@@ -272,7 +294,8 @@ class KazhdanSpec(WindowSpec):
     """balanced partition search"""
 
     k: int = _field(2, "number of parts", check=(lambda k: k >= 1, "part count k must be positive"))
-    alpha: list[float] | None = _field(None, "comma-separated target weights; uniform when unset")
+    alpha: list[float] | None = _field(None, "comma-separated target weights; uniform when unset",
+                                       check=(lambda a: all(map(math.isfinite, a)), "alpha entries must be finite"))
     eps: float = _field(0.0, "allowed deviation of each part's weight from its target")
     budget: int = _field(4000, "annealer steps per restart",
                          check=(lambda b: b >= 1, "budget must be positive"))
@@ -301,7 +324,9 @@ class MtpSpec(WindowSpec):
 
     transport: str = _field("constant", "edge transport", choices=tuple(sorted(BUILTIN_TRANSPORTS)))
     transport_colour: int | None = _field(None, "colour argument of the transport")
-    transport_value: float | None = _field(None, "value argument of the transport")
+    transport_value: float | None = _field(None, "value argument of the transport",
+                                           check=(lambda x: 0 <= x < math.inf,
+                                                  "transport_value must be finite and nonnegative"))
     colouring: str = _field("bernoulli", "colouring model", choices=("bernoulli", "constant"))
     colours: int = _field(2, "number of colours", check=(lambda c: c >= 1, "need at least one colour"))
 
@@ -311,6 +336,8 @@ class MtpSpec(WindowSpec):
         for key, arg in _TRANSPORT_ARGS.items():
             if getattr(self, key) is not None and arg not in accepted:
                 v.append(f"mtp-check: transport {self.transport} takes no {key}")
+        if self.transport_colour is not None and not 1 <= self.transport_colour <= self.colours:
+            v.append(f"mtp-check: transport_colour must lie in 1..{self.colours}")
         return v
 
 
@@ -392,19 +419,18 @@ def _run_mtp_check(spec: MtpSpec, config: ExperimentConfig, out: Path, w: Window
 
 def _cost_pipeline(w: WindowGraph, p: float, seed: int):
     """A Bernoulli(p) subset, its clusters and its connection-cost bounds."""
-    subset = sample(bernoulli_model([p, 1.0 - p]), w, seed)
-    dec = decompose(w, subset)
-    return subset, dec, cost_upper_bound(w, subset, dec, connect_clusters(w, dec))
+    dec = decompose(w, subset_mask(sample(bernoulli_model([p, 1.0 - p]), w, seed)))
+    return dec, cost_upper_bound(dec, connect_clusters(dec))
 
 
 def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
     def row(i: int):  # trial i % trials at p[i // trials]: one p value gives a plain trial run
         p = spec.p[i // config.trials]
-        subset, dec, bound = _cost_pipeline(w, p, derive_seed(config.seed, "percolation", i))
+        dec, bound = _cost_pipeline(w, p, derive_seed(config.seed, "percolation", i))
         largest = max(dec.sizes) / w.n if dec.count else 0.0
         return (
             fmt_float(p),
-            fmt_float(intensity(subset, 1)),
+            fmt_float(bound.intensity),
             str(dec.count),
             fmt_float(largest),
             fmt_float(bound.lemma_bound),
@@ -423,7 +449,7 @@ def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, out: Path,
 
 
 def _run_cost_bound(spec: CostBoundSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
-    _, dec, bound = _cost_pipeline(w, spec.p, derive_seed(config.seed, "subset"))
+    dec, bound = _cost_pipeline(w, spec.p, derive_seed(config.seed, "subset"))
     path = out / "cost_bound.json"
     write_json(
         path,

@@ -1,11 +1,11 @@
 """Percolation clusters, connecting factor edges, and connection-cost
 upper bounds.
 
-A subset of window vertices (the "in" class of a 2-colouring) decomposes
-into clusters: connected components of the induced subgraph.  The cheapest
-way to join all clusters into one component is a minimum spanning tree over
-the cluster quotient with inter-cluster graph distances as weights; the
-retained witness pairs realize those distances exactly.  From the induced
+A subset of window vertices (a boolean mask) decomposes into clusters:
+connected components of the induced subgraph.  The cheapest way to join all
+clusters into one component is a minimum spanning tree over the cluster
+quotient with inter-cluster graph distances as weights; the retained witness
+pairs (int64 arrays) realize those distances exactly.  From the induced
 degrees plus the connecting pairs one gets an empirical upper bound on the
 connection cost per vertex,
 
@@ -23,7 +23,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra, minimum_spanning_tree
 
-from .colourings import Colouring, subset_mask
 from .graphs import WindowGraph
 
 
@@ -54,14 +53,18 @@ class ClusterDecomposition:
         return np.flatnonzero(self.cluster_id == cluster)
 
 
-def decompose(w: WindowGraph, subset: Colouring) -> ClusterDecomposition:
-    """Connected components of the subgraph induced on the in-vertices.
+def decompose(w: WindowGraph, mask: np.ndarray) -> ClusterDecomposition:
+    """Connected components of the subgraph induced on the vertices where
+    ``mask``, a boolean array of shape ``(w.n,)``, holds; the decomposition
+    keeps ``mask`` itself.  Any other array raises ValueError.
 
     csgraph numbers components in order of their smallest vertex, and the
     in-vertices are taken in increasing order, so its labels are already
     the cluster ids.
     """
-    mask = subset_mask(subset)
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (w.n,):
+        raise ValueError(f"subset mask must be a boolean array of shape ({w.n},)")
     inside = np.flatnonzero(mask)
     count, labels = connected_components(w.csr[inside][:, inside], directed=False)
     cluster_id = np.full(w.n, -1, dtype=np.int64)
@@ -80,17 +83,18 @@ def decompose(w: WindowGraph, subset: Colouring) -> ClusterDecomposition:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorGraphEdges:
-    """Extra vertex pairs joining distinct clusters; distances are the true
-    inter-cluster graph distances of the pairs they retain."""
+    """Extra vertex pairs joining distinct clusters, as int64 arrays: row i of
+    ``pairs`` and of ``cluster_pairs`` (both (m, 2)) is a vertex pair and its
+    two clusters, ``distances[i]`` their true inter-cluster graph distance."""
 
-    pairs: tuple[tuple[int, int], ...]
-    distances: tuple[int, ...]
-    cluster_pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
+    distances: np.ndarray
+    cluster_pairs: np.ndarray
 
 
-def connect_clusters(w: WindowGraph, dec: ClusterDecomposition) -> FactorGraphEdges:
+def connect_clusters(dec: ClusterDecomposition) -> FactorGraphEdges:
     """Minimum spanning tree over the cluster quotient graph.
 
     A multi-source shortest-path search from all in-vertices partitions the
@@ -120,8 +124,9 @@ def connect_clusters(w: WindowGraph, dec: ClusterDecomposition) -> FactorGraphEd
     ``cluster_pairs`` order.
     """
     if dec.count <= 1:
-        return FactorGraphEdges((), (), ())
+        return FactorGraphEdges(np.empty((0, 2), np.int64), np.empty(0, np.int64), np.empty((0, 2), np.int64))
 
+    w = dec.window
     inside = np.flatnonzero(dec.mask)
     dist, _, anchor = dijkstra(
         w.csr, indices=inside, unweighted=True, min_only=True, return_predecessors=True
@@ -141,7 +146,8 @@ def connect_clusters(w: WindowGraph, dec: ClusterDecomposition) -> FactorGraphEd
     best = order[np.diff(pair[order], prepend=-1) != 0]  # first of each pair's run
 
     quotient = sparse.csr_array((d[best], (ca[best], cb[best])), shape=(dec.count, dec.count))
-    rows, cols = minimum_spanning_tree(quotient).nonzero()
+    # scipy returns int32 indices; the pair keys below pass 2^31 once count > 46340
+    rows, cols = (a.astype(np.int64) for a in minimum_spanning_tree(quotient).nonzero())
     if len(rows) < dec.count - 1:
         _, component = connected_components(w.csr, directed=False)
         cluster_component = np.empty(dec.count, dtype=np.int64)
@@ -153,9 +159,9 @@ def connect_clusters(w: WindowGraph, dec: ClusterDecomposition) -> FactorGraphEd
     tree_pairs = np.minimum(rows, cols) * dec.count + np.maximum(rows, cols)
     kept = best[np.sort(np.searchsorted(pair[best], tree_pairs))]
     return FactorGraphEdges(
-        tuple(zip(anchor[src[kept]].tolist(), anchor[dst[kept]].tolist())),
-        tuple(d[kept].tolist()),
-        tuple(zip(ca[kept].tolist(), cb[kept].tolist())),
+        np.stack((anchor[src[kept]], anchor[dst[kept]]), axis=1, dtype=np.int64),
+        d[kept],
+        np.stack((ca[kept], cb[kept]), axis=1),
     )
 
 
@@ -178,23 +184,17 @@ class CostBound:
             raise ValueError("ceiling bound cannot drop below 1")
 
 
-def cost_upper_bound(
-    w: WindowGraph,
-    subset: Colouring,
-    dec: ClusterDecomposition,
-    extra: FactorGraphEdges,
-) -> CostBound:
-    """Both cost bounds for the factor graph (induced edges + extra pairs).
+def cost_upper_bound(dec: ClusterDecomposition, extra: FactorGraphEdges) -> CostBound:
+    """Both cost bounds for the factor graph (induced edges + extra pairs)
+    of ``dec``'s subset in its window.
 
     Requires ``extra`` to actually connect the decomposition; the factor
     graph degree of an in-vertex is its induced degree plus its incident
     extra pairs, and the root expectation rescales by the intensity.
     """
-    mask = subset_mask(subset)
-    if not np.array_equal(mask, dec.mask):
-        raise ValueError("decomposition does not belong to this subset")
+    w, mask = dec.window, dec.mask
     if dec.count >= 1:
-        ca, cb = np.array(extra.cluster_pairs, dtype=np.int64).reshape(-1, 2).T
+        ca, cb = extra.cluster_pairs.T
         quotient = sparse.csr_array((np.ones(len(ca)), (ca, cb)), shape=(dec.count, dec.count))
         if connected_components(quotient, directed=False)[0] != 1:
             raise ValueError("extra pairs do not connect the clusters")

@@ -123,17 +123,19 @@ class WindowGraph:
         degree = np.bincount(src, minlength=n)
         if degree.max() > gens.size:
             raise ValueError(f"vertex {degree.argmax()} exceeds the degree bound {gens.size}")
-        order = np.lexsort((dst, gens.name_rank[label_id], src))
-        src, dst, label_id = src[order], dst[order], label_id[order]
-        # each entry and its required mirror, encoded as one integer apiece; the stable
-        # sorts pair the k-th entry of a key with the k-th entry whose mirror has that key
-        key = (src * n + dst) * gens.size + label_id
-        mirror_key = (dst * n + src) * gens.size + gens.inverse_id[label_id]
-        forward, backward = np.argsort(key, kind="stable"), np.argsort(mirror_key, kind="stable")
-        if not np.array_equal(key[forward], mirror_key[backward]):
+        # each entry and its required mirror, encoded as one integer apiece that rises in row
+        # order (src, label name, dst); the stable sorts put the entries in row order and pair
+        # the k-th entry of a key with the k-th entry whose mirror has that key
+        rank = gens.name_rank
+        key = (src * gens.size + rank[label_id]) * n + dst
+        order = np.argsort(key, kind="stable")
+        src, dst, label_id, key = src[order], dst[order], label_id[order], key[order]
+        mirror_key = (dst * gens.size + rank[gens.inverse_id[label_id]]) * n + src
+        backward = np.argsort(mirror_key, kind="stable")
+        if not np.array_equal(key, mirror_key[backward]):
             raise ValueError("edge labelling is not symmetric under inversion")
-        mirror = np.empty_like(forward)
-        mirror[backward] = forward
+        mirror = np.empty_like(backward)
+        mirror[backward] = np.arange(len(key))
         indptr = np.concatenate(([0], np.cumsum(degree)))
         for a in (indptr, dst, label_id, mirror):
             a.flags.writeable = False

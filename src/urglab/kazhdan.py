@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusters import decompose
-from .colourings import Colouring, subset_colouring
+from .colourings import Colouring
 from .graphs import WindowGraph
 from .rng import derive_rng
 
@@ -303,7 +303,7 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
 def _boundary_entries(w: WindowGraph, colours: np.ndarray, from_part: int, to_part: int):
     """The clusters of ``from_part`` and, per cluster, its directed entries
     into ``to_part`` (an array of length ``dec.count``)."""
-    dec = decompose(w, subset_colouring(w, colours == from_part))
+    dec = decompose(w, colours == from_part)
     src, dst = w.edge_arrays
     cluster = dec.cluster_id[src]
     into = (cluster >= 0) & (colours[dst] == to_part)

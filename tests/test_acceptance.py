@@ -40,7 +40,7 @@ from urglab.colourings import (
     bernoulli_model,
     constant_model,
     sample,
-    subset_colouring,
+    subset_mask,
     uniform_bernoulli_model,
 )
 from urglab.gaussian import orthant_probability, orthant_probability_mc
@@ -225,10 +225,9 @@ def test_criterion_8_cost_bound_pipeline():
         w = build_torus_window(1, 16 * k)
         mask = np.zeros(w.n, dtype=bool)
         mask[::k] = True
-        subset = subset_colouring(w, mask)
-        dec = decompose(w, subset)
-        extra = connect_clusters(w, dec)
-        bound = cost_upper_bound(w, subset, dec, extra)
+        dec = decompose(w, mask)
+        extra = connect_clusters(dec)
+        bound = cost_upper_bound(dec, extra)
         lemma = 1.0 + 2.0 / k
         assert bound.lemma_bound == pytest.approx(lemma)
         assert bound.empirical_bound <= lemma + 1e-12
@@ -247,7 +246,7 @@ def test_criterion_9_decompose_matches_flood_fill():
         w = pool[i % len(pool)]
         p = float(rng.uniform(0.05, 0.95))
         subset = sample(bernoulli_model([p, 1.0 - p]), w, seed=3000 + i)
-        dec = decompose(w, subset)
+        dec = decompose(w, subset_mask(subset))
         oracle = flood_fill_clusters(w, dec.mask)
         assert dec.count == len(oracle)
         assert [sorted(dec.vertices_of(cid).tolist()) for cid in range(dec.count)] == oracle

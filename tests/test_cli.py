@@ -13,6 +13,7 @@ import pytest
 from urglab import cli
 from urglab.cli import (
     KINDS,
+    MAX_WINDOW_ENTRIES,
     ExperimentConfig,
     ValidationError,
     build_window,
@@ -23,6 +24,7 @@ from urglab.cli import (
     run,
     validate,
 )
+from urglab.palm import GuardViolation
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -262,6 +264,14 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         (["percolation", "--L", "8", "--p="], "p: invalid value ''"),
         (["percolation", "--L", "8", "--p", "0.1,1.5"], "occupation probability p must lie in [0, 1]"),
         (["cost-bound", "--L", "8", "--p", "0.1,0.2"], "p: invalid value '0.1,0.2'"),
+        (["kazhdan", *cycle, "--k", "2", "--alpha", "0.5,nan"], "alpha entries must be finite"),
+        (["kazhdan", *cycle, "--k", "2", "--alpha", "nan,0.5"], "alpha entries must be finite"),
+        (["mtp-check", *cycle, "--transport-value", "-1"], "transport_value must be finite and nonnegative"),
+        (["mtp-check", *cycle, "--transport-value", "nan"], "transport_value must be finite and nonnegative"),
+        (["mtp-check", *cycle, "--transport", "source-colour", "--transport-colour", "0"],
+         "transport_colour must lie in 1..2"),
+        (["mtp-check", *cycle, "--transport", "source-colour", "--transport-colour", "7"],
+         "transport_colour must lie in 1..2"),
     ]
     refused = tmp_path / "refused"
     for argv, message in malformed:
@@ -286,11 +296,19 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         def unreachable(*args):
             raise AssertionError("a sample count above the guard reached the sampler")
 
-        # a sampler call here would try to allocate terabytes
-        patch.setattr(cli, "verify_mean_cell_volume", unreachable)
-        patch.setattr(cli, "orthant_probability_mc", unreachable)
+        # a sampler or window builder call here would try to allocate gigabytes or terabytes
+        for name in ("verify_mean_cell_volume", "orthant_probability_mc", "build_torus_window",
+                     "build_path", "build_complete", "build_random_regular"):
+            patch.setattr(cli, name, unreachable)
         for argv, message in [(["palm", "--m", "10000000000000", "--trials", "1"], "guard: m: "),
-                              (["gauss-check", "--n", "10000000000000"], "guard: n: ")]:
+                              (["gauss-check", "--n", "10000000000000"], "guard: n: "),
+                              (["percolation", "--model", "torus", "--d", "40", "--L", "3"], "guard: L: "),
+                              (["percolation", "--model", "torus", "--d", "12", "--L", "10"], "guard: L: "),
+                              (["percolation", "--model", "cycle", "--L", "1000000000000"], "guard: L: "),
+                              (["kazhdan", "--model", "complete", "--n", "100000"], "guard: n: "),
+                              (["mtp-check", "--model", "path", "--n", "50000002"], "guard: n: "),
+                              (["cost-bound", "--model", "random-regular", "--k-rank", "2", "--n", "25000001"],
+                               "guard: n: ")]:
             capsys.readouterr()
             assert main([*argv, "--out", str(refused)]) == 3, argv
             assert message in capsys.readouterr().err, argv
@@ -310,6 +328,24 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["gauss-check", "--rho", "0", "--n", "1000", "--seed", "1",
                  "--out", str(refused / "nested")]) == 0
     assert sorted(p.name for p in (refused / "nested").iterdir()) == ["gauss_check.csv", "run.manifest.json"]
+
+
+def test_window_guard_counts_directed_entries(monkeypatch):
+    # each model at exactly MAX_WINDOW_ENTRIES directed entries reaches its builder, one step more is refused
+    assert MAX_WINDOW_ENTRIES == 10**8
+    for name in ("build_torus_window", "build_path", "build_complete", "build_random_regular"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: name)
+    at_cap = [  # 2d * L^d, 2L, 2(n - 1), n(n - 1), 2k * n
+        ({"model": "torus", "d": 2, "L": 5000}, "L"),
+        ({"model": "cycle", "L": 5 * 10**7}, "L"),
+        ({"model": "path", "n": 5 * 10**7 + 1}, "n"),
+        ({"model": "complete", "n": 10**4}, "n"),
+        ({"model": "random-regular", "k_rank": 2, "n": 25 * 10**6}, "n"),
+    ]
+    for params, field in at_cap:
+        assert build_window(params, 0).startswith("build_"), params
+        with pytest.raises(GuardViolation, match=f"^{field}: "):
+            build_window({**params, field: params[field] + 1}, 0)
 
 
 def test_percolation_p_grid_rows(tmp_path):

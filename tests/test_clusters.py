@@ -18,7 +18,7 @@ from urglab.clusters import (
     decompose,
     gaboriau_induction,
 )
-from urglab.colourings import bernoulli_model, sample, subset_colouring
+from urglab.colourings import bernoulli_model, sample, subset_mask
 from urglab.graphs import build_explicit, build_random_regular, build_torus_window
 
 
@@ -29,28 +29,37 @@ def cycle(n):
 def spaced_subset(w, k):
     mask = np.zeros(w.n, dtype=bool)
     mask[::k] = True
-    return subset_colouring(w, mask)
+    return mask
 
 
 def test_full_subset_single_cluster():
     w = build_torus_window(2, 4)
-    dec = decompose(w, subset_colouring(w, np.ones(w.n, dtype=bool)))
+    dec = decompose(w, np.ones(w.n, dtype=bool))
     assert dec.count == 1 and dec.sizes == (16,)
 
 
 def test_empty_subset_no_clusters():
     w = cycle(8)
-    dec = decompose(w, subset_colouring(w, np.zeros(8, dtype=bool)))
+    dec = decompose(w, np.zeros(8, dtype=bool))
     assert dec.count == 0 and dec.sizes == ()
 
 
 def test_cycle_three_in_vertices():
     w = cycle(8)
-    dec = decompose(w, subset_colouring(w, np.isin(np.arange(8), [0, 1, 4])))
+    dec = decompose(w, np.isin(np.arange(8), [0, 1, 4]))
     assert dec.count == 2
     assert sorted(dec.sizes) == [1, 2]
     assert dec.cluster_id[0] == dec.cluster_id[1] == 0
     assert dec.cluster_id[4] == 1
+
+
+def test_decompose_refuses_anything_but_a_vertex_mask():
+    # a Colouring once decomposed as one cluster of size 1, and a short mask was accepted
+    w = build_torus_window(2, 4)
+    for mask in (sample(bernoulli_model([1.0, 0.0]), w, 0), np.ones(15, dtype=bool),
+                 np.ones((16, 1), dtype=bool), np.ones(16, dtype=np.int64)):
+        with pytest.raises(ValueError, match=r"boolean array of shape \(16,\)"):
+            decompose(w, mask)
 
 
 def test_decompose_matches_flood_fill_oracle():
@@ -59,7 +68,7 @@ def test_decompose_matches_flood_fill_oracle():
     for trial in range(300):
         w = windows[trial % len(windows)]
         mask = rng.random(w.n) < rng.uniform(0.1, 0.9)
-        dec = decompose(w, subset_colouring(w, mask))
+        dec = decompose(w, mask)
         oracle = flood_fill_clusters(w, mask)
         assert dec.count == len(oracle)
         assert [sorted(dec.vertices_of(i).tolist()) for i in range(dec.count)] == oracle
@@ -67,18 +76,18 @@ def test_decompose_matches_flood_fill_oracle():
 
 def test_connect_two_antipodal_vertices():
     w = cycle(8)
-    dec = decompose(w, subset_colouring(w, np.isin(np.arange(8), [0, 4])))
-    extra = connect_clusters(w, dec)
+    dec = decompose(w, np.isin(np.arange(8), [0, 4]))
+    extra = connect_clusters(dec)
     assert len(extra.pairs) == 1
     u, v = extra.pairs[0]
-    assert extra.distances == (4,)
+    assert np.array_equal(extra.distances, [4])
     assert shortest_path_distance(w, u, v) == 4
 
 
 def test_connect_single_cluster_empty():
     w = cycle(8)
-    dec = decompose(w, subset_colouring(w, np.ones(8, dtype=bool)))
-    assert connect_clusters(w, dec).pairs == ()
+    dec = decompose(w, np.ones(8, dtype=bool))
+    assert np.array_equal(connect_clusters(dec).pairs, np.empty((0, 2)))
 
 
 # permutation-model windows carry loops and parallel edges
@@ -86,44 +95,57 @@ def test_connect_makes_subset_connected():
     for w in (build_torus_window(2, 16), build_random_regular(3, 200, seed=4),
               build_random_regular(2, 150, seed=5)):
         for seed in range(5):
-            subset = sample(bernoulli_model([0.2, 0.8]), w, seed)
+            subset = subset_mask(sample(bernoulli_model([0.2, 0.8]), w, seed))
             dec = decompose(w, subset)
-            extra = connect_clusters(w, dec)
+            extra = connect_clusters(dec)
             assert len(extra.pairs) == dec.count - 1
             assert spanning_connected(w, dec.mask, extra.pairs)
             # pairs are listed in strictly increasing cluster_pairs order, ca < cb
-            assert all(ca < cb for ca, cb in extra.cluster_pairs)
-            assert all(a < b for a, b in zip(extra.cluster_pairs, extra.cluster_pairs[1:]))
+            cluster_pairs = extra.cluster_pairs.tolist()
+            assert all(ca < cb for ca, cb in cluster_pairs)
+            assert all(a < b for a, b in zip(cluster_pairs, cluster_pairs[1:]))
+
+
+def test_connect_returns_int64_arrays():
+    w = build_torus_window(2, 16)
+    for mask in (subset_mask(sample(bernoulli_model([0.2, 0.8]), w, 0)), np.ones(w.n, dtype=bool)):
+        dec = decompose(w, mask)
+        extra = connect_clusters(dec)
+        m = dec.count - 1
+        assert [(a.dtype, a.shape) for a in (extra.pairs, extra.distances, extra.cluster_pairs)] == [
+            (np.int64, (m, 2)), (np.int64, (m,)), (np.int64, (m, 2))]
 
 
 def test_connect_success_path_skips_window_components(monkeypatch):
     # the window components are computed only to name a split window
     w = build_random_regular(3, 200, seed=4)
-    dec = decompose(w, sample(bernoulli_model([0.2, 0.8]), w, 0))
+    dec = decompose(w, subset_mask(sample(bernoulli_model([0.2, 0.8]), w, 0)))
 
     def unexpected(*args, **kwargs):
         raise AssertionError("connected_components ran on the success path")
 
     monkeypatch.setattr("urglab.clusters.connected_components", unexpected)
-    assert len(connect_clusters(w, dec).pairs) == dec.count - 1
+    assert len(connect_clusters(dec).pairs) == dec.count - 1
 
 
 def test_connect_order_does_not_rest_on_tree_storage(monkeypatch):
     # the same tree stored transposed must list the same pairs in the same order
     w = build_torus_window(2, 16)
-    dec = decompose(w, sample(bernoulli_model([0.2, 0.8]), w, 0))
-    expected = connect_clusters(w, dec)
+    dec = decompose(w, subset_mask(sample(bernoulli_model([0.2, 0.8]), w, 0)))
+    expected = connect_clusters(dec)
     monkeypatch.setattr("urglab.clusters.minimum_spanning_tree",
                         lambda graph: minimum_spanning_tree(graph).T.tocsr())
-    assert connect_clusters(w, dec) == expected
+    got = connect_clusters(dec)
+    for field in ("pairs", "distances", "cluster_pairs"):
+        assert np.array_equal(getattr(got, field), getattr(expected, field))
 
 
 def test_connect_pairs_realize_cluster_distances():
     for w in (build_torus_window(2, 12), build_random_regular(3, 150, seed=6),
               build_random_regular(2, 100, seed=7)):
-        subset = sample(bernoulli_model([0.15, 0.85]), w, 11)
+        subset = subset_mask(sample(bernoulli_model([0.15, 0.85]), w, 11))
         dec = decompose(w, subset)
-        extra = connect_clusters(w, dec)
+        extra = connect_clusters(dec)
         clusters = [set(dec.vertices_of(i).tolist()) for i in range(dec.count)]
         for (u, v), d, (ca, cb) in zip(extra.pairs, extra.distances, extra.cluster_pairs):
             assert u in clusters[ca] and v in clusters[cb]
@@ -135,19 +157,19 @@ def test_connect_total_is_minimum_spanning_weight():
     for w in (build_torus_window(2, 5), build_torus_window(2, 8),
               build_random_regular(2, 40, seed=8), build_random_regular(2, 60, seed=9)):
         for seed in range(4):
-            subset = sample(bernoulli_model([0.2, 0.8]), w, seed)
+            subset = subset_mask(sample(bernoulli_model([0.2, 0.8]), w, seed))
             dec = decompose(w, subset)
             clusters = [set(dec.vertices_of(i).tolist()) for i in range(dec.count)]
             weights = [[set_distance(w, a, b) for b in clusters] for a in clusters]
-            assert sum(connect_clusters(w, dec).distances) == prim_tree_weight(weights)
+            assert sum(connect_clusters(dec).distances) == prim_tree_weight(weights)
 
 
 def test_connect_is_tree_minimal():
     # removing any retained pair disconnects the subset again
     w = build_torus_window(2, 10)
-    subset = sample(bernoulli_model([0.25, 0.75]), w, 3)
+    subset = subset_mask(sample(bernoulli_model([0.25, 0.75]), w, 3))
     dec = decompose(w, subset)
-    extra = connect_clusters(w, dec)
+    extra = connect_clusters(dec)
     for skip in range(len(extra.pairs)):
         reduced = [p for i, p in enumerate(extra.pairs) if i != skip]
         assert not spanning_connected(w, dec.mask, reduced)
@@ -155,18 +177,18 @@ def test_connect_is_tree_minimal():
 
 def test_connect_rejects_split_windows():
     w = build_explicit(6, [(0, 1), (2, 3), (4, 5)], tag="threepieces")
-    dec = decompose(w, subset_colouring(w, np.array([1, 0, 1, 0, 1, 0], dtype=bool)))
+    dec = decompose(w, np.array([1, 0, 1, 0, 1, 0], dtype=bool))
     with pytest.raises(DisconnectedClustersError) as err:
-        connect_clusters(w, dec)
+        connect_clusters(dec)
     assert err.value.components == {0: [0], 1: [1], 2: [2]}
     assert str(err.value) == ("clusters span multiple window components "
                               "(component 0: clusters [0]; component 1: clusters [1]; "
                               "component 2: clusters [2])")
     # components keep the whole window's labels: the cluster-free {3, 4} is component 1
     w = build_explicit(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8)])
-    dec = decompose(w, subset_colouring(w, np.isin(np.arange(9), [0, 2, 5, 8])))
+    dec = decompose(w, np.isin(np.arange(9), [0, 2, 5, 8]))
     with pytest.raises(DisconnectedClustersError) as err:
-        connect_clusters(w, dec)
+        connect_clusters(dec)
     assert err.value.components == {0: [0, 1], 2: [2, 3]}
     assert str(err.value) == ("clusters span multiple window components "
                               "(component 0: clusters [0, 1]; component 2: clusters [2, 3])")
@@ -175,11 +197,11 @@ def test_connect_rejects_split_windows():
 def test_connect_ignores_cluster_free_component():
     # {4, 5} holds no cluster and is never reached; the clusters still connect
     w = build_explicit(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
-    dec = decompose(w, subset_colouring(w, np.isin(np.arange(6), [0, 3])))
-    extra = connect_clusters(w, dec)
-    assert extra.pairs == ((0, 3),)
-    assert extra.distances == (3,)
-    assert extra.cluster_pairs == ((0, 1),)
+    dec = decompose(w, np.isin(np.arange(6), [0, 3]))
+    extra = connect_clusters(dec)
+    assert np.array_equal(extra.pairs, [[0, 3]])
+    assert np.array_equal(extra.distances, [3])
+    assert np.array_equal(extra.cluster_pairs, [[0, 1]])
 
 
 def test_cost_bound_spaced_subsets_closed_form():
@@ -189,40 +211,49 @@ def test_cost_bound_spaced_subsets_closed_form():
         w = cycle(16 * k)
         subset = spaced_subset(w, k)
         dec = decompose(w, subset)
-        extra = connect_clusters(w, dec)
-        bound = cost_upper_bound(w, subset, dec, extra)
+        extra = connect_clusters(dec)
+        bound = cost_upper_bound(dec, extra)
         assert bound.intensity == pytest.approx(1.0 / k)
         assert bound.lemma_bound == pytest.approx(1.0 + 2.0 / k)
         assert bound.empirical_bound == pytest.approx(1.0 - 1.0 / w.n, abs=1e-12)
         assert bound.empirical_bound <= bound.lemma_bound
 
 
+def test_connect_past_int32_pair_keys():
+    # 50,000 singleton clusters: cluster-pair keys pass 2^31, which int32 tree indices once wrapped
+    w = cycle(3 * 50000)
+    dec = decompose(w, spaced_subset(w, 3))
+    extra = connect_clusters(dec)
+    assert len(extra.pairs) == dec.count - 1 == 49999
+    assert np.array_equal(extra.distances, np.full(49999, 3))
+    assert cost_upper_bound(dec, extra).empirical_bound == pytest.approx(1.0 - 1.0 / w.n, abs=1e-12)
+
+
 def test_cost_bound_full_subset_rank_style():
     # full subset: empirical bound reduces to half the average degree
     w = cycle(10)
-    subset = subset_colouring(w, np.ones(10, dtype=bool))
-    dec = decompose(w, subset)
-    bound = cost_upper_bound(w, subset, dec, connect_clusters(w, dec))
+    dec = decompose(w, np.ones(10, dtype=bool))
+    bound = cost_upper_bound(dec, connect_clusters(dec))
     assert bound.intensity == 1.0
     assert bound.empirical_bound == pytest.approx(1.0)  # half of average degree 2
 
 
 def test_cost_bound_requires_connecting_pairs():
     w = cycle(8)
-    subset = subset_colouring(w, np.isin(np.arange(8), [0, 4]))
-    dec = decompose(w, subset)
+    dec = decompose(w, np.isin(np.arange(8), [0, 4]))
     from urglab.clusters import FactorGraphEdges
 
     with pytest.raises(ValueError):
-        cost_upper_bound(w, subset, dec, FactorGraphEdges((), (), ()))
+        cost_upper_bound(dec, FactorGraphEdges(np.empty((0, 2), np.int64), np.empty(0, np.int64),
+                                               np.empty((0, 2), np.int64)))
 
 
 def test_cost_bound_empirical_at_least_one_minus_intensity():
     w = build_torus_window(2, 12)
     for seed in range(5):
-        subset = sample(bernoulli_model([0.3, 0.7]), w, seed)
+        subset = subset_mask(sample(bernoulli_model([0.3, 0.7]), w, seed))
         dec = decompose(w, subset)
-        bound = cost_upper_bound(w, subset, dec, connect_clusters(w, dec))
+        bound = cost_upper_bound(dec, connect_clusters(dec))
         assert bound.empirical_bound >= 1.0 - bound.intensity - 1e-12
 
 

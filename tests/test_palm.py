@@ -12,7 +12,6 @@ from scipy import stats
 
 from urglab.cli import ExperimentConfig, run
 from urglab.clusters import connect_clusters, cost_upper_bound, decompose
-from urglab.colourings import subset_colouring
 from urglab.palm import (
     BUILTIN_FUNCTIONALS,
     BoundedFunctional,
@@ -504,9 +503,8 @@ def test_pp_cost_pipeline_smoke():
     # cell-adjacency graph of a rooted sample -> cluster cost machinery
     config = palm_sample_poisson(1.0, FlatTorus(2, 8.0), seed=10)
     graph = voronoi_adjacency_graph(config, 20000, seed=11)
-    subset = subset_colouring(graph, np.ones(graph.n, dtype=bool))
-    dec = decompose(graph, subset)
-    bound = cost_upper_bound(graph, subset, dec, connect_clusters(graph, dec))
+    dec = decompose(graph, np.ones(graph.n, dtype=bool))
+    bound = cost_upper_bound(dec, connect_clusters(dec))
     value = pp_cost_bound(1.0, max(bound.empirical_bound - 1.0, 0.0))
     assert math.isfinite(value) and value >= 1.0
 

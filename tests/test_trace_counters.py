@@ -1,8 +1,10 @@
 """Work counters of the benchmark tracer (perfbench/spans.py) on small runs.
 
 The tracer wraps urglab's functions from outside and reads some counters
-from their arguments: ``transport.mtp_check.edges`` sums the rows of the
-window's ``adjacency`` view.  Each run gets a fresh interpreter, because
+from their arguments and results: ``transport.mtp_check.edges`` sums the
+rows of the window's ``adjacency`` view, ``clusters.decompose.clusters`` and
+``clusters.connect_clusters.pairs`` read each call's cluster count and
+connecting-pair count.  Each run gets a fresh interpreter, because
 installing the tracer rebinds module attributes for the rest of the process.
 """
 
@@ -50,3 +52,15 @@ def test_kazhdan_counters(tmp_path):
     assert layers["graphs.build_torus_window.calls"] == 1
     assert layers["kazhdan.anneal_kazhdan.calls"] == 1
     assert layers["kazhdan.anneal_kazhdan.steps"] == 400
+
+
+def test_percolation_counters(tmp_path):
+    params = {"L": 16, "p": [0.3]}
+    layers = traced_run({"kind": "percolation", "params": params, "trials": 4, "out_dir": str(tmp_path)})
+    rows = (tmp_path / "percolation.csv").read_text().splitlines()[1:]
+    counts = [int(row.split(",")[2]) for row in rows]
+    assert len(counts) == 4 and min(counts) >= 2
+    assert layers["clusters.decompose.calls"] == layers["clusters.connect_clusters.calls"] == 4
+    assert layers["clusters.decompose.clusters"] == sum(counts)
+    # one (m, 2) pair array per trial, m = count - 1 rows
+    assert layers["clusters.connect_clusters.pairs"] == sum(c - 1 for c in counts)
