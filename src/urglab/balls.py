@@ -1,10 +1,8 @@
-"""Rooted coloured balls and their isomorphism.
+"""Rooted coloured balls.
 
 A ball is the induced subgraph on all vertices within graph distance r of a
-root, carrying vertex colours, root, and BFS distances.  Isomorphism of two
-balls means a root-preserving, colour-preserving, multiplicity-preserving
-graph isomorphism; it is decided through a canonical form built by colour
-refinement plus backtracking, which is cheap because degrees are bounded.
+root, carrying vertex colours, root, and BFS distances.  The edge transports
+of ``transport`` are evaluated on balls.
 """
 
 from __future__ import annotations
@@ -35,10 +33,6 @@ class RootedBall:
     @property
     def n(self) -> int:
         return len(self.colours)
-
-    @cached_property
-    def local_index(self) -> dict[int, int]:
-        return {orig: i for i, orig in enumerate(self.original)}
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -109,93 +103,3 @@ def ball(w: WindowGraph, colouring, u: int, r: int) -> RootedBall:
         raise ValueError(f"root {u} out of range")
     colours = None if colouring is None else colouring.colour_list
     return _cut(u, r, w.neighbour_rows, colours, None)
-
-
-# ----------------------------------------------------------------------
-# Canonical form: colour refinement, then backtracking on the first
-# non-singleton class, keeping the lexicographically least encoding.
-# ----------------------------------------------------------------------
-
-
-def _refine(ball: RootedBall, classes: list[int]) -> list[int]:
-    n = ball.n
-    while True:
-        signatures = []
-        for i in range(n):
-            neigh = sorted((classes[j], m) for j, m in ball.neighbour_counts[i].items())
-            signatures.append((classes[i], tuple(neigh)))
-        ranks = {sig: k for k, sig in enumerate(sorted(set(signatures)))}
-        new_classes = [ranks[sig] for sig in signatures]
-        if new_classes == classes:
-            return classes
-        classes = new_classes
-
-
-def _encode(ball: RootedBall, perm: list[int]) -> tuple:
-    """Encoding of the ball under local->canonical map ``perm``."""
-    position = perm
-    colours = [0] * ball.n
-    for i in range(ball.n):
-        colours[position[i]] = ball.colours[i]
-    edges = sorted(
-        (min(position[i], position[j]), max(position[i], position[j])) for i, j in ball.edges
-    )
-    return (tuple(colours), tuple(edges))
-
-
-def canonical_form(ball: RootedBall) -> tuple:
-    """Isomorphism-invariant encoding (radius, colours, edge multiset)."""
-
-    initial = [
-        (ball.distances[i], ball.colours[i], ball.degree(i), ball.neighbour_counts[i].get(i, 0))
-        for i in range(ball.n)
-    ]
-    ranks = {sig: k for k, sig in enumerate(sorted(set(initial)))}
-    classes = _refine(ball, [ranks[sig] for sig in initial])
-
-    best: tuple | None = None
-
-    def search(classes: list[int]) -> None:
-        nonlocal best
-        groups: dict[int, list[int]] = {}
-        for i, c in enumerate(classes):
-            groups.setdefault(c, []).append(i)
-        target = None
-        for c in sorted(groups):
-            if len(groups[c]) > 1:
-                target = c
-                break
-        if target is None:
-            order = sorted(range(ball.n), key=lambda i: classes[i])
-            perm = [0] * ball.n
-            for pos, i in enumerate(order):
-                perm[i] = pos
-            enc = _encode(ball, perm)
-            if best is None or enc < best:
-                best = enc
-            return
-        for i in groups[target]:
-            split = list(classes)
-            # individualize i: place it strictly before its classmates
-            for j in range(ball.n):
-                if split[j] >= target and j != i:
-                    split[j] += 1
-            search(_refine(ball, split))
-
-    search(classes)
-    assert best is not None
-    return (ball.radius,) + best
-
-
-def balls_isomorphic(a: RootedBall, b: RootedBall) -> bool:
-    """Root- and colour-preserving isomorphism (multiplicities must match)."""
-    if a.radius != b.radius:
-        raise ValueError("balls must have equal radii")
-    if a.n != b.n or len(a.edges) != len(b.edges):
-        return False
-    if sorted(a.colours) != sorted(b.colours):
-        return False
-    if sorted(a.distances) != sorted(b.distances):
-        return False
-    return canonical_form(a) == canonical_form(b)
-

@@ -29,7 +29,14 @@ from .clusters import (
     decompose,
     gaboriau_induction,
 )
-from .colourings import bernoulli_model, colouring_to_dict, constant_model, sample, subset_mask
+from .colourings import (
+    bernoulli_model,
+    colouring_to_dict,
+    constant_model,
+    sample,
+    subset_mask,
+    uniform_bernoulli_model,
+)
 from .gaussian import orthant_probability, orthant_probability_mc
 from .graphs import (
     WindowGraph,
@@ -37,7 +44,7 @@ from .graphs import (
     build_path,
     build_random_regular,
     build_torus_window,
-    window_from_json,
+    window_from_dict,
 )
 from .kazhdan import (
     InfeasibleBalanceError,
@@ -65,6 +72,8 @@ WINDOW_MODELS = ("torus", "cycle", "path", "complete", "random-regular", "window
 # directed entries of a built-in window; one percolation trial on a 1024^2 torus (4.2e6 entries)
 # peaks at about 530 MB
 MAX_WINDOW_ENTRIES = 10**8
+# kazhdan's k and mtp-check's colours: each part or colour takes a weight in a Python list
+MAX_PARTS = 10**6
 # mtp-check field -> keyword of the transport factory that takes it
 _TRANSPORT_ARGS = {"transport_colour": "colour", "transport_value": "value"}
 
@@ -253,7 +262,7 @@ class WindowSpec(_Spec):
 
     def build(self, seed: int) -> WindowGraph:
         """The window; a window file that cannot be read raises ValidationError,
-        a built-in window above the size guard GuardViolation."""
+        a window above the size guard GuardViolation."""
         self.check_size()
         if self.model == "torus":
             return build_torus_window(self.d, self.L)
@@ -267,9 +276,22 @@ class WindowSpec(_Spec):
             window_seed = derive_seed(seed, "window") if self.window_seed is None else self.window_seed
             return build_random_regular(self.k_rank, self.n, window_seed)
         try:
-            return window_from_json(Path(self.window_file).read_text())
+            data = json.loads(Path(self.window_file).read_text())
+            # the vertex count and the edge rows size every array the window builds
+            if max(data["n"], 2 * len(data["edges"])) <= MAX_WINDOW_ENTRIES:
+                return window_from_dict(data)
         except (OSError, ValueError, LookupError, TypeError) as exc:
             raise ValidationError([f"window_file: cannot read {self.window_file}: {exc}"]) from None
+        raise GuardViolation(f"window_file: {self.window_file} has more than {MAX_WINDOW_ENTRIES:g} "
+                             "vertices or directed entries; building it would take gigabytes")
+
+
+def _check_parts(name: str, count: int) -> None:
+    """Refuse a part or colour count above MAX_PARTS (GuardViolation) before
+    any per-part list exists."""
+    if count > MAX_PARTS:
+        raise GuardViolation(f"{name}: {count} is above the guard {MAX_PARTS:g}; "
+                             "the run would build a list of that many weights")
 
 
 @dataclass(frozen=True)
@@ -307,11 +329,12 @@ class KazhdanSpec(WindowSpec):
         return self.alpha or [1.0 / self.k] * self.k
 
     def cross_problems(self) -> list[str]:
+        _check_parts("k", self.k)
         v = super().cross_problems()
         target = self.weights()
         if len(target) != self.k:
             v.append("kazhdan: alpha length must equal k")
-        elif self.alpha and (min(target) < 0 or abs(sum(target) - 1.0) > 1e-12):
+        elif self.alpha and (min(target) < 0 or abs(math.fsum(target) - 1.0) > 1e-12):
             v.append("kazhdan: alpha must be a probability vector")
         if not 0 <= self.eps < min(target):
             v.append("kazhdan: eps must satisfy eps < min(alpha)")
@@ -331,6 +354,7 @@ class MtpSpec(WindowSpec):
     colours: int = _field(2, "number of colours", check=(lambda c: c >= 1, "need at least one colour"))
 
     def cross_problems(self) -> list[str]:
+        _check_parts("colours", self.colours)
         v = super().cross_problems()
         accepted = inspect.signature(BUILTIN_TRANSPORTS[self.transport]).parameters
         for key, arg in _TRANSPORT_ARGS.items():
@@ -361,7 +385,8 @@ def _resolve_config(config: ExperimentConfig) -> _Spec:
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Empty list iff run() will clear its validation layer (a window file
-    is read, and so checked, only when the window is built)."""
+    is read, and so checked, only when the window is built); a part count
+    above MAX_PARTS raises GuardViolation, as in run()."""
     try:
         _resolve_config(config)
     except ValidationError as exc:
@@ -397,7 +422,7 @@ def _run_gauss_check(spec: GaussSpec, config: ExperimentConfig, out: Path, w: No
 
 def _run_mtp_check(spec: MtpSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
     d = spec.colours
-    model = constant_model(d) if spec.colouring == "constant" else bernoulli_model([1.0 / d] * d)
+    model = constant_model(d) if spec.colouring == "constant" else uniform_bernoulli_model(d)
     c = sample(model, w, derive_seed(config.seed, "colouring"))
     kwargs = {arg: getattr(spec, key) for key, arg in _TRANSPORT_ARGS.items() if getattr(spec, key) is not None}
     report = mtp_check(w, c, BUILTIN_TRANSPORTS[spec.transport](**kwargs))

@@ -1,5 +1,5 @@
-"""Random d-colourings of windows: iid and constant sampling models,
-intensity, delta-balance, and expansion.
+"""Random d-colourings of windows: iid and constant sampling models, and
+expansion.
 
 Colour values live in 1..d.  The d = 2 case doubles as a subset/percolation
 mask with colour 1 as the "in" class.  Expansion counts *directed*
@@ -10,6 +10,7 @@ bichromatic edge count over n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,7 +81,7 @@ class ColouringModel:
         if self.kind == "bernoulli":
             if self.p is None or len(self.p) != self.d:
                 raise ValueError("bernoulli model needs a length-d probability vector")
-            if min(self.p) < 0 or abs(sum(self.p) - 1.0) > 1e-12:
+            if min(self.p) < 0 or abs(math.fsum(self.p) - 1.0) > 1e-12:
                 raise ValueError("probability vector must be nonnegative and sum to 1")
         elif self.kind != "constant":
             raise ValueError(f"unknown colouring model kind {self.kind!r}")
@@ -106,26 +107,6 @@ def sample(model: ColouringModel, w: WindowGraph, seed: int) -> Colouring:
     else:
         colours = np.full(w.n, rng.integers(1, model.d + 1), dtype=np.int64)
     return Colouring(w, model.d, colours)
-
-
-# ----------------------------------------------------------------------
-# Statistics
-# ----------------------------------------------------------------------
-
-
-def intensity(c: Colouring, colour: int) -> float:
-    """Fraction of vertices carrying ``colour`` (the uniform-root hit rate)."""
-    if not (1 <= colour <= c.d):
-        raise ValueError(f"colour must lie in 1..{c.d}")
-    return float(np.count_nonzero(c.colours == colour)) / c.window.n
-
-
-def is_delta_balanced(c: Colouring, delta: float) -> bool:
-    """True iff every colour's intensity is within delta of 1/d."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    freqs = c.counts() / c.window.n
-    return bool(np.max(np.abs(freqs - 1.0 / c.d)) <= delta + 1e-12)
 
 
 def expansion(c: Colouring) -> float:

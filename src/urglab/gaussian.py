@@ -6,8 +6,6 @@ For standard normals X, Y with correlation rho,
 
 pinned by the independent case (rho = 0 forces 1/4) and verified here by a
 direct Monte Carlo oracle over the construction Y = rho X + sqrt(1-rho^2) Z.
-The two-orthant symmetric difference P({X>=0} triangle {Y>=0}) doubles it
-to arccos(rho) / pi.
 """
 
 from __future__ import annotations
@@ -59,10 +57,3 @@ def orthant_probability_mc(rho: float, n: int, seed: int) -> EstimateReport:
         trials=n,
         master_seed=seed,
     )
-
-
-def symmetric_difference_probability(rho: float) -> float:
-    """P({X >= 0} triangle {Y >= 0}) = 2 * orthant = arccos(rho) / pi."""
-    if abs(rho) > 1.0:
-        raise ValueError("correlation must lie in [-1, 1]")
-    return math.acos(rho) / math.pi

@@ -345,7 +345,3 @@ def window_from_dict(data: dict) -> WindowGraph:
     # each row stands for (u, v, s) and its mirror (v, u, s^-1); a loop row gives both at u
     return WindowGraph(n, np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([s, gens.inverse_id[s]]),
                        gens, model, params, seed=data.get("seed"))
-
-
-def window_from_json(text: str) -> WindowGraph:
-    return window_from_dict(json.loads(text))

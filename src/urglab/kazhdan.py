@@ -42,7 +42,7 @@ class WeightVector:
             raise ValueError("weight vector must be nonempty")
         if min(self.values) < 0:
             raise ValueError("weights must be nonnegative")
-        if abs(sum(self.values) - 1.0) > 1e-12:
+        if abs(math.fsum(self.values) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
 
     def __len__(self) -> int:

@@ -22,8 +22,6 @@ feed ``f.value``, and build none.
 
 For a rate-t Poisson process the root-conditioned law is the process plus
 an added origin point, which is how ``palm_sample_poisson`` constructs it.
-``voronoi_adjacency_graph`` samples the cell-adjacency graph through the
-same KD-tree (nearest and second-nearest point of uniform locations).
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import WindowGraph, build_explicit
 from .reporting import EstimateReport, binomial_stderr, mean_and_stderr
 from .rng import derive_rng, derive_seed, parallel_trials
 from .torus import (
@@ -366,23 +363,3 @@ def pp_cost_bound(t: float, palm_cost_minus_one_bound: float) -> float:
     if palm_cost_minus_one_bound < 0:
         raise ValueError("bound must be nonnegative")
     return 1.0 + t * palm_cost_minus_one_bound
-
-
-def voronoi_adjacency_graph(config: PointConfiguration, m: int, seed: int) -> WindowGraph:
-    """Approximate cell-adjacency graph on the configuration points.
-
-    Each of m uniform locations witnesses adjacency between its nearest and
-    second-nearest points; with enough samples this recovers the pairs of
-    cells sharing a boundary wall.  Used as a connecting structure for cost
-    pipelines on point samples.
-    """
-    if len(config) < 2:
-        raise ValueError("need at least two points")
-    rng = derive_rng(seed, "voronoi-adjacency")
-    locations = rng.uniform(0.0, config.torus.side, size=(m, config.torus.dim))
-    _, idx = config.kdtree.query(locations, k=2)
-    a, b = idx.T
-    n = len(config)
-    keys = np.unique((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
-    edges = list(zip((keys // n).tolist(), (keys % n).tolist()))
-    return build_explicit(n, edges, tag="voronoi-adjacency")

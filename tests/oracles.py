@@ -1,8 +1,7 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's own algorithms: cluster counts come
-from a BFS flood fill rather than scipy.sparse.csgraph, ball isomorphism from a
-permutation backtracking search rather than canonical labelling, shortest
+from a BFS flood fill rather than scipy.sparse.csgraph, shortest
 paths and ball cuts from plain BFS, exact partition optima from combinations
 enumeration, and mass-transport sums from two fresh balls per directed edge
 rather than one streaming pass through the window's mirror permutation.  Expected values in tests are computed (or were frozen) from
@@ -103,59 +102,6 @@ def bfs_ball(window, colouring, root: int, r: int) -> dict:
     }
 
 
-def rooted_coloured_isomorphic(a, b) -> bool:
-    """Backtracking search for a root-, colour-, and multiplicity-preserving
-    isomorphism between two balls."""
-    if a.n != b.n or len(a.edges) != len(b.edges):
-        return False
-    if sorted(a.colours) != sorted(b.colours):
-        return False
-
-    def adjacency(ball):
-        adj = [dict() for _ in range(ball.n)]
-        for i, j in ball.edges:
-            if i == j:
-                adj[i][i] = adj[i].get(i, 0) + 1
-            else:
-                adj[i][j] = adj[i].get(j, 0) + 1
-                adj[j][i] = adj[j].get(i, 0) + 1
-        return adj
-
-    adj_a, adj_b = adjacency(a), adjacency(b)
-    mapping = [-1] * a.n
-    used = [False] * b.n
-
-    def compatible(i: int, j: int) -> bool:
-        if a.colours[i] != b.colours[j] or a.distances[i] != b.distances[j]:
-            return False
-        if sum(adj_a[i].values()) != sum(adj_b[j].values()):
-            return False
-        for k, mult in adj_a[i].items():
-            if mapping[k] >= 0 and adj_b[j].get(mapping[k], 0) != mult:
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == a.n:
-            return True
-        for j in range(b.n):
-            if not used[j] and compatible(i, j):
-                mapping[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
-
-    # roots must map to each other
-    if not compatible(0, 0):
-        return False
-    mapping[0] = 0
-    used[0] = True
-    return extend(1)
-
-
 def ball_is_tree(ball) -> bool:
     """Connected by construction, so a tree iff |E| = n - 1 with no loops."""
     if any(i == j for i, j in ball.edges):
@@ -177,8 +123,8 @@ def mtp_sums(window, colouring, transport) -> tuple[float, float]:
     for u, entries in enumerate(window.adjacency):
         for v, _ in entries:
             around_u, around_v = ball(window, colouring, u, r), ball(window, colouring, v, r)
-            lhs += float(transport.evaluate(around_u, around_u.local_index[v]))
-            rhs += float(transport.evaluate(around_v, around_v.local_index[u]))
+            lhs += float(transport.evaluate(around_u, around_u.original.index(v)))
+            rhs += float(transport.evaluate(around_v, around_v.original.index(u)))
     return lhs / window.n, rhs / window.n
 
 
@@ -246,9 +192,3 @@ def prim_tree_weight(weights) -> int:
         total += best[nxt]
         best = [min(b, wt) for b, wt in zip(best, weights[nxt])]
     return total
-
-
-def nearest_pair_edges(pairs) -> list[tuple[int, int]]:
-    """Sorted undirected edges {a, b}, a != b, from (nearest, second-nearest)
-    index rows, deduplicated through a Python set."""
-    return sorted({(int(min(a, b)), int(max(a, b))) for a, b in pairs if a != b})

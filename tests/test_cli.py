@@ -300,6 +300,8 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         for name in ("verify_mean_cell_volume", "orthant_probability_mc", "build_torus_window",
                      "build_path", "build_complete", "build_random_regular"):
             patch.setattr(cli, name, unreachable)
+        patch.setattr(cli.WindowGraph, "__init__", unreachable)
+        huge = {"model": "torus", "params": {"d": 1, "L": 4}, "seed": None, "n": 10**13, "edges": rows}
         for argv, message in [(["palm", "--m", "10000000000000", "--trials", "1"], "guard: m: "),
                               (["gauss-check", "--n", "10000000000000"], "guard: n: "),
                               (["percolation", "--model", "torus", "--d", "40", "--L", "3"], "guard: L: "),
@@ -308,7 +310,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
                               (["kazhdan", "--model", "complete", "--n", "100000"], "guard: n: "),
                               (["mtp-check", "--model", "path", "--n", "50000002"], "guard: n: "),
                               (["cost-bound", "--model", "random-regular", "--k-rank", "2", "--n", "25000001"],
-                               "guard: n: ")]:
+                               "guard: n: "),
+                              (["mtp-check", "--model", "window-file", "--window-file",
+                                config_file("huge.json", json.dumps(huge))], "guard: window_file: ")]:
             capsys.readouterr()
             assert main([*argv, "--out", str(refused)]) == 3, argv
             assert message in capsys.readouterr().err, argv
@@ -346,6 +350,42 @@ def test_window_guard_counts_directed_entries(monkeypatch):
         assert build_window(params, 0).startswith("build_"), params
         with pytest.raises(GuardViolation, match=f"^{field}: "):
             build_window({**params, field: params[field] + 1}, 0)
+
+
+def test_window_file_guard_counts_vertices_and_rows(tmp_path, monkeypatch):
+    # a window file at exactly MAX_WINDOW_ENTRIES vertices or directed entries builds, one more is refused
+    rows = [[0, 1, "+e1"], [0, 3, "-e1"], [1, 2, "+e1"], [2, 3, "+e1"]]  # a 4-cycle: 8 directed entries
+    for n, size in [(4, 8), (10, 10)]:  # the rows set the size, then the vertex count (6 isolated vertices)
+        path = tmp_path / f"window{n}.json"
+        path.write_text(json.dumps({"model": "torus", "params": {"d": 1, "L": 4}, "seed": None, "n": n, "edges": rows}))
+        params = {"model": "window-file", "window_file": str(path)}
+        monkeypatch.setattr(cli, "MAX_WINDOW_ENTRIES", size)
+        assert build_window(params, 0).n == n
+        monkeypatch.setattr(cli, "MAX_WINDOW_ENTRIES", size - 1)
+        with pytest.raises(GuardViolation, match="^window_file: "):
+            build_window(params, 0)
+
+
+def test_part_counts_sum_exactly_and_are_capped(tmp_path, capsys, monkeypatch):
+    # sum([1/d] * d) drifts past the 1e-12 tolerance from d = 36217; the exact sums stay within it
+    assert abs(sum([1.0 / 36217] * 36217) - 1.0) > 1e-12
+    cycle = ["--model", "cycle", "--L", "8"]
+    assert main(["mtp-check", *cycle, "--colours", "36217", "--out", str(tmp_path / "mtp")]) == 0
+    assert main(["kazhdan", *cycle, "--k", "36217", "--budget", "1", "--out", str(tmp_path / "kazhdan")]) == 0
+
+    def unreachable(*args):
+        raise AssertionError("a part count above the guard reached its per-part list")
+
+    monkeypatch.setattr(cli.KazhdanSpec, "weights", unreachable)
+    monkeypatch.setattr(cli, "uniform_bernoulli_model", unreachable)
+    refused = tmp_path / "refused"
+    for count in ("1000001", "10000000000"):
+        for argv, message in [(["kazhdan", *cycle, "--k", count], "guard: k: "),
+                              (["mtp-check", *cycle, "--colours", count], "guard: colours: ")]:
+            capsys.readouterr()
+            assert main([*argv, "--out", str(refused)]) == 3, argv
+            assert message in capsys.readouterr().err, argv
+            assert not refused.exists(), argv
 
 
 def test_percolation_p_grid_rows(tmp_path):

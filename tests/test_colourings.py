@@ -1,4 +1,4 @@
-"""Sampling models, intensity, balance, and expansion."""
+"""Sampling models, expansion, and serialization."""
 
 import math
 
@@ -16,8 +16,6 @@ from urglab.colourings import (
     colouring_to_dict,
     constant_model,
     expansion,
-    intensity,
-    is_delta_balanced,
     sample,
     subset_colouring,
     uniform_bernoulli_model,
@@ -60,43 +58,10 @@ def test_unknown_model_kind_rejected():
         ColouringModel("mystery", 2)
 
 
-def test_intensity_examples():
-    w = build_torus_window(1, 8)
-    c = sample(constant_model(2), w, 1)
-    its_colour = int(c.colours[0])
-    assert intensity(c, its_colour) == 1.0
-    half = subset_colouring(w, np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=bool))
-    assert intensity(half, 1) == 0.5
-
-
 def test_intensity_large_bernoulli():
     w = build_torus_window(1, 10**5)
     c = sample(bernoulli_model([0.3, 0.7]), w, 5)
-    assert abs(intensity(c, 1) - 0.3) <= 0.015
-
-
-def test_intensities_sum_to_one_exactly():
-    w = build_torus_window(2, 7)
-    for seed in range(10):
-        c = sample(uniform_bernoulli_model(4), w, seed)
-        assert math.fsum(intensity(c, k) for k in range(1, 5)) == 1.0
-
-
-def test_delta_balance_examples():
-    w = build_torus_window(1, 8)
-    c = sample(constant_model(2), w, 0)
-    assert not is_delta_balanced(c, 0.4)
-    half = subset_colouring(w, np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=bool))
-    assert is_delta_balanced(half, 0.0)
-
-
-def test_delta_balance_arithmetic():
-    w = build_torus_window(1, 64)
-    mask = np.zeros(64, dtype=bool)
-    mask[:26] = True  # 26 vs 38: |26/64 - 1/2| = 0.09375
-    c = subset_colouring(w, mask)
-    assert is_delta_balanced(c, 0.1)
-    assert not is_delta_balanced(c, 0.09)
+    assert abs(c.counts()[0] / w.n - 0.3) <= 0.015
 
 
 def test_expansion_constant_is_zero():
@@ -161,7 +126,7 @@ def test_bernoulli_intensity_across_seeds():
     # mean of the in-class intensity over many seeds vs p, within 4 stderr
     w = build_torus_window(1, 500)
     p = 0.37
-    values = [intensity(sample(bernoulli_model([p, 1 - p]), w, s), 1) for s in range(120)]
+    values = [sample(bernoulli_model([p, 1 - p]), w, s).counts()[0] / w.n for s in range(120)]
     stderr = np.std(values, ddof=1) / math.sqrt(len(values))
     assert abs(np.mean(values) - p) <= 4 * stderr
 

@@ -9,7 +9,6 @@ from urglab.gaussian import (
     CorrelatedGaussianPair,
     orthant_probability,
     orthant_probability_mc,
-    symmetric_difference_probability,
 )
 
 
@@ -64,18 +63,3 @@ def test_pair_moments():
         assert abs((arr**2).mean() - 1.0) <= 4 * math.sqrt(2.0 / n)
     corr = float((x * y).mean())
     assert abs(corr - 0.6) <= 4 * np.std(x * y) / math.sqrt(n)
-
-
-def test_symmetric_difference_values():
-    assert symmetric_difference_probability(1.0) == 0.0
-    assert symmetric_difference_probability(0.0) == pytest.approx(0.5)
-    assert symmetric_difference_probability(0.5) == pytest.approx(1.0 / 3.0)
-
-
-def test_symmetric_difference_doubles_orthant_mc():
-    # two-orthant oracle: frequency of {X>=0} xor {Y>=0}
-    rho = 0.5
-    x, y = CorrelatedGaussianPair(rho).sample(10**6, seed=9)
-    freq = float(np.count_nonzero((x >= 0) ^ (y >= 0))) / len(x)
-    stderr = math.sqrt(freq * (1 - freq) / len(x))
-    assert abs(symmetric_difference_probability(rho) - freq) <= 4 * stderr

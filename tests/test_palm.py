@@ -1,17 +1,14 @@
 """Poisson/Palm sampling, Voronoi assignment, cell volumes, the inversion
-identity, local finiteness, the cost composition, and the sampled
-cell-adjacency graph."""
+identity, local finiteness, and the cost composition."""
 
 import hashlib
 import math
 
 import numpy as np
 import pytest
-from oracles import nearest_pair_edges
 from scipy import stats
 
 from urglab.cli import ExperimentConfig, run
-from urglab.clusters import connect_clusters, cost_upper_bound, decompose
 from urglab.palm import (
     BUILTIN_FUNCTIONALS,
     BoundedFunctional,
@@ -23,9 +20,7 @@ from urglab.palm import (
     sample_poisson,
     verify_mean_cell_volume,
     verify_voronoi_inversion,
-    voronoi_adjacency_graph,
 )
-from urglab.rng import derive_rng
 from urglab.torus import (
     FlatTorus,
     PointConfiguration,
@@ -497,30 +492,3 @@ def test_pp_cost_bound_arithmetic():
     assert pp_cost_bound(0.1, 0.5) == pytest.approx(1.05)
     with pytest.raises(ValueError):
         pp_cost_bound(1.0, -0.1)
-
-
-def test_pp_cost_pipeline_smoke():
-    # cell-adjacency graph of a rooted sample -> cluster cost machinery
-    config = palm_sample_poisson(1.0, FlatTorus(2, 8.0), seed=10)
-    graph = voronoi_adjacency_graph(config, 20000, seed=11)
-    dec = decompose(graph, np.ones(graph.n, dtype=bool))
-    bound = cost_upper_bound(dec, connect_clusters(dec))
-    value = pp_cost_bound(1.0, max(bound.empirical_bound - 1.0, 0.0))
-    assert math.isfinite(value) and value >= 1.0
-
-
-@pytest.mark.parametrize("dim, side, n", [(1, 30.0, 2), (1, 30.0, 25), (2, 8.0, 60), (3, 4.0, 70)])
-def test_voronoi_adjacency_edges_match_set_oracle(monkeypatch, dim, side, n):
-    import urglab.palm
-
-    captured = []
-    full = urglab.palm.build_explicit
-    monkeypatch.setattr(urglab.palm, "build_explicit", lambda k, edges, tag: captured.append(edges) or full(k, edges, tag))
-    for seed in range(3):
-        torus = FlatTorus(dim, side)
-        config = PointConfiguration(torus, np.random.default_rng(seed).uniform(0.0, side, (n, dim)))
-        voronoi_adjacency_graph(config, 5000, seed=seed)
-        locations = derive_rng(seed, "voronoi-adjacency").uniform(0.0, side, size=(5000, dim))
-        _, pairs = config.kdtree.query(locations, k=2)
-        assert captured[-1] == nearest_pair_edges(pairs)
-        assert all(type(a) is int and type(b) is int for a, b in captured[-1])

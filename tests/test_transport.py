@@ -83,8 +83,8 @@ def test_f_arrow_colour_indicator_edges():
     c = subset_colouring(w, np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=bool))
     grad = f_arrow(root_colour_function(1))
     b = ball(w, c, 1, 1)  # vertices 0,1,2; edge (1,2) is bichromatic
-    assert grad.evaluate(b, b.local_index[2]) == 1.0
-    assert grad.evaluate(b, b.local_index[0]) == 0.0
+    assert grad.evaluate(b, b.original.index(2)) == 1.0
+    assert grad.evaluate(b, b.original.index(0)) == 0.0
 
 
 def test_f_arrow_mtp_matches_expansion():
@@ -107,7 +107,7 @@ def test_f_arrow_signed_sums_to_zero():
     for u in range(w.n):
         b = ball(w, c, u, grad.radius)
         for v, _ in w.adjacency[u]:
-            total += grad.evaluate(b, b.local_index[v])
+            total += grad.evaluate(b, b.original.index(v))
     assert total == pytest.approx(0.0, abs=1e-9)
 
 
