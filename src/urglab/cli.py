@@ -16,6 +16,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -58,13 +59,14 @@ from .palm import (
     BUILTIN_FUNCTIONALS,
     GuardViolation,
     check_local_finiteness,
+    check_point_budget,
     check_sample_guard,
     sample_poisson,
     verify_mean_cell_volume,
     verify_voronoi_inversion,
 )
 from .reporting import fmt_float, sha256_of, write_csv, write_json
-from .rng import derive_rng, derive_seed, parallel_trials
+from .rng import derive_rng, derive_seed
 from .torus import FlatTorus
 from .transport import BUILTIN_TRANSPORTS, mtp_check
 
@@ -370,9 +372,14 @@ def _resolve_config(config: ExperimentConfig) -> _Spec:
     if config.kind not in _KINDS:
         raise ValidationError([f"unknown experiment kind: {config.kind}"])
     messages = []
-    if not isinstance(config.seed, int) or config.seed < 0:
+    # run() takes these typed: only config_from_args reads them from text
+    for name, ok in (("trials", type(config.trials) is int), ("seed", type(config.seed) is int),
+                     ("out_dir", isinstance(config.out_dir, (str, os.PathLike)))):
+        if not ok:
+            messages.append(f"{name}: invalid value {getattr(config, name)!r}")
+    if type(config.seed) is int and config.seed < 0:
         messages.append("master seed must be a nonnegative integer")
-    if config.trials < 1:
+    if type(config.trials) is int and config.trials < 1:
         messages.append("trials must be positive")
     try:
         spec = _resolve(_KINDS[config.kind][0], config.kind, config.params)
@@ -462,7 +469,7 @@ def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, out: Path,
             fmt_float(bound.empirical_bound),
         )
 
-    rows = parallel_trials(row, len(spec.p) * config.trials)
+    rows = [row(i) for i in range(len(spec.p) * config.trials)]
     path = out / "percolation.csv"
     write_csv(
         path,
@@ -536,6 +543,7 @@ def _run_kazhdan(spec: KazhdanSpec, config: ExperimentConfig, out: Path, w: Wind
 def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path, w: None) -> list[Path]:
     check_sample_guard("m", spec.m)
     torus = FlatTorus(spec.d, spec.L)
+    check_point_budget(spec.t, torus)
     t, m = spec.t, spec.m
     json_path = out / "palm_report.json"
     csv_path = out / "palm_trials.csv"

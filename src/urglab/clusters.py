@@ -176,7 +176,6 @@ class CostBound:
     half_degree: float  # (1/2) E[factor-graph degree at a uniform root]
     lemma_bound: float  # 1 + intensity * |S|
     empirical_bound: float  # 1 + half_degree - intensity
-    n_subset: int
     extra_pairs: int
 
     def __post_init__(self):
@@ -203,13 +202,13 @@ def cost_upper_bound(dec: ClusterDecomposition, extra: FactorGraphEdges) -> Cost
     iota = n_in / w.n
     lemma = 1.0 + iota * w.degree_bound
     if n_in == 0:
-        return CostBound(0.0, 0.0, lemma, 1.0, 0, 0)
+        return CostBound(0.0, 0.0, lemma, 1.0, 0)
     src, dst = w.edge_arrays
     induced_directed = int(np.count_nonzero(mask[src] & mask[dst]))
     avg_induced_degree = induced_directed / n_in
     half_degree = 0.5 * (avg_induced_degree + 2.0 * len(extra.pairs) / n_in) * iota
     empirical = 1.0 + half_degree - iota
-    return CostBound(iota, half_degree, lemma, empirical, n_in, len(extra.pairs))
+    return CostBound(iota, half_degree, lemma, empirical, len(extra.pairs))
 
 
 def gaboriau_induction(cost_restricted: float, mu_A: float) -> float:

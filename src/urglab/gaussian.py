@@ -50,10 +50,4 @@ def orthant_probability_mc(rho: float, n: int, seed: int) -> EstimateReport:
         raise ValueError("need at least one trial")
     x, y = CorrelatedGaussianPair(rho).sample(n, seed)
     p_hat = float(np.count_nonzero((x >= 0.0) & (y < 0.0))) / n
-    return EstimateReport(
-        quantity=f"orthant[rho={rho}]",
-        estimate=p_hat,
-        stderr=binomial_stderr(p_hat, n),
-        trials=n,
-        master_seed=seed,
-    )
+    return EstimateReport(estimate=p_hat, stderr=binomial_stderr(p_hat, n))

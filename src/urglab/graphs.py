@@ -10,9 +10,18 @@ built-in families:
   permutations each contribute one labelled edge per vertex; the result is
   2k-regular counting loops and parallel edges with multiplicity.
 
-Arbitrary graphs (paths, cliques, geometric graphs) enter through the
-``explicit`` model, whose edges receive a proper greedy edge-labelling so
-that every vertex sees each label at most once.
+Paths and complete graphs are ``explicit`` windows (params ``n`` and
+``tag``) whose self-inverse labels e1, e2, ... come in closed form, so
+that every vertex sees each label at most once:
+
+* path: edge (i, i + 1) gets label id i % 2;
+* K_n: edge (i, j) gets label id (i XOR j) - 1.  The nim-sum is the greedy
+  lexicographic proper labelling (each edge, in sorted order, takes the
+  smallest label free at both ends: the mex rule), and it uses
+  2^ceil(log2 n) - 1 labels.
+
+Arbitrary graphs enter as window files (``window_from_dict``), which carry
+their own labels.
 
 A window is stored as CSR arrays: row u, the slice ``indptr[u]:indptr[u+1]``
 of ``indices`` (neighbours) and ``label_id`` (indices into ``gens.labels``),
@@ -238,54 +247,28 @@ def build_random_regular(k: int, n: int, seed: int) -> WindowGraph:
                        "random-regular", {"k": k, "n": n}, seed=seed)
 
 
-def build_explicit(
-    n: int, edges: list[tuple[int, int]], tag: str = "explicit"
-) -> WindowGraph:
-    """Window from an undirected simple edge list.
-
-    Edges get a proper greedy labelling (smallest palette label free at both
-    endpoints, every label self-inverse), so label paths stay unambiguous.
-    """
-    if n < 1:
-        raise ValueError("window needs at least one vertex")
-    seen = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError("explicit windows must be loop-free")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
-
-    used_at: list[set[int]] = [set() for _ in range(n)]
-    src, dst, label = [], [], []
-    for u, v in sorted((min(a, b), max(a, b)) for a, b in edges):
-        idx = 0
-        while idx in used_at[u] or idx in used_at[v]:
-            idx += 1
-        used_at[u].add(idx)
-        used_at[v].add(idx)
-        src += [u, v]
-        dst += [v, u]
-        label += [idx, idx]
-    palette = max(label, default=0) + 1  # an edgeless window still needs a nonempty label set
-    gens = GeneratorSet.paired([(f"e{i + 1}", f"e{i + 1}") for i in range(palette)])
-    return WindowGraph(n, src, dst, label, gens, "explicit", {"n": n, "tag": tag})
+def _explicit(n: int, u: np.ndarray, v: np.ndarray, label: np.ndarray, tag: str) -> WindowGraph:
+    """Window of the undirected edges (u[i], v[i]) under self-inverse label ids ``label[i]``
+    (names e1, e2, ...; the palette runs up to the largest id used)."""
+    gens = GeneratorSet.paired([(f"e{s + 1}", f"e{s + 1}") for s in range(int(label.max()) + 1)])
+    return WindowGraph(n, np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([label, label]),
+                       gens, "explicit", {"n": n, "tag": tag})
 
 
 def build_path(n: int) -> WindowGraph:
+    """Path 0 - 1 - ... - (n-1); edge (i, i + 1) has label id i % 2."""
     if n < 2:
         raise ValueError("a path needs at least two vertices")
-    return build_explicit(n, [(i, i + 1) for i in range(n - 1)], tag=f"path{n}")
+    i = np.arange(n - 1, dtype=np.int64)
+    return _explicit(n, i, i + 1, i % 2, f"path{n}")
 
 
 def build_complete(n: int) -> WindowGraph:
+    """K_n; edge (i, j) has label id (i XOR j) - 1, on 2^ceil(log2 n) - 1 labels."""
     if n < 2:
         raise ValueError("a complete graph needs at least two vertices")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return build_explicit(n, edges, tag=f"complete{n}")
+    i, j = np.triu_indices(n, 1)
+    return _explicit(n, i, j, (i ^ j) - 1, f"complete{n}")
 
 
 # ----------------------------------------------------------------------

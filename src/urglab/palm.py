@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .reporting import EstimateReport, binomial_stderr, mean_and_stderr
-from .rng import derive_rng, derive_seed, parallel_trials
+from .rng import derive_rng, derive_seed
 from .torus import (
     FlatTorus,
     PointConfiguration,
@@ -64,6 +64,19 @@ def _check_point_guard(t: float, torus: FlatTorus) -> None:
         )
 
 
+def check_point_budget(t: float, torus: FlatTorus) -> None:
+    """Refuse a sample above MAX_EXPECTED_POINTS expected points, or above as many
+    coordinates: t*L^d*d, and at least the d of a Palm sample's origin row."""
+    expected = t * torus.volume
+    if expected > MAX_EXPECTED_POINTS:
+        raise GuardViolation(f"expected point count t*L^d = {expected:.3g} is above the guard "
+                             f"{MAX_EXPECTED_POINTS:g}; one sample would take gigabytes")
+    coordinates = max(expected, 1.0) * torus.dim
+    if coordinates > MAX_EXPECTED_POINTS:
+        raise GuardViolation(f"d: a sample of dimension {torus.dim} holds about {coordinates:.3g} coordinates, "
+                             f"above the guard {MAX_EXPECTED_POINTS:g}; one sample would take gigabytes")
+
+
 def check_sample_guard(field: str, count: int) -> None:
     """Refuse the per-trial sample count ``count`` of ``field`` above MAX_SAMPLES."""
     if count > MAX_SAMPLES:
@@ -80,12 +93,9 @@ def _poisson_points(t: float, torus: FlatTorus, seed: int) -> np.ndarray:
     """Poisson(t * volume) iid uniform points in [0, side)^d."""
     if t <= 0:
         raise ValueError("intensity t must be positive")
-    expected = t * torus.volume
-    if expected > MAX_EXPECTED_POINTS:
-        raise GuardViolation(f"expected point count t*L^d = {expected:.3g} is above the guard "
-                             f"{MAX_EXPECTED_POINTS:g}; one sample would take gigabytes")
+    check_point_budget(t, torus)
     rng = derive_rng(seed, "poisson")
-    count = int(rng.poisson(expected))
+    count = int(rng.poisson(t * torus.volume))
     return rng.uniform(0.0, torus.side, size=(count, torus.dim))
 
 
@@ -97,8 +107,8 @@ def sample_poisson(t: float, torus: FlatTorus, seed: int) -> PointConfiguration:
 def palm_sample_poisson(t: float, torus: FlatTorus, seed: int) -> PointConfiguration:
     """Root-conditioned Poisson sample: the plain sample's points plus the
     origin, listed first, in one configuration."""
-    points = np.vstack([np.zeros((1, torus.dim)), _poisson_points(t, torus, seed)])
-    return PointConfiguration(torus, points, rooted=True)
+    sample = _poisson_points(t, torus, seed)  # guarded before the origin row exists
+    return PointConfiguration(torus, np.vstack([np.zeros((1, torus.dim)), sample]), rooted=True)
 
 
 # ----------------------------------------------------------------------
@@ -118,13 +128,7 @@ def cell_volume_mc(config: PointConfiguration, idx: int, m: int, seed: int) -> E
     members, _ = cell_members(config, idx, locations)
     p_hat = float(len(members)) / m
     vol = config.torus.volume
-    return EstimateReport(
-        quantity=f"cell-volume[{idx}]",
-        estimate=vol * p_hat,
-        stderr=vol * binomial_stderr(p_hat, m),
-        trials=m,
-        master_seed=seed,
-    )
+    return EstimateReport(estimate=vol * p_hat, stderr=vol * binomial_stderr(p_hat, m))
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ def verify_mean_cell_volume(
         report = cell_volume_mc(config, 0, m, derive_seed(seed, "cellvol-mc", i))
         return report.estimate
 
-    values = np.asarray(parallel_trials(one_trial, trials))
+    values = np.asarray([one_trial(i) for i in range(trials)])
     estimate, stderr = mean_and_stderr(values)
     return (
         CellVolumeReport(
@@ -248,7 +252,7 @@ def verify_voronoi_inversion(
         config = sample_poisson(t, torus, derive_seed(seed, "inversion-lhs", i))
         return float(f.value(config))
 
-    lhs_values = np.asarray(parallel_trials(lhs_trial, trials))
+    lhs_values = np.asarray([lhs_trial(i) for i in range(trials)])
     lhs, lhs_stderr = mean_and_stderr(lhs_values)
 
     vol = torus.volume
@@ -267,7 +271,7 @@ def verify_voronoi_inversion(
             total += f.value(config.shifted(-u))
         return vol * total / m
 
-    rhs_values = t * np.asarray(parallel_trials(inner_trial, trials))
+    rhs_values = t * np.asarray([inner_trial(i) for i in range(trials)])
     rhs, rhs_stderr = mean_and_stderr(rhs_values)
 
     combined = math.hypot(lhs_stderr, rhs_stderr)

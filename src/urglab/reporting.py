@@ -13,13 +13,10 @@ from typing import Iterable
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """A Monte Carlo estimate with its sampling noise and seed provenance."""
+    """A Monte Carlo estimate with its sampling noise."""
 
-    quantity: str
     estimate: float
     stderr: float
-    trials: int
-    master_seed: int
 
 
 def mean_and_stderr(values) -> tuple[float, float]:

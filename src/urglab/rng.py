@@ -2,13 +2,12 @@
 
 Every stochastic routine in the package draws from a counter-based Philox
 generator keyed by (master seed, module tag, optional trial index).  Trials
-therefore get independent, reproducible streams no matter how the work is
-scheduled, and a master seed pins the whole experiment.
+therefore get independent, reproducible streams, and a master seed pins the
+whole experiment.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 
 import numpy as np
@@ -35,28 +34,3 @@ def derive_seed(master_seed: int, tag: str, index: int | None = None) -> int:
     """A child integer seed, for APIs that take a seed rather than a stream."""
     seq = np.random.SeedSequence(_entropy(master_seed, tag, index))
     return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
-def max_workers() -> int:
-    """Worker cap from URGLAB_THREADS (default 1; parallelism never changes results)."""
-    raw = os.environ.get("URGLAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
-def parallel_trials(fn, count: int) -> list:
-    """Evaluate ``fn(i)`` for i in range(count), results in index order.
-
-    Trials must be pure given their index (seeds derived per trial), so the
-    thread pool honouring URGLAB_THREADS cannot change the merged result.
-    """
-    workers = max_workers()
-    if workers == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))

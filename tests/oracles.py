@@ -6,6 +6,10 @@ paths and ball cuts from plain BFS, exact partition optima from combinations
 enumeration, and mass-transport sums from two fresh balls per directed edge
 rather than one streaming pass through the window's mirror permutation.  Expected values in tests are computed (or were frozen) from
 these, never from the code paths under test.
+
+``build_explicit`` labels an arbitrary simple edge list greedily: it builds
+the tests' irregular fixture windows, and it is the reference for the
+closed-form labels of ``graphs.build_path`` and ``graphs.build_complete``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from collections import deque
 import numpy as np
 
 from urglab.balls import ball
+from urglab.graphs import GeneratorSet, WindowGraph
 
 
 def flood_fill_clusters(window, mask) -> list[list[int]]:
@@ -192,3 +197,40 @@ def prim_tree_weight(weights) -> int:
         total += best[nxt]
         best = [min(b, wt) for b, wt in zip(best, weights[nxt])]
     return total
+
+
+def build_explicit(
+    n: int, edges: list[tuple[int, int]], tag: str = "explicit"
+) -> WindowGraph:
+    """Window from an undirected simple edge list.
+
+    Edges get a proper greedy labelling (smallest palette label free at both
+    endpoints, every label self-inverse), so label paths stay unambiguous.
+    """
+    if n < 1:
+        raise ValueError("window needs at least one vertex")
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError("explicit windows must be loop-free")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+
+    used_at: list[set[int]] = [set() for _ in range(n)]
+    src, dst, label = [], [], []
+    for u, v in sorted((min(a, b), max(a, b)) for a, b in edges):
+        idx = 0
+        while idx in used_at[u] or idx in used_at[v]:
+            idx += 1
+        used_at[u].add(idx)
+        used_at[v].add(idx)
+        src += [u, v]
+        dst += [v, u]
+        label += [idx, idx]
+    palette = max(label, default=0) + 1  # an edgeless window still needs a nonempty label set
+    gens = GeneratorSet.paired([(f"e{i + 1}", f"e{i + 1}") for i in range(palette)])
+    return WindowGraph(n, src, dst, label, gens, "explicit", {"n": n, "tag": tag})

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from urglab import cli
+from urglab import cli, palm
 from urglab.cli import (
     KINDS,
     MAX_WINDOW_ENTRIES,
@@ -57,6 +57,20 @@ def test_validate_unknown_kind():
 def test_run_rejects_invalid():
     with pytest.raises(ValidationError):
         run(ExperimentConfig("gauss-check", {"rho": [2.0], "n": 10}))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("trials", "3"), ("trials", None), ("trials", 2.5), ("trials", True),
+    ("seed", "0"), ("seed", None), ("seed", 1.0), ("seed", True),
+    ("out_dir", 5), ("out_dir", None),
+])
+def test_run_rejects_untyped_common_fields(name, value, tmp_path):
+    config = ExperimentConfig("gauss-check", {"n": 10}, trials=1, out_dir=str(tmp_path / "out"))
+    setattr(config, name, value)
+    assert validate(config) == [f"{name}: invalid value {value!r}"]
+    with pytest.raises(ValidationError, match=f"^{name}: invalid value"):
+        run(config)
+    assert not (tmp_path / "out").exists()
 
 
 def test_gauss_check_single_row(tmp_path):
@@ -182,18 +196,6 @@ def test_mtp_check_from_window_file(tmp_path):
     payload = json.loads((tmp_path / "mtp_report.json").read_text())
     assert payload["exact"] is True
     assert payload["window"] == w.window_id
-
-
-def test_threading_env_var_does_not_change_results(tmp_path, monkeypatch):
-    config = ExperimentConfig(
-        "palm", {"t": 1.0, "L": 8.0, "d": 2, "m": 300, "check": "cellvol"},
-        trials=10, seed=3, out_dir=str(tmp_path / "x"),
-    )
-    first = run(config)
-    monkeypatch.setenv("URGLAB_THREADS", "4")
-    config.out_dir = str(tmp_path / "y")
-    second = run(config)
-    assert first.outputs == second.outputs
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -364,6 +366,29 @@ def test_window_file_guard_counts_vertices_and_rows(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "MAX_WINDOW_ENTRIES", size - 1)
         with pytest.raises(GuardViolation, match="^window_file: "):
             build_window(params, 0)
+
+
+def test_palm_dimension_guard_counts_coordinates(tmp_path, capsys, monkeypatch):
+    # t*L^d*d coordinates per sample (at least d, the origin row) at MAX_EXPECTED_POINTS reach the
+    # sampler, one more is refused; a sampler call here would try to allocate up to 160 GB
+    assert palm.MAX_EXPECTED_POINTS == 1e8
+
+    def unreachable(*args):
+        raise AssertionError("reached the sampler")
+
+    for name in ("_poisson_points", "palm_sample_poisson"):
+        monkeypatch.setattr(palm, name, unreachable)
+    monkeypatch.setattr(cli, "sample_poisson", unreachable)
+    refused = tmp_path / "refused"
+    for check in ("cellvol", "inversion", "locfin"):
+        palm_run = ["palm", "--check", check, "--L", "1", "--trials", "1", "--out", str(refused)]
+        for t, d in [("20", "1000000000"), ("20", "5000001"), ("0.5", "100000001")]:
+            capsys.readouterr()
+            assert main([*palm_run, "--t", t, "--d", d]) == 3, (check, t, d)
+            assert "guard: d: " in capsys.readouterr().err, (check, t, d)
+            assert not refused.exists()
+        with pytest.raises(AssertionError, match="reached the sampler"):
+            main([*palm_run, "--t", "20", "--d", "5000000"])
 
 
 def test_part_counts_sum_exactly_and_are_capped(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import minimum_spanning_tree
 from oracles import (
+    build_explicit,
     flood_fill_clusters,
     prim_tree_weight,
     set_distance,
@@ -19,7 +20,7 @@ from urglab.clusters import (
     gaboriau_induction,
 )
 from urglab.colourings import bernoulli_model, sample, subset_mask
-from urglab.graphs import build_explicit, build_random_regular, build_torus_window
+from urglab.graphs import build_random_regular, build_torus_window
 
 
 def cycle(n):

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import build_explicit
 
 from urglab.balls import ball
 from urglab.graphs import (
     GeneratorSet,
     WindowGraph,
     build_complete,
-    build_explicit,
     build_path,
     build_random_regular,
     build_torus_window,
@@ -134,6 +134,18 @@ def test_explicit_path_and_complete():
         for entries in w.adjacency:
             labels = [s for _, s in entries]
             assert len(labels) == len(set(labels))
+
+
+@pytest.mark.parametrize("name, build, edges", [
+    ("path", build_path, lambda n: [(i, i + 1) for i in range(n - 1)]),
+    ("complete", build_complete, lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)]),
+], ids=["path", "complete"])
+def test_closed_form_labels_equal_greedy_oracle(name, build, edges):
+    for n in [*range(2, 101), 128, 129, 300]:
+        w, oracle = build(n), build_explicit(n, edges(n), tag=f"{name}{n}")
+        for field in ("indptr", "indices", "label_id", "mirror"):
+            assert np.array_equal(getattr(w, field), getattr(oracle, field)), (n, field)
+        assert (w.gens, w.params, w.window_id) == (oracle.gens, oracle.params, oracle.window_id), n
 
 
 def test_explicit_rejects_loops_and_duplicates():

@@ -29,7 +29,7 @@ print(json.dumps(tracer.summary()))
 
 
 def traced_run(config: dict) -> dict:
-    env = dict(os.environ, URGLAB_THREADS="1")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, json.dumps(config)],

@@ -6,12 +6,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from oracles import directed_bichromatic_count, mtp_sums
+from oracles import build_explicit, directed_bichromatic_count, mtp_sums
 
 from urglab.balls import ball
 from urglab.cli import ExperimentConfig, run
 from urglab.colourings import sample, subset_colouring, uniform_bernoulli_model
-from urglab.graphs import build_explicit, build_random_regular, build_torus_window, window_from_dict
+from urglab.graphs import build_random_regular, build_torus_window, window_from_dict
 from urglab.transport import (
     BUILTIN_TRANSPORTS,
     TransportFunction,
