@@ -1,8 +1,9 @@
 """Rooted coloured balls.
 
 A ball is the induced subgraph on all vertices within graph distance r of a
-root, carrying vertex colours, root, and BFS distances.  The edge transports
-of ``transport`` are evaluated on balls.
+root, carrying vertex colours, root, and BFS distances.  The vertex functions
+of ``transport`` are evaluated on balls, and so are the ball forms that the
+test suite holds its edge transports to.
 """
 
 from __future__ import annotations

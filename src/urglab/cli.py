@@ -541,9 +541,9 @@ def _run_kazhdan(spec: KazhdanSpec, config: ExperimentConfig, out: Path, w: Wind
 
 
 def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path, w: None) -> list[Path]:
-    check_sample_guard("m", spec.m)
     torus = FlatTorus(spec.d, spec.L)
     check_point_budget(spec.t, torus)
+    check_sample_guard("m", spec.m, spec.d)
     t, m = spec.t, spec.m
     json_path = out / "palm_report.json"
     csv_path = out / "palm_trials.csv"

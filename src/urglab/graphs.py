@@ -70,9 +70,14 @@ class GeneratorSet:
         return len(self.labels)
 
     @cached_property
+    def id_of(self) -> dict[str, int]:
+        """Label name -> id (index in ``labels``)."""
+        return {s: i for i, s in enumerate(self.labels)}
+
+    @cached_property
     def inverse_id(self) -> np.ndarray:
-        """Label id (index in ``labels``) -> id of its inverse."""
-        return np.array([self.labels.index(self.inverse[s]) for s in self.labels], dtype=np.int64)
+        """Label id -> id of its inverse."""
+        return np.array([self.id_of[self.inverse[s]] for s in self.labels], dtype=np.int64)
 
     @cached_property
     def name_rank(self) -> np.ndarray:
@@ -316,14 +321,14 @@ def window_from_dict(data: dict) -> WindowGraph:
         raise ValueError(f"unknown window model {model!r}")
     if type(n) is not int:
         raise ValueError(f"vertex count must be an integer, got {n!r}")
-    rows = []
+    rows, ids = [], gens.id_of
     for u, v, s in data["edges"]:
         # bool is an int subclass, and the int64 array below would truncate a float
         if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {[u, v, s]!r}: vertex ids must be integers in 0..{n - 1}")
-        if s not in gens.labels:
+        if type(s) is not str or s not in ids:
             raise ValueError(f"edge {[u, v, s]!r}: unknown edge label {s!r}")
-        rows.append((u, v, gens.labels.index(s)))
+        rows.append((u, v, ids[s]))
     u, v, s = np.array(rows, dtype=np.int64).reshape(-1, 3).T
     # each row stands for (u, v, s) and its mirror (v, u, s^-1); a loop row gives both at u
     return WindowGraph(n, np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([s, gens.inverse_id[s]]),

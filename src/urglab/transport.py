@@ -1,31 +1,37 @@
 """Mass transport on finite windows.
 
-An edge transport assigns a nonnegative value to each directed edge (u, v),
-computed *only* from the coloured ball around u: the evaluator is handed
-the ball and nothing else, so locality holds by construction.  On a finite
-window with uniform vertex weights, the outflow average
+An edge transport assigns a nonnegative value to each directed edge (u, v):
+``TransportFunction.entries`` returns them as one float64 array over the
+window's directed entries, in row order.  ``radius`` states the locality
+(f(u, v) reads only the coloured radius-max(radius, 1) ball around u); the
+test suite holds every transport here to it by bit-for-bit equality with a
+ball form evaluated on fresh balls.  On a finite window with uniform vertex
+weights, the outflow average
 
     lhs = (1/n) * sum over directed edges (u,v) of f(u, v)
 
 and the inflow average rhs (same sum with f(v, u)) are the same finite sum
-reindexed, so they must agree to roundoff.  ``mtp_check`` verifies that in
-one pass over the window's directed entries, with one ball alive at a time:
-rhs reads f(v, u) as the value of the entry's ``WindowGraph.mirror``.
-``norm_bound_check`` verifies the gradient norm estimate
+reindexed, so they must agree to roundoff.  ``mtp_check`` verifies that on
+the entry array: rhs reads f(v, u) as the value of the entry's
+``WindowGraph.mirror``.  ``norm_bound_check`` verifies the gradient norm
+estimate
 
     (1/n) * sum |f(u) - f(v)|  <=  2 D * (1/n) * sum |f(u)|
 
-for vertex functions f, where D is the window's degree bound.
+for vertex functions f, which are evaluated on balls, where D is the
+window's degree bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .balls import RootedBall, ball
+from .colourings import Colouring
 from .graphs import WindowGraph
 
 
@@ -40,15 +46,16 @@ class VertexFunction:
 
 @dataclass(frozen=True)
 class TransportFunction:
-    """Value on a directed edge (u, v), computed from the ball around u.
+    """Values on the directed edges (u, v) of a window, each a function of
+    the coloured radius-``max(radius, 1)`` ball around u.
 
-    ``evaluate(ball_u, v_local)`` receives the ball around u (radius at
-    least max(radius, 1), so v is always present) and v's local index.
+    ``entries(w, c)`` returns one float64 per directed entry of ``w``, in row
+    order (the order of ``w.edge_arrays``).
     """
 
     name: str
     radius: int
-    evaluate: Callable[[RootedBall, int], float]
+    entries: Callable[[WindowGraph, Colouring], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -75,29 +82,24 @@ def _sum_left_to_right(values: np.ndarray) -> float:
 
 
 def mtp_check(w: WindowGraph, c, f: TransportFunction) -> MTPReport:
-    """Outflow vs inflow average of ``f``; negative values are rejected.
+    """Outflow vs inflow average of ``f``; negative and non-finite values are rejected.
 
-    One pass over the vertices builds each ball, evaluates ``f`` on the
-    vertex's directed entries in row order and drops the ball, so one ball
-    is alive at a time.  lhs adds those values in row order; rhs adds, in
-    the same order, the value of each entry's ``mirror``.  The two sums run
-    over the same directed edge set in opposite roles, so any disagreement
-    beyond roundoff is a bug in the transport evaluation.
+    lhs adds ``f``'s entry values in row order; rhs adds, in the same order,
+    the value of each entry's ``mirror``.  The two sums run over the same
+    directed edge set in opposite roles, so any disagreement beyond roundoff
+    is a bug in the transport evaluation.
     """
-    r = max(f.radius, 1)
-    values: list[float] = []  # f on each directed entry, in row order
-    for u in range(w.n):
-        b = ball(w, c, u, r)
-        row_values: dict[int, float] = {}  # parallel entries share one evaluation
-        for v in b.rows[0]:  # r >= 1, so the root's row holds every entry of u, in row order
-            if v not in row_values:
-                val = row_values[v] = float(f.evaluate(b, v))
-                if val < 0:
-                    raise ValueError(f"transport {f.name!r} returned a negative value at {(u, v)}")
-            values.append(row_values[v])
-    entry_values = np.array(values, dtype=np.float64)
-    lhs = _sum_left_to_right(entry_values) / w.n
-    rhs = _sum_left_to_right(entry_values[w.mirror]) / w.n
+    values = np.asarray(f.entries(w, c), dtype=np.float64)
+    if values.shape != w.indices.shape:
+        raise ValueError(f"transport {f.name!r} returned {values.shape} values for {w.indices.size} entries")
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+    if bad.size:
+        src, dst = w.edge_arrays
+        e = bad[0]
+        raise ValueError(f"transport {f.name!r} returned {float(values[e])!r} at {(int(src[e]), int(dst[e]))}; "
+                         "values must be finite and nonnegative")
+    lhs = _sum_left_to_right(values) / w.n
+    rhs = _sum_left_to_right(values[w.mirror]) / w.n
     diff = abs(lhs - rhs)
     return MTPReport(lhs, rhs, diff, w.n, exact=diff <= 1e-9 * max(lhs, 1.0))
 
@@ -109,23 +111,15 @@ def f_arrow(f_vertex: VertexFunction, signed: bool = False) -> TransportFunction
     gradient norm bound; ``signed=True`` exposes the raw difference, which
     is *not* admissible for ``mtp_check`` unless f is constant.
     """
-    r = f_vertex.radius
-    # (last ball, f of its root's radius-r ball): ``mtp_check`` hands one ball
-    # to all entries of its root in a row, so f(u) is evaluated once per ball.
-    # Holding the ball keeps ``is`` from matching a new ball at a recycled
-    # address; the pair is swapped as one tuple, so threads read it whole.
-    last: list = [(None, 0.0)]
 
-    def evaluate(b: RootedBall, v_local: int) -> float:
-        seen, fu = last[0]
-        if seen is not b:
-            fu = f_vertex.evaluate(b.ball(0, r))
-            last[0] = (b, fu)
-        fv = f_vertex.evaluate(b.ball(v_local, r))
-        return (fu - fv) if signed else abs(fu - fv)
+    def entries(w: WindowGraph, c) -> np.ndarray:
+        fv = vertex_values(w, c, f_vertex)
+        src, dst = w.edge_arrays
+        diff = fv[src] - fv[dst]
+        return diff if signed else np.abs(diff)
 
     suffix = "signed" if signed else "abs"
-    return TransportFunction(f"grad[{f_vertex.name}]:{suffix}", r + 1, evaluate)
+    return TransportFunction(f"grad[{f_vertex.name}]:{suffix}", f_vertex.radius + 1, entries)
 
 
 def vertex_values(w: WindowGraph, c, f_vertex: VertexFunction) -> np.ndarray:
@@ -149,32 +143,32 @@ def norm_bound_check(w: WindowGraph, c, f_vertex: VertexFunction) -> NormBoundRe
 
 
 def constant_transport(value: float = 1.0) -> TransportFunction:
-    if value < 0:
-        raise ValueError("constant transport must be nonnegative")
-    return TransportFunction(f"constant[{value}]", 0, lambda b, v: value)
+    if not 0 <= value < math.inf:
+        raise ValueError("constant transport must be finite and nonnegative")
+    return TransportFunction(f"constant[{value}]", 0,
+                             lambda w, c: np.full(w.indices.size, value, dtype=np.float64))
 
 
 def source_colour_indicator(colour: int = 1) -> TransportFunction:
     """f(u, v) = 1 when u carries ``colour``."""
-    return TransportFunction(
-        f"source-colour[{colour}]", 0, lambda b, v: 1.0 if b.colours[0] == colour else 0.0
-    )
+    return TransportFunction(f"source-colour[{colour}]", 0,
+                             lambda w, c: (c.colours[w.edge_arrays[0]] == colour).astype(np.float64))
 
 
 def bichromatic_indicator() -> TransportFunction:
     """f(u, v) = 1 when the endpoint colours differ."""
-    return TransportFunction(
-        "bichromatic", 0, lambda b, v: 1.0 if b.colours[0] != b.colours[v] else 0.0
-    )
+    return TransportFunction("bichromatic", 0,
+                             lambda w, c: (c.colours[w.edge_arrays[0]] != c.colours[w.indices]).astype(np.float64))
 
 
 def degree_weighted_indicator(colour: int = 1) -> TransportFunction:
     """f(u, v) = deg(u) * [u has ``colour``]."""
 
-    def evaluate(b: RootedBall, v_local: int) -> float:
-        return float(b.degree(0)) if b.colours[0] == colour else 0.0
+    def entries(w: WindowGraph, c: Colouring) -> np.ndarray:
+        src = w.edge_arrays[0]
+        return np.where(c.colours[src] == colour, np.diff(w.indptr)[src], 0.0)
 
-    return TransportFunction(f"degree-weighted[{colour}]", 1, evaluate)
+    return TransportFunction(f"degree-weighted[{colour}]", 1, entries)
 
 
 def root_colour_function(colour: int = 1) -> VertexFunction:

@@ -3,9 +3,16 @@
 These deliberately avoid the library's own algorithms: cluster counts come
 from a BFS flood fill rather than scipy.sparse.csgraph, shortest
 paths and ball cuts from plain BFS, exact partition optima from combinations
-enumeration, and mass-transport sums from two fresh balls per directed edge
-rather than one streaming pass through the window's mirror permutation.  Expected values in tests are computed (or were frozen) from
+enumeration, and mass-transport values and sums from fresh balls per
+directed edge rather than from the window's entry arrays and its mirror
+permutation.  Expected values in tests are computed (or were frozen) from
 these, never from the code paths under test.
+
+``BallTransport`` is the ball form of an edge transport: the value of each
+directed edge (u, v) comes from the coloured ball around u alone, so it is
+local by construction.  The ball forms of the library's built-in transports,
+of ``f_arrow`` and of the tests' own transports are the references for their
+entry-array forms.
 
 ``build_explicit`` labels an arbitrary simple edge list greedily: it builds
 the tests' irregular fixture windows, and it is the reference for the
@@ -16,10 +23,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from urglab.balls import ball
+from urglab.balls import RootedBall, ball
 from urglab.graphs import GeneratorSet, WindowGraph
 
 
@@ -116,7 +125,90 @@ def ball_is_tree(ball) -> bool:
     return len(ball.edges) == ball.n - 1
 
 
-def mtp_sums(window, colouring, transport) -> tuple[float, float]:
+@dataclass(frozen=True)
+class BallTransport:
+    """Value on a directed edge (u, v), computed from the ball around u.
+
+    ``evaluate(ball_u, v_local)`` receives the ball around u (radius at
+    least max(radius, 1), so v is always present) and v's local index.
+    """
+
+    name: str
+    radius: int
+    evaluate: Callable[[RootedBall, int], float]
+
+
+def ball_constant(value: float = 1.0) -> BallTransport:
+    return BallTransport(f"constant[{value}]", 0, lambda b, v: value)
+
+
+def ball_source_colour(colour: int = 1) -> BallTransport:
+    """f(u, v) = 1 when u carries ``colour``."""
+    return BallTransport(
+        f"source-colour[{colour}]", 0, lambda b, v: 1.0 if b.colours[0] == colour else 0.0
+    )
+
+
+def ball_bichromatic() -> BallTransport:
+    """f(u, v) = 1 when the endpoint colours differ."""
+    return BallTransport(
+        "bichromatic", 0, lambda b, v: 1.0 if b.colours[0] != b.colours[v] else 0.0
+    )
+
+
+def ball_degree_weighted(colour: int = 1) -> BallTransport:
+    """f(u, v) = deg(u) * [u has ``colour``]."""
+
+    def evaluate(b: RootedBall, v_local: int) -> float:
+        return float(b.degree(0)) if b.colours[0] == colour else 0.0
+
+    return BallTransport(f"degree-weighted[{colour}]", 1, evaluate)
+
+
+BALL_BUILTINS = {
+    "constant": ball_constant,
+    "source-colour": ball_source_colour,
+    "bichromatic": ball_bichromatic,
+    "degree-weighted": ball_degree_weighted,
+}
+
+
+def ball_f_arrow(f_vertex, signed: bool = False) -> BallTransport:
+    """f(u) - f(v) (absolute unless ``signed``), each side from the radius-r
+    ball cut inside the ball around u."""
+    r = f_vertex.radius
+
+    def evaluate(b: RootedBall, v_local: int) -> float:
+        fu = f_vertex.evaluate(b.ball(0, r))
+        fv = f_vertex.evaluate(b.ball(v_local, r))
+        return (fu - fv) if signed else abs(fu - fv)
+
+    suffix = "signed" if signed else "abs"
+    return BallTransport(f"grad[{f_vertex.name}]:{suffix}", r + 1, evaluate)
+
+
+def ball_inexact() -> BallTransport:
+    """deg(u) / 3 + colour(v) / 10: its float sums round differently in another order."""
+    return BallTransport("inexact", 1, lambda b, v: b.degree(0) / 3 + b.colours[v] / 10)
+
+
+def ball_spike() -> BallTransport:
+    """2**53 on the entries out of colour-1 vertices, 1.0 elsewhere."""
+    return BallTransport("spike", 0, lambda b, v: 2.0**53 if b.colours[0] == 1 else 1.0)
+
+
+def ball_entries(window, colouring, transport: BallTransport) -> np.ndarray:
+    """f(u, v) on every directed entry in row order, from a fresh ball around u per entry."""
+    r = max(transport.radius, 1)
+    values = []
+    for u, entries in enumerate(window.adjacency):
+        for v, _ in entries:
+            around_u = ball(window, colouring, u, r)
+            values.append(float(transport.evaluate(around_u, around_u.original.index(v))))
+    return np.array(values, dtype=np.float64)
+
+
+def mtp_sums(window, colouring, transport: BallTransport) -> tuple[float, float]:
     """Outflow and inflow averages of an edge transport.
 
     For every directed entry (u, v) in row order, a fresh ball around u gives

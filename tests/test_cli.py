@@ -154,6 +154,21 @@ def test_mtp_check_exact_flag(tmp_path):
     assert payload["exact"] is True
 
 
+@pytest.mark.parametrize("transport", sorted(cli.BUILTIN_TRANSPORTS))
+def test_mtp_check_builtins_cut_no_ball(transport, tmp_path, monkeypatch):
+    from urglab import balls
+
+    def unreachable(*args):
+        raise AssertionError("cut a ball")
+
+    monkeypatch.setattr(balls, "_cut", unreachable)
+    with pytest.raises(AssertionError, match="cut a ball"):  # the patch reaches every ball cut
+        balls.ball(build_window({"model": "torus", "d": 2, "L": 8}, 0), None, 0, 1)
+    argv = ["mtp-check", "--model", "torus", "--d", "2", "--L", "8", "--transport", transport]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "mtp_report.json").read_text())["exact"] is True
+
+
 def test_cost_bound_json(tmp_path):
     config = ExperimentConfig(
         "cost-bound",
@@ -370,7 +385,8 @@ def test_window_file_guard_counts_vertices_and_rows(tmp_path, monkeypatch):
 
 def test_palm_dimension_guard_counts_coordinates(tmp_path, capsys, monkeypatch):
     # t*L^d*d coordinates per sample (at least d, the origin row) at MAX_EXPECTED_POINTS reach the
-    # sampler, one more is refused; a sampler call here would try to allocate up to 160 GB
+    # sampler, one more is refused; a sampler call here would try to allocate up to 160 GB.  One
+    # location per trial keeps the m*d location guard out of the way
     assert palm.MAX_EXPECTED_POINTS == 1e8
 
     def unreachable(*args):
@@ -381,7 +397,8 @@ def test_palm_dimension_guard_counts_coordinates(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "sample_poisson", unreachable)
     refused = tmp_path / "refused"
     for check in ("cellvol", "inversion", "locfin"):
-        palm_run = ["palm", "--check", check, "--L", "1", "--trials", "1", "--out", str(refused)]
+        palm_run = ["palm", "--check", check, "--L", "1", "--m", "1", "--trials", "1",
+                    "--out", str(refused)]
         for t, d in [("20", "1000000000"), ("20", "5000001"), ("0.5", "100000001")]:
             capsys.readouterr()
             assert main([*palm_run, "--t", t, "--d", d]) == 3, (check, t, d)
@@ -389,6 +406,29 @@ def test_palm_dimension_guard_counts_coordinates(tmp_path, capsys, monkeypatch):
             assert not refused.exists()
         with pytest.raises(AssertionError, match="reached the sampler"):
             main([*palm_run, "--t", "20", "--d", "5000000"])
+
+
+def test_palm_location_guard_counts_m_times_d(tmp_path, capsys, monkeypatch):
+    # m locations of d coordinates each: m*d at MAX_SAMPLES reaches the sampler, one more
+    # is refused naming m; the first case would ask for 5e14 coordinates
+    assert palm.MAX_SAMPLES == 10**8
+
+    def unreachable(*args):
+        raise AssertionError("reached the sampler")
+
+    for name in ("_poisson_points", "palm_sample_poisson"):
+        monkeypatch.setattr(palm, name, unreachable)
+    monkeypatch.setattr(cli, "sample_poisson", unreachable)
+    refused = tmp_path / "refused"
+    for check in ("cellvol", "inversion", "locfin"):
+        palm_run = ["palm", "--check", check, "--t", "20", "--L", "1", "--trials", "1", "--out", str(refused)]
+        for d, m in [("5000000", "100000000"), ("2", "50000001"), ("10", "10000001")]:
+            capsys.readouterr()
+            assert main([*palm_run, "--d", d, "--m", m]) == 3, (check, d, m)
+            assert "guard: m: " in capsys.readouterr().err, (check, d, m)
+            assert not refused.exists()
+        with pytest.raises(AssertionError, match="reached the sampler"):
+            main([*palm_run, "--d", "2", "--m", "50000000"])
 
 
 def test_part_counts_sum_exactly_and_are_capped(tmp_path, capsys, monkeypatch):

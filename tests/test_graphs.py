@@ -18,6 +18,7 @@ from urglab.graphs import (
     build_path,
     build_random_regular,
     build_torus_window,
+    free_generators,
     torus_generators,
     window_from_dict,
     window_to_dict,
@@ -177,6 +178,25 @@ def test_window_serialization_round_trip():
         for name in ("indptr", "indices", "label_id"):
             assert np.array_equal(getattr(back, name), getattr(w, name)), name
         assert all(np.array_equal(a, b) for a, b in zip(back.edge_arrays, w.edge_arrays))
+
+
+def test_label_ids_equal_list_index_definition():
+    mixed = GeneratorSet.paired([("a", "b"), ("c", "c"), ("d", "e")])
+    for gens in (torus_generators(3), free_generators(2), build_complete(40).gens, mixed):
+        assert gens.id_of == {s: gens.labels.index(s) for s in gens.labels}
+        assert gens.inverse_id.tolist() == [gens.labels.index(gens.inverse[s]) for s in gens.labels]
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_complete_window_round_trip_keeps_entry_label_names(n):
+    # a window file sorts its 2^ceil(log2 n) - 1 names as text (e1, e10, e11, ..., e2, ...),
+    # so the label ids differ from build_complete's; the name on every entry must not
+    w = build_complete(n)
+    back = window_from_dict(json.loads(window_to_json(w)))
+    assert back.gens.labels != w.gens.labels
+    assert back.adjacency == w.adjacency
+    for name in ("indptr", "indices", "mirror"):
+        assert np.array_equal(getattr(back, name), getattr(w, name)), name
 
 
 LOOP_FILE = {"model": "explicit", "params": {"n": 3, "tag": "t"}, "seed": None, "n": 3,

@@ -1,14 +1,31 @@
-"""Outflow/inflow identity, edge differences, and the gradient norm bound."""
+"""Outflow/inflow identity, edge differences, and the gradient norm bound.
+
+Every edge transport is checked against its ball form in ``oracles``: the
+entry arrays must equal the fresh-ball values bit for bit.
+"""
 
 import hashlib
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from oracles import build_explicit, directed_bichromatic_count, mtp_sums
+from oracles import (
+    BALL_BUILTINS,
+    ball_bichromatic,
+    ball_constant,
+    ball_degree_weighted,
+    ball_entries,
+    ball_f_arrow,
+    ball_inexact,
+    ball_source_colour,
+    ball_spike,
+    build_explicit,
+    directed_bichromatic_count,
+    mtp_sums,
+)
 
-from urglab.balls import ball
 from urglab.cli import ExperimentConfig, run
 from urglab.colourings import sample, subset_colouring, uniform_bernoulli_model
 from urglab.graphs import build_random_regular, build_torus_window, window_from_dict
@@ -62,10 +79,23 @@ def test_degree_weighted_on_torus_against_double_sum_oracle():
 
 
 def test_negative_transport_rejected():
-    w = build_torus_window(1, 8)
-    negative = TransportFunction("bad", 0, lambda b, v: -1.0)
-    with pytest.raises(ValueError):
-        mtp_check(w, bern(w), negative)
+    # a negative or non-finite entry is refused naming its window pair
+    w = build_torus_window(2, 5)
+    src, dst = w.edge_arrays
+    assert (src[37], dst[37]) == (9, 14)  # in the radius-1 ball around 9, vertex 14 has a local id below 5
+    for bad in (-1.0, math.nan, math.inf):
+        values = np.ones(w.indices.size)
+        values[37] = bad
+        with pytest.raises(ValueError, match=rf"returned {bad!r} at \(9, 14\)"):
+            mtp_check(w, bern(w), TransportFunction("bad", 0, lambda w, c: values))
+    with pytest.raises(ValueError, match=r"returned \(99,\) values for 100 entries"):
+        mtp_check(w, bern(w), TransportFunction("short", 0, lambda w, c: np.ones(99)))
+
+
+def test_constant_transport_refuses_negative_and_non_finite():
+    for value in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            constant_transport(value)
 
 
 def test_f_arrow_of_constant_vanishes():
@@ -81,10 +111,10 @@ def test_f_arrow_of_constant_vanishes():
 def test_f_arrow_colour_indicator_edges():
     w = build_torus_window(1, 8)
     c = subset_colouring(w, np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=bool))
-    grad = f_arrow(root_colour_function(1))
-    b = ball(w, c, 1, 1)  # vertices 0,1,2; edge (1,2) is bichromatic
-    assert grad.evaluate(b, b.original.index(2)) == 1.0
-    assert grad.evaluate(b, b.original.index(0)) == 0.0
+    g = f_arrow(root_colour_function(1)).entries(w, c)
+    src, dst = w.edge_arrays
+    assert g[(src == 1) & (dst == 2)].tolist() == [1.0]  # edge (1,2) is bichromatic
+    assert g[(src == 1) & (dst == 0)].tolist() == [0.0]
 
 
 def test_f_arrow_mtp_matches_expansion():
@@ -98,29 +128,22 @@ def test_f_arrow_mtp_matches_expansion():
 
 
 def test_f_arrow_signed_sums_to_zero():
-    # the signed difference is antisymmetric, so its directed-edge sum
-    # telescopes away exactly
+    # the signed difference on an entry is minus the one on its mirror, so
+    # its directed-edge sum telescopes away exactly
     w = build_torus_window(2, 5)
     c = bern(w, 6)
-    grad = f_arrow(neighbour_colour_count(1), signed=True)
-    total = 0.0
-    for u in range(w.n):
-        b = ball(w, c, u, grad.radius)
-        for v, _ in w.adjacency[u]:
-            total += grad.evaluate(b, b.original.index(v))
-    assert total == pytest.approx(0.0, abs=1e-9)
+    g = f_arrow(neighbour_colour_count(1), signed=True).entries(w, c)
+    assert np.any(g != 0)
+    assert np.array_equal(g, -g[w.mirror])
 
 
-def test_f_arrow_cuts_the_root_ball_once_per_vertex(monkeypatch):
-    from urglab.balls import RootedBall
-
-    cuts = []
-    cut = RootedBall.ball
-    monkeypatch.setattr(RootedBall, "ball", lambda b, x, r: cuts.append(x) or cut(b, x, r))
+def test_f_arrow_evaluates_its_vertex_function_n_times():
+    roots = []
+    count = neighbour_colour_count(1)
+    counted = VertexFunction("counted", 1, lambda b: roots.append(b.original[0]) or count.evaluate(b))
     w = build_torus_window(2, 32)
-    mtp_check(w, bern(w, 3), f_arrow(neighbour_colour_count(1)))
-    assert len(cuts) == 4096 + 1024  # one cut per directed entry, one per root
-    assert cuts.count(0) == 1024
+    mtp_check(w, bern(w, 3), f_arrow(counted))
+    assert roots == list(range(w.n))  # once per vertex, none per entry
 
 
 def test_f_arrow_shared_across_threads_matches_serial():
@@ -210,7 +233,46 @@ SUM_WINDOWS = {
 
 def inexact_transport() -> TransportFunction:
     """deg(u) / 3 + colour(v) / 10: its float sums round differently in another order."""
-    return TransportFunction("inexact", 1, lambda b, v: b.degree(0) / 3 + b.colours[v] / 10)
+
+    def entries(w, c):
+        src, dst = w.edge_arrays
+        return np.diff(w.indptr)[src] / 3 + c.colours[dst] / 10
+
+    return TransportFunction("inexact", 1, entries)
+
+
+def spike_transport() -> TransportFunction:
+    """2**53 on the entries out of colour-1 vertices, 1.0 elsewhere."""
+    return TransportFunction("spike", 0, lambda w, c: np.where(c.colours[w.edge_arrays[0]] == 1, 2.0**53, 1.0))
+
+
+def transport_pairs(d: int):
+    """(entry-array form, ball form) of each built-in at every colour parameter
+    1..d, of f_arrow signed and unsigned, and of the tests' own transports."""
+    assert set(BALL_BUILTINS) == set(BUILTIN_TRANSPORTS)
+    yield constant_transport(2.5), ball_constant(2.5)
+    yield bichromatic_indicator(), ball_bichromatic()
+    for colour in range(1, d + 1):
+        yield source_colour_indicator(colour), ball_source_colour(colour)
+        yield degree_weighted_indicator(colour), ball_degree_weighted(colour)
+        for f_vertex in (root_colour_function(colour), neighbour_colour_count(colour)):
+            for signed in (False, True):
+                yield f_arrow(f_vertex, signed), ball_f_arrow(f_vertex, signed)
+    yield inexact_transport(), ball_inexact()
+    yield spike_transport(), ball_spike()
+
+
+@pytest.mark.parametrize("name", SUM_WINDOWS)
+def test_entries_equal_ball_oracle_bit_for_bit(name):
+    w = SUM_WINDOWS[name]()
+    for d in (1, 2, 3):
+        for seed in range(2):
+            c = bern(w, seed, d)
+            for transport, oracle in transport_pairs(d):
+                assert transport.name == oracle.name and transport.radius == oracle.radius
+                values = transport.entries(w, c)
+                assert values.dtype == np.float64, transport.name
+                assert values.tobytes() == ball_entries(w, c, oracle).tobytes(), (d, seed, transport.name)
 
 
 @pytest.mark.parametrize("name", SUM_WINDOWS)
@@ -218,10 +280,11 @@ def test_mtp_sums_equal_fresh_ball_oracle_exactly(name):
     w = SUM_WINDOWS[name]()
     for seed in range(3):
         c = bern(w, seed)
-        for transport in (degree_weighted_indicator(1), bichromatic_indicator(),
-                          f_arrow(neighbour_colour_count(1)), inexact_transport()):
+        for transport, oracle in transport_pairs(2):
+            if transport.name.endswith(":signed"):
+                continue  # not a transport: mtp_check refuses its negative entries
             report = mtp_check(w, c, transport)
-            assert (report.lhs, report.rhs) == mtp_sums(w, c, transport), (seed, transport.name)
+            assert (report.lhs, report.rhs) == mtp_sums(w, c, oracle), (seed, transport.name)
 
 
 def test_mtp_sums_add_left_to_right():
@@ -230,8 +293,7 @@ def test_mtp_sums_add_left_to_right():
     # groups of them, so the two orders give different floats
     w = build_torus_window(2, 5)
     c = subset_colouring(w, np.arange(w.n) == 0)
-    spike = TransportFunction("spike", 0, lambda b, v: 2.0**53 if b.colours[0] == 1 else 1.0)
-    report = mtp_check(w, c, spike)
+    report = mtp_check(w, c, spike_transport())
     values = [2.0**53 if u == 0 else 1.0 for u in w.edge_arrays[0].tolist()]  # per entry, in row order
     lhs = rhs = 0.0
     for val in values:
