@@ -5,7 +5,9 @@ Each row holds the best value the annealer found within its budget: an
 upper bound on the optimum, not the optimum.  At the default budget it
 reaches the cycle optimum 4/n only up to n = 32, and on random-regular
 windows the value grows with n, so the rows do not yet show the
-amenable/expander contrast past small n.  Emits one CSV row per window.
+amenable/expander contrast past small n.  Emits one CSV row per window; the
+standard output line of a row adds the annealer's acceptance rate per move
+kind (accepted / proposed, summed over restarts).
 """
 
 from __future__ import annotations
@@ -15,31 +17,61 @@ import sys
 from pathlib import Path
 
 from urglab.graphs import build_random_regular, build_torus_window
-from urglab.kazhdan import kazhdan_profile
+from urglab.kazhdan import InfeasibleBalanceError, feasible_size_windows, kazhdan_profile, uniform_weights
 from urglab.reporting import fmt_float, write_csv
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def size_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need comma-separated integers, got {text!r}") from None
+
+
+def acceptance(moves: dict[str, tuple[int, int]]) -> str:
+    """Accepted / proposed per move kind, as percentages."""
+    return "  ".join(f"{kind}={done / tried:.1%}" if tried else f"{kind}=-"
+                     for kind, (tried, done) in moves.items())
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--family", choices=("cycle", "torus2d", "random-regular"),
                         default="cycle")
-    parser.add_argument("--sizes", type=str, default="8,16,32,64",
+    parser.add_argument("--sizes", type=size_list, default="8,16,32,64",
                         help="comma-separated sizes (cycle length, torus side, or vertex count)")
-    parser.add_argument("--k", type=int, default=2)
+    parser.add_argument("--k", type=positive_int, default=2)
     parser.add_argument("--eps", type=float, default=0.0)
-    parser.add_argument("--budget", type=int, default=4000)
-    parser.add_argument("--restarts", type=int, default=10)
+    parser.add_argument("--budget", type=positive_int, default=4000)
+    parser.add_argument("--restarts", type=positive_int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=Path("kazhdan_profile.csv"))
     args = parser.parse_args()
 
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if args.family == "cycle":
-        windows = [build_torus_window(1, n) for n in sizes]
-    elif args.family == "torus2d":
-        windows = [build_torus_window(2, L) for L in sizes]
-    else:
-        windows = [build_random_regular(2, n, seed=args.seed) for n in sizes]
+    if not (0.0 <= args.eps < 1.0 / args.k):
+        parser.error(f"--eps must satisfy 0 <= eps < 1/k = {1.0 / args.k:g}, got {args.eps:g}")
+    build = {
+        "cycle": lambda n: build_torus_window(1, n),
+        "torus2d": lambda L: build_torus_window(2, L),
+        "random-regular": lambda n: build_random_regular(2, n, seed=args.seed),
+    }[args.family]
+    windows = []
+    for size in args.sizes:
+        try:
+            windows.append(build(size))
+        except ValueError as err:
+            parser.error(f"--sizes: {args.family} size {size}: {err}")
+        try:
+            feasible_size_windows(windows[-1].n, uniform_weights(args.k), args.eps)
+        except InfeasibleBalanceError as err:
+            parser.error(f"--eps: size {size}: {err}")
 
     rows = kazhdan_profile(windows, k=args.k, eps=args.eps, budget=args.budget,
                            restarts=args.restarts, seed=args.seed)
@@ -48,7 +80,7 @@ def main() -> int:
                for row in rows])
     for row in rows:
         print(f"n={row.n:6d}  value={row.value:.6f}  gap={row.balance_gap:.4f}  "
-              f"{row.wall_time:.2f}s")
+              f"{row.wall_time:.2f}s  accepted {acceptance(row.moves)}")
     print(f"wrote {args.out}")
     return 0
 

@@ -8,10 +8,19 @@ means the parts are unions of connected components.  Feasible partitions
 must hold every part's weight within eps of its target; eps = 0 is read as
 "as equal as integrality allows" (part sizes floor/ceil of the targets),
 since exact targets are unattainable whenever they are not integers.
+
+The annealer runs each restart on a Python list of colours, which its
+per-step reads index faster than a numpy array.  It keeps the restart's best
+state not as a copy but as an undo log: each vertex's colour at the last
+snapshot, recorded on its first write after it, beside a heap of the
+vertices written away from that colour.  The heap's smallest live vertex is
+the first index where the state and the snapshot differ, so comparing them,
+taking a snapshot and restoring it never scan all n colours.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import time
@@ -50,6 +59,8 @@ class WeightVector:
 
 
 def uniform_weights(k: int) -> WeightVector:
+    if k < 1:
+        raise ValueError(f"need at least one part, got k = {k}")
     return WeightVector(tuple([1.0 / k] * k))
 
 
@@ -98,9 +109,12 @@ class KazhdanResult:
     trace: tuple[tuple[int, int, float], ...]  # (restart, step, best value so far)
     certificate: bool  # set only by exhaustive search
     empty_parts: tuple[int, ...]
+    moves: dict[str, tuple[int, int]]  # per MOVE_KINDS entry: (proposed, accepted), summed over restarts
 
 
-def _result(partition: Colouring, count: int, trace: tuple, certificate: bool) -> KazhdanResult:
+def _result(
+    partition: Colouring, count: int, trace: tuple, certificate: bool, moves: dict | None = None
+) -> KazhdanResult:
     """The result for a partition with ``count`` directed cross-part incidences."""
     counts = partition.counts()
     return KazhdanResult(
@@ -110,6 +124,7 @@ def _result(partition: Colouring, count: int, trace: tuple, certificate: bool) -
         trace=trace,
         certificate=certificate,
         empty_parts=tuple(int(i + 1) for i in range(partition.d) if counts[i] == 0),
+        moves=moves or {kind: (0, 0) for kind in MOVE_KINDS},
     )
 
 
@@ -195,31 +210,48 @@ def brute_force_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
 
 COOLING = 0.995  # temperature factor per step; the first step runs at the window degree bound
 MERGE_MOVE_PERIOD = 25  # a merge move may be proposed only on steps divisible by this
+MOVE_KINDS = ("swap", "recolour", "merge")
 
 
-def _recolour_delta(w: WindowGraph, colours: np.ndarray, u: int, new: int) -> int:
+def _recolour_delta(rows: tuple[list[int], ...], colours: list[int], u: int, new: int) -> int:
+    """Change of the directed cut count when ``u`` takes colour ``new``."""
     old = colours[u]
     if new == old:
         return 0
     delta = 0
-    for v in w.neighbour_rows[u]:
-        if v == u:
-            continue  # loops are never bichromatic
-        cv = int(colours[v])
-        delta += int(cv != new) - int(cv != old)
+    for v in rows[u]:
+        if v != u:  # loops are never bichromatic
+            cv = colours[v]
+            if cv == old:
+                delta += 1
+            elif cv == new:
+                delta -= 1
     return 2 * delta
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    """``tuple(a) < tuple(b)`` for equal-length integer arrays: the first
-    index where they differ decides, and equal arrays are not less."""
-    diff = (a != b).nonzero()[0]
-    return diff.size > 0 and bool(a[diff[0]] < b[diff[0]])
+def _write(colours: list[int], saved: dict[int, int], heap: list[int], v: int, new: int) -> None:
+    """``colours[v] = new`` through the undo log: ``saved`` keeps v's colour
+    at the last snapshot (set by v's first write after it), and ``heap``
+    gains v when v leaves that colour."""
+    old = colours[v]
+    if saved.setdefault(v, old) == old and new != old:
+        heapq.heappush(heap, v)
+    colours[v] = new
 
 
-def _improves(count: int, colours: np.ndarray, best_count: int, best_colours: np.ndarray) -> bool:
-    """The annealer's best-state order on (count, colour sequence)."""
-    return count < best_count or (count == best_count and _lex_less(colours, best_colours))
+def _improves(count: int, colours: list[int], best_count: int, saved: dict[int, int], heap: list[int]) -> bool:
+    """``(count, colours) < (best_count, snapshot)``, the snapshot being
+    ``colours`` with ``saved`` written back.
+
+    The smallest vertex on ``heap`` whose colour differs from ``saved`` is
+    the first index where the two sequences differ; heap tops written back
+    to their snapshot colour are dropped on the way to it.
+    """
+    if count != best_count:
+        return count < best_count
+    while heap and colours[heap[0]] == saved[heap[0]]:
+        heapq.heappop(heap)
+    return bool(heap) and colours[heap[0]] < saved[heap[0]]
 
 
 def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
@@ -231,73 +263,90 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
     best over all restarts, is replaced only by a strictly lower count, or
     by an equal count whose colour sequence is smaller at the first index
     where the two differ.
-    """
-    w, k = problem.window, problem.k
-    windows = feasible_size_windows(w.n, problem.alpha, problem.eps)
-    sizes0 = _initial_sizes(w.n, problem.alpha, windows)
-    epoch_len = max(1, problem.budget // 50)
 
-    best_count, best_colours = 0, np.empty(0, dtype=np.int64)  # replaced by restart 0
+    A restart runs on a Python list of colours.  Its best state is not a
+    copy but an undo log (see ``_write`` and ``_improves``): taking a
+    snapshot clears the log, and the log is written back once, at the end of
+    the restart.  So no step costs more than O(degree + log n), apart from
+    a merge move's cluster decomposition.
+    """
+    w, k, n = problem.window, problem.k, problem.window.n
+    rows = w.neighbour_rows
+    windows = feasible_size_windows(n, problem.alpha, problem.eps)
+    sizes0 = _initial_sizes(n, problem.alpha, windows)
+    epoch_len = max(1, problem.budget // 50)
+    steps = problem.budget if k > 1 else 0  # one part admits one partition
+
+    best_count, best_colours = 0, []  # replaced by restart 0
     trace: list[tuple[int, int, float]] = []
+    swaps = merges = swaps_done = recolours_done = merges_done = 0
 
     for restart in range(problem.restarts):
         rng = derive_rng(problem.seed, "anneal", restart)
-        colours = np.repeat(np.arange(1, k + 1, dtype=np.int64), sizes0)
-        rng.shuffle(colours)
+        start = np.repeat(np.arange(1, k + 1, dtype=np.int64), sizes0)
+        rng.shuffle(start)
+        colours = start.tolist()
         sizes = list(sizes0)
-        count = _bichromatic_count(w, colours)
-        run_count, run_colours = count, colours.copy()
-        changed = False  # whether a move was applied since the last snapshot
+        count = run_count = _bichromatic_count(w, start)
+        saved: dict[int, int] = {}
+        heap: list[int] = []
         temperature = float(w.degree_bound)
 
-        for step in range(problem.budget):
+        for step in range(steps):
             kind = rng.random()
-            if k == 1:
-                break
             if kind < 0.05 and step % MERGE_MOVE_PERIOD == 0:
-                accepted = _try_merge_move(w, colours, sizes, windows, rng)
+                merges += 1
+                accepted = _try_merge_move(w, colours, sizes, windows, rng, saved, heap)
                 if accepted is not None:
                     count += accepted
-                    changed = True
+                    merges_done += 1
             elif kind < 0.65:
-                u = int(rng.integers(w.n))
-                v = int(rng.integers(w.n))
-                cu, cv = int(colours[u]), int(colours[v])
+                swaps += 1
+                u = int(rng.integers(n))
+                v = int(rng.integers(n))
+                cu, cv = colours[u], colours[v]
                 if cu != cv:
-                    d1 = _recolour_delta(w, colours, u, cv)
+                    d1 = _recolour_delta(rows, colours, u, cv)
                     colours[u] = cv
-                    d2 = _recolour_delta(w, colours, v, cu)
+                    d2 = _recolour_delta(rows, colours, v, cu)
+                    colours[u] = cu
                     delta = d1 + d2
-                    if delta <= 0 or rng.random() < math.exp(-(delta / w.n) / temperature):
-                        colours[v] = cu
+                    if delta <= 0 or rng.random() < math.exp(-(delta / n) / temperature):
+                        _write(colours, saved, heap, u, cv)
+                        _write(colours, saved, heap, v, cu)
                         count += delta
-                        changed = True
-                    else:
-                        colours[u] = cu
+                        swaps_done += 1
             else:
-                u = int(rng.integers(w.n))
+                u = int(rng.integers(n))
                 new = int(rng.integers(1, k + 1))
-                old = int(colours[u])
+                old = colours[u]
                 if new != old and sizes[old - 1] > windows[old - 1][0] and sizes[new - 1] < windows[new - 1][1]:
-                    delta = _recolour_delta(w, colours, u, new)
-                    if delta <= 0 or rng.random() < math.exp(-(delta / w.n) / temperature):
-                        colours[u] = new
+                    delta = _recolour_delta(rows, colours, u, new)
+                    if delta <= 0 or rng.random() < math.exp(-(delta / n) / temperature):
+                        _write(colours, saved, heap, u, new)
                         sizes[old - 1] -= 1
                         sizes[new - 1] += 1
                         count += delta
-                        changed = True
+                        recolours_done += 1
             temperature *= COOLING
-            # unchanged colours equal the snapshot (count included), which never improves on itself
-            if changed and _improves(count, colours, run_count, run_colours):
-                run_count, run_colours = count, colours.copy()
-                changed = False
+            if _improves(count, colours, run_count, saved, heap):
+                run_count = count
+                saved.clear()
+                heap.clear()
             if (step + 1) % epoch_len == 0:
-                trace.append((restart, step + 1, run_count / w.n))
+                trace.append((restart, step + 1, run_count / n))
 
-        if restart == 0 or _improves(run_count, run_colours, best_count, best_colours):
-            best_count, best_colours = run_count, run_colours
+        for v, c in saved.items():
+            colours[v] = c
+        if restart == 0 or (run_count, colours) < (best_count, best_colours):
+            best_count, best_colours = run_count, colours
 
-    return _result(Colouring(w, k, best_colours), best_count, tuple(trace), certificate=False)
+    moves = {
+        "swap": (swaps, swaps_done),
+        "recolour": (steps * problem.restarts - swaps - merges, recolours_done),  # every other step
+        "merge": (merges, merges_done),
+    }
+    return _result(Colouring(w, k, best_colours), best_count, tuple(trace), certificate=False, moves=moves)
 
 
 def _boundary_entries(w: WindowGraph, colours: np.ndarray, from_part: int, to_part: int):
@@ -310,20 +359,20 @@ def _boundary_entries(w: WindowGraph, colours: np.ndarray, from_part: int, to_pa
     return dec, np.bincount(cluster[into], minlength=dec.count)
 
 
-def _try_merge_move(w, colours, sizes, windows, rng) -> int | None:
+def _try_merge_move(w, colours, sizes, windows, rng, saved, heap) -> int | None:
     """Propose a full-cluster relocation; apply when balance survives.
 
     Returns the objective count delta when applied, else None.  The move
     recolours one source-part cluster adjacent to the target part, which
     can only delete boundary (the decrement identity), so it is always
-    accepted when feasible.
+    accepted when feasible.  It writes through the annealer's undo log.
     """
     k = len(sizes)
     r = int(rng.integers(1, k + 1))
     b = int(rng.integers(1, k + 1))
     if r == b:
         return None
-    dec, entries = _boundary_entries(w, colours, r, b)
+    dec, entries = _boundary_entries(w, np.array(colours, dtype=np.int64), r, b)
     touching = np.flatnonzero(entries)
     if touching.size == 0:
         return None
@@ -335,7 +384,8 @@ def _try_merge_move(w, colours, sizes, windows, rng) -> int | None:
         and sizes[b - 1] + moved <= windows[b - 1][1]
     ):
         return None
-    colours[members] = b
+    for v in members.tolist():
+        _write(colours, saved, heap, v, b)
     sizes[r - 1] -= moved
     sizes[b - 1] += moved
     return -2 * int(entries[cluster])
@@ -422,6 +472,7 @@ class ProfileRow:
     value: float
     balance_gap: float  # d_inf between achieved weights and the uniform target
     wall_time: float
+    moves: dict[str, tuple[int, int]]  # the annealer's KazhdanResult.moves
 
 
 def kazhdan_profile(
@@ -447,6 +498,7 @@ def kazhdan_profile(
                 value=result.value,
                 balance_gap=d_infinity(result.weights, uniform_weights(k)),
                 wall_time=time.perf_counter() - start,
+                moves=result.moves,
             )
         )
     return tuple(rows)

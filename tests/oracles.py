@@ -17,11 +17,17 @@ entry-array forms.
 ``build_explicit`` labels an arbitrary simple edge list greedily: it builds
 the tests' irregular fixture windows, and it is the reference for the
 closed-form labels of ``graphs.build_path`` and ``graphs.build_complete``.
+
+``anneal_reference`` is the balanced-partition annealer as it ran on a numpy
+colour array, copying the array on each new best state and comparing
+states by a first-difference scan: the bit-for-bit reference for
+``kazhdan.anneal_kazhdan``, which runs on a colour list with an undo log.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -29,7 +35,20 @@ from typing import Callable
 import numpy as np
 
 from urglab.balls import RootedBall, ball
+from urglab.colourings import Colouring
 from urglab.graphs import GeneratorSet, WindowGraph
+from urglab.kazhdan import (
+    COOLING,
+    MERGE_MOVE_PERIOD,
+    KazhdanProblem,
+    KazhdanResult,
+    _bichromatic_count,
+    _boundary_entries,
+    _initial_sizes,
+    _result,
+    feasible_size_windows,
+)
+from urglab.rng import derive_rng
 
 
 def flood_fill_clusters(window, mask) -> list[list[int]]:
@@ -326,3 +345,142 @@ def build_explicit(
     palette = max(label, default=0) + 1  # an edgeless window still needs a nonempty label set
     gens = GeneratorSet.paired([(f"e{i + 1}", f"e{i + 1}") for i in range(palette)])
     return WindowGraph(n, src, dst, label, gens, "explicit", {"n": n, "tag": tag})
+
+
+# ----------------------------------------------------------------------
+# The numpy-array annealer
+# ----------------------------------------------------------------------
+
+
+def _recolour_delta(w: WindowGraph, colours: np.ndarray, u: int, new: int) -> int:
+    old = colours[u]
+    if new == old:
+        return 0
+    delta = 0
+    for v in w.neighbour_rows[u]:
+        if v == u:
+            continue  # loops are never bichromatic
+        cv = int(colours[v])
+        delta += int(cv != new) - int(cv != old)
+    return 2 * delta
+
+
+def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
+    """``tuple(a) < tuple(b)`` for equal-length integer arrays: the first
+    index where they differ decides, and equal arrays are not less."""
+    diff = (a != b).nonzero()[0]
+    return diff.size > 0 and bool(a[diff[0]] < b[diff[0]])
+
+
+def _improves(count: int, colours: np.ndarray, best_count: int, best_colours: np.ndarray) -> bool:
+    """The annealer's best-state order on (count, colour sequence)."""
+    return count < best_count or (count == best_count and _lex_less(colours, best_colours))
+
+
+def anneal_reference(problem: KazhdanProblem) -> KazhdanResult:
+    """Heuristic minimizer: balance-preserving swaps, slack recolours, and an
+    occasional cluster-merge move, under geometric cooling with restarts.
+
+    Deterministic in the problem seed.  Restarts run one after another, each
+    on its own derived stream.  The best state of a restart, and then the
+    best over all restarts, is replaced only by a strictly lower count, or
+    by an equal count whose colour sequence is smaller at the first index
+    where the two differ.
+    """
+    w, k = problem.window, problem.k
+    windows = feasible_size_windows(w.n, problem.alpha, problem.eps)
+    sizes0 = _initial_sizes(w.n, problem.alpha, windows)
+    epoch_len = max(1, problem.budget // 50)
+
+    best_count, best_colours = 0, np.empty(0, dtype=np.int64)  # replaced by restart 0
+    trace: list[tuple[int, int, float]] = []
+
+    for restart in range(problem.restarts):
+        rng = derive_rng(problem.seed, "anneal", restart)
+        colours = np.repeat(np.arange(1, k + 1, dtype=np.int64), sizes0)
+        rng.shuffle(colours)
+        sizes = list(sizes0)
+        count = _bichromatic_count(w, colours)
+        run_count, run_colours = count, colours.copy()
+        changed = False  # whether a move was applied since the last snapshot
+        temperature = float(w.degree_bound)
+
+        for step in range(problem.budget):
+            kind = rng.random()
+            if k == 1:
+                break
+            if kind < 0.05 and step % MERGE_MOVE_PERIOD == 0:
+                accepted = _try_merge_move(w, colours, sizes, windows, rng)
+                if accepted is not None:
+                    count += accepted
+                    changed = True
+            elif kind < 0.65:
+                u = int(rng.integers(w.n))
+                v = int(rng.integers(w.n))
+                cu, cv = int(colours[u]), int(colours[v])
+                if cu != cv:
+                    d1 = _recolour_delta(w, colours, u, cv)
+                    colours[u] = cv
+                    d2 = _recolour_delta(w, colours, v, cu)
+                    delta = d1 + d2
+                    if delta <= 0 or rng.random() < math.exp(-(delta / w.n) / temperature):
+                        colours[v] = cu
+                        count += delta
+                        changed = True
+                    else:
+                        colours[u] = cu
+            else:
+                u = int(rng.integers(w.n))
+                new = int(rng.integers(1, k + 1))
+                old = int(colours[u])
+                if new != old and sizes[old - 1] > windows[old - 1][0] and sizes[new - 1] < windows[new - 1][1]:
+                    delta = _recolour_delta(w, colours, u, new)
+                    if delta <= 0 or rng.random() < math.exp(-(delta / w.n) / temperature):
+                        colours[u] = new
+                        sizes[old - 1] -= 1
+                        sizes[new - 1] += 1
+                        count += delta
+                        changed = True
+            temperature *= COOLING
+            # unchanged colours equal the snapshot (count included), which never improves on itself
+            if changed and _improves(count, colours, run_count, run_colours):
+                run_count, run_colours = count, colours.copy()
+                changed = False
+            if (step + 1) % epoch_len == 0:
+                trace.append((restart, step + 1, run_count / w.n))
+
+        if restart == 0 or _improves(run_count, run_colours, best_count, best_colours):
+            best_count, best_colours = run_count, run_colours
+
+    return _result(Colouring(w, k, best_colours), best_count, tuple(trace), certificate=False)
+
+
+def _try_merge_move(w, colours, sizes, windows, rng) -> int | None:
+    """Propose a full-cluster relocation; apply when balance survives.
+
+    Returns the objective count delta when applied, else None.  The move
+    recolours one source-part cluster adjacent to the target part, which
+    can only delete boundary (the decrement identity), so it is always
+    accepted when feasible.
+    """
+    k = len(sizes)
+    r = int(rng.integers(1, k + 1))
+    b = int(rng.integers(1, k + 1))
+    if r == b:
+        return None
+    dec, entries = _boundary_entries(w, colours, r, b)
+    touching = np.flatnonzero(entries)
+    if touching.size == 0:
+        return None
+    cluster = int(touching[int(rng.integers(touching.size))])
+    members = dec.vertices_of(cluster)
+    moved = members.size
+    if not (
+        windows[r - 1][0] <= sizes[r - 1] - moved
+        and sizes[b - 1] + moved <= windows[b - 1][1]
+    ):
+        return None
+    colours[members] = b
+    sizes[r - 1] -= moved
+    sizes[b - 1] += moved
+    return -2 * int(entries[cluster])

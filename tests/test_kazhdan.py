@@ -6,16 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import directed_bichromatic_count, exhaustive_bipartition_minimum
+from oracles import anneal_reference, build_explicit, directed_bichromatic_count, exhaustive_bipartition_minimum
 
 from urglab.colourings import Colouring, expansion, sample, uniform_bernoulli_model
-from urglab.graphs import build_complete, build_path, build_random_regular, build_torus_window
+from urglab.graphs import (
+    build_complete,
+    build_path,
+    build_random_regular,
+    build_torus_window,
+    window_from_dict,
+    window_to_dict,
+)
 from urglab.kazhdan import (
+    MOVE_KINDS,
     InfeasibleBalanceError,
     InstanceTooLargeError,
     KazhdanProblem,
     WeightVector,
-    _lex_less,
+    _improves,
+    _write,
     anneal_kazhdan,
     brute_force_kazhdan,
     cluster_merge_move,
@@ -38,6 +47,11 @@ def test_d_infinity_examples():
     assert d_infinity(WeightVector((0.5, 0.3, 0.2)), WeightVector((0.4, 0.4, 0.2))) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         d_infinity(WeightVector((1.0,)), WeightVector((0.5, 0.5)))
+
+
+def test_uniform_weights_needs_a_part():
+    with pytest.raises(ValueError, match="at least one part"):
+        uniform_weights(0)
 
 
 def test_weight_vector_validation():
@@ -90,6 +104,7 @@ def test_brute_force_cycle8():
     assert result.certificate
     assert result.value == 0.5
     assert result.weights.values == (0.5, 0.5)
+    assert result.moves == {kind: (0, 0) for kind in MOVE_KINDS}
     assert exhaustive_bipartition_minimum(w, 4) == 0.5
 
 
@@ -147,31 +162,81 @@ def test_anneal_deterministic():
     assert a.trace == b.trace
 
 
-COLOUR_VALUES = st.integers(1, 3) | st.integers(-(2**63), 2**63 - 1)
-
-
 @settings(max_examples=200)
-@given(
-    data=st.data(),
-    n=st.integers(1, 12),
-    change=st.sampled_from(("equal", "first", "last", "anywhere", "independent")),
-)
-def test_lex_less_matches_tuple_order(data, n, change):
-    colour_lists = st.lists(COLOUR_VALUES, min_size=n, max_size=n)
-    a = np.array(data.draw(colour_lists), dtype=np.int64)
-    if change == "independent":
-        b = np.array(data.draw(colour_lists), dtype=np.int64)
+@given(data=st.data(), n=st.integers(1, 8), k=st.integers(2, 4))
+def test_undo_log_order_matches_tuple_order(data, n, k):
+    # random writes, some back to the snapshot colour, with snapshots taken
+    # whenever the state improves, as the annealer takes them
+    colours = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    snapshot, best_count = list(colours), data.draw(st.integers(0, 2))
+    saved, heap = {}, []
+    for _ in range(data.draw(st.integers(1, 20))):
+        v = data.draw(st.integers(0, n - 1))
+        new = data.draw(st.sampled_from([snapshot[v], *range(1, k + 1)]))
+        _write(colours, saved, heap, v, new)
+        assert [saved.get(u, c) for u, c in enumerate(colours)] == snapshot
+        count = data.draw(st.integers(0, 2))
+        improves = (count, tuple(colours)) < (best_count, tuple(snapshot))
+        assert _improves(count, colours, best_count, saved, heap) == improves
+        if improves:
+            snapshot, best_count = list(colours), count
+            saved.clear()
+            heap.clear()
+
+
+def irregular_window_with_loops():
+    # a star, a path and a triangle joined into one irregular window, with
+    # self-inverse loops at three vertices
+    edges = [(0, i) for i in range(1, 6)] + [(3, 4), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10),
+                                               (10, 11), (11, 9), (11, 12), (12, 13), (13, 0)]
+    data = window_to_dict(build_explicit(14, edges, tag="star-path-triangle"))
+    data["edges"] += [[2, 2, "loop"], [7, 7, "loop"], [12, 12, "loop"]]
+    return window_from_dict(data)
+
+
+def assert_matches_reference(problem):
+    result = anneal_kazhdan(problem)
+    reference = anneal_reference(problem)
+    assert result.value == reference.value
+    assert result.trace == reference.trace
+    assert result.partition.colours.tobytes() == reference.partition.colours.tobytes()
+    return result
+
+
+def assert_move_counts(result, problem):
+    proposed = [result.moves[kind][0] for kind in MOVE_KINDS]
+    if problem.k == 1:
+        assert result.moves == {kind: (0, 0) for kind in MOVE_KINDS}
     else:
-        b = a.copy()
-        if change == "first":
-            b[0] = data.draw(COLOUR_VALUES.filter(lambda x: x != a[0]))
-        elif change == "last":
-            b[n - 1] = data.draw(COLOUR_VALUES.filter(lambda x: x != a[n - 1]))
-        elif change == "anywhere":
-            i = data.draw(st.integers(0, n - 1))
-            b[i] = data.draw(COLOUR_VALUES)
-    assert _lex_less(a, b) == (tuple(a.tolist()) < tuple(b.tolist()))
-    assert _lex_less(b, a) == (tuple(b.tolist()) < tuple(a.tolist()))
+        assert sum(proposed) == problem.budget * problem.restarts
+    assert all(0 <= result.moves[kind][1] <= result.moves[kind][0] for kind in MOVE_KINDS)
+
+
+ORACLE_WINDOWS = {
+    "cycle9": lambda: build_torus_window(1, 9),
+    "cycle40": lambda: build_torus_window(1, 40),
+    "torus6x6": lambda: build_torus_window(2, 6),
+    "random-regular-k2": lambda: build_random_regular(2, 64, seed=3),  # carries loops
+    "random-regular-k3": lambda: build_random_regular(3, 48, seed=1),  # carries loops
+    "irregular-loops": irregular_window_with_loops,
+}
+
+
+@pytest.mark.parametrize("make_window", ORACLE_WINDOWS.values(), ids=ORACLE_WINDOWS.keys())
+def test_anneal_matches_numpy_reference(make_window):
+    w = make_window()
+    for k in (1, 2, 3, 4):
+        for eps in (0.0, 0.1):
+            problem = KazhdanProblem(window=w, k=k, alpha=uniform_weights(k), eps=eps,
+                                     budget=400, restarts=3, seed=k)
+            assert_move_counts(assert_matches_reference(problem), problem)
+
+
+def test_anneal_matches_numpy_reference_through_merge_moves():
+    problem = KazhdanProblem(window=build_random_regular(2, 64, seed=3), k=4, alpha=uniform_weights(4),
+                             eps=0.1, budget=400, restarts=3, seed=4)
+    result = assert_matches_reference(problem)
+    assert result.moves["merge"][1] > 0
 
 
 # Annealer output pinned byte for byte.  The cycle has many optimal
@@ -200,7 +265,9 @@ ANNEAL_GOLDEN = [
 @pytest.mark.parametrize("make_problem,value,trace_len,trace_sha,colours_sha", ANNEAL_GOLDEN,
                          ids=["cycle16", "random-regular256"])
 def test_anneal_golden_output(make_problem, value, trace_len, trace_sha, colours_sha):
-    result = anneal_kazhdan(make_problem())
+    problem = make_problem()
+    result = anneal_kazhdan(problem)
+    assert_move_counts(result, problem)
     assert result.value == value
     assert len(result.trace) == trace_len
     assert hashlib.sha256(repr(result.trace).encode()).hexdigest() == trace_sha

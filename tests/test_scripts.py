@@ -6,17 +6,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, cwd: Path, returncode: int = 0) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc
 
 
@@ -27,8 +29,25 @@ def read_csv(path: Path) -> list[list[str]]:
 
 def test_kazhdan_profile_script(tmp_path):
     out = tmp_path / "profile.csv"
-    run_script("kazhdan_profile.py", "--family", "random-regular", "--sizes", "16,32",
-               "--budget", "100", "--restarts", "2", "--out", str(out), cwd=tmp_path)
+    proc = run_script("kazhdan_profile.py", "--family", "random-regular", "--sizes", "16,32",
+                      "--budget", "100", "--restarts", "2", "--out", str(out), cwd=tmp_path)
     header, *rows = read_csv(out)
     assert header == ["n", "best_value", "balance_gap", "wall_time_s"]
     assert [row[0] for row in rows] == ["16", "32"]
+    lines = proc.stdout.splitlines()
+    assert all("accepted swap=" in line and " recolour=" in line and " merge=" in line for line in lines[:2])
+
+
+@pytest.mark.parametrize("args,field", [
+    (("--k", "0"), "--k"),
+    (("--eps", "0.7"), "--eps"),
+    (("--sizes", "8,x"), "--sizes"),
+    (("--budget", "0"), "--budget"),
+    (("--family", "random-regular", "--sizes", "3"), "--sizes"),
+], ids=["k-zero", "eps-too-large", "size-not-integer", "budget-zero", "random-regular-too-small"])
+def test_kazhdan_profile_script_rejects_malformed_input(tmp_path, args, field):
+    proc = run_script("kazhdan_profile.py", *args, "--out", str(tmp_path / "profile.csv"),
+                      cwd=tmp_path, returncode=2)
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "profile.csv").exists()
