@@ -1,9 +1,8 @@
 """Rooted coloured balls.
 
 A ball is the induced subgraph on all vertices within graph distance r of a
-root, carrying vertex colours, root, and BFS distances.  The vertex functions
-of ``transport`` are evaluated on balls, and so are the ball forms that the
-test suite holds its edge transports to.
+root, carrying vertex colours, root, and BFS distances.  The tests hold
+``transport``'s edge transports and vertex functions to ball forms on them.
 """
 
 from __future__ import annotations
@@ -41,15 +40,6 @@ class RootedBall:
         edges = [(i, j) for i, row in enumerate(self.rows) for j in row if i < j]
         edges += [(i, i) for i, row in enumerate(self.rows) for _ in range(row.count(i) // 2)]
         return tuple(sorted(edges))
-
-    @cached_property
-    def neighbour_counts(self) -> tuple[dict[int, int], ...]:
-        """Per local vertex, neighbour -> multiplicity; a loop counts twice."""
-        counts: list[dict[int, int]] = [{} for _ in self.rows]
-        for count, row in zip(counts, self.rows):
-            for j in row:
-                count[j] = count.get(j, 0) + 1
-        return tuple(counts)
 
     def degree(self, i: int) -> int:
         return len(self.rows[i])

@@ -124,8 +124,7 @@ def expansion(c: Colouring) -> float:
 
 def colouring_to_dict(c: Colouring) -> dict:
     runs: list[list[int]] = []
-    for value in c.colours:
-        v = int(value)
+    for v in c.colour_list:
         if runs and runs[-1][0] == v:
             runs[-1][1] += 1
         else:

@@ -18,8 +18,9 @@ estimate
 
     (1/n) * sum |f(u) - f(v)|  <=  2 D * (1/n) * sum |f(u)|
 
-for vertex functions f, which are evaluated on balls, where D is the
-window's degree bound.
+for vertex functions f, where D is the window's degree bound.  Like a
+transport, a vertex function is one float64 array (``VertexFunction.values``,
+one value per vertex) held to its ``radius`` by the tests' ball forms.
 """
 
 from __future__ import annotations
@@ -30,18 +31,21 @@ from typing import Callable
 
 import numpy as np
 
-from .balls import RootedBall, ball
 from .colourings import Colouring
 from .graphs import WindowGraph
 
 
 @dataclass(frozen=True)
 class VertexFunction:
-    """Value at a vertex computed from its radius-r coloured ball."""
+    """Values at the vertices of a window, each a function of the coloured
+    radius-``radius`` ball around the vertex.
+
+    ``values(w, c)`` returns one float64 per vertex of ``w``.
+    """
 
     name: str
     radius: int
-    evaluate: Callable[[RootedBall], float]
+    values: Callable[[WindowGraph, Colouring], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -123,9 +127,15 @@ def f_arrow(f_vertex: VertexFunction, signed: bool = False) -> TransportFunction
 
 
 def vertex_values(w: WindowGraph, c, f_vertex: VertexFunction) -> np.ndarray:
-    return np.asarray(
-        [float(f_vertex.evaluate(ball(w, c, u, f_vertex.radius))) for u in range(w.n)]
-    )
+    """``f_vertex`` at every vertex; a wrong shape or a non-finite value is rejected."""
+    values = np.asarray(f_vertex.values(w, c), dtype=np.float64)
+    if values.shape != (w.n,):
+        raise ValueError(f"vertex function {f_vertex.name!r} returned {values.shape} values for {w.n} vertices")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"vertex function {f_vertex.name!r} returned {float(values[bad[0]])!r} at vertex {bad[0]}; "
+                         "values must be finite")
+    return values
 
 
 def norm_bound_check(w: WindowGraph, c, f_vertex: VertexFunction) -> NormBoundReport:
@@ -172,38 +182,38 @@ def degree_weighted_indicator(colour: int = 1) -> TransportFunction:
 
 
 def root_colour_function(colour: int = 1) -> VertexFunction:
-    return VertexFunction(
-        f"colour-indicator[{colour}]", 0, lambda b: 1.0 if b.colours[0] == colour else 0.0
-    )
+    return VertexFunction(f"colour-indicator[{colour}]", 0,
+                          lambda w, c: (c.colours == colour).astype(np.float64))
+
+
+def _incidences(w: WindowGraph, keep: np.ndarray) -> np.ndarray:
+    """Per vertex, its non-loop entries where ``keep`` holds, with multiplicity."""
+    src, dst = w.edge_arrays
+    return np.bincount(src[keep & (src != dst)], minlength=w.n)
 
 
 def neighbour_colour_count(colour: int = 1) -> VertexFunction:
-    """Number of root neighbours carrying ``colour`` (with multiplicity)."""
-
-    def evaluate(b: RootedBall) -> float:
-        return float(
-            sum(m for j, m in b.neighbour_counts[0].items() if b.colours[j] == colour and j != 0)
-        )
-
-    return VertexFunction(f"neighbour-count[{colour}]", 1, evaluate)
+    """Number of root neighbours carrying ``colour`` (with multiplicity; loops never count)."""
+    return VertexFunction(f"neighbour-count[{colour}]", 1,
+                          lambda w, c: _incidences(w, c.colours[w.indices] == colour).astype(np.float64))
 
 
 def feature_mix_function(coeffs: tuple[float, float, float, float], name: str = "mix") -> VertexFunction:
     """a*[root colour 1] + b*deg(root) + c*#bichromatic root incidences + d*|ball|.
 
     A cheap family of radius-1 ball functions for fuzzing; integer coeffs
-    give integer-valued f.
+    give integer-valued f.  |ball| counts the root and its distinct
+    neighbours: 1 + the row's nonzeros in ``w.csr``, less one for a loop.
     """
     a, b_, c_, d_ = coeffs
 
-    def evaluate(b: RootedBall) -> float:
-        root_col = 1.0 if b.colours[0] == 1 else 0.0
-        bichrom = sum(
-            m for j, m in b.neighbour_counts[0].items() if j != 0 and b.colours[j] != b.colours[0]
-        )
-        return a * root_col + b_ * b.degree(0) + c_ * bichrom + d_ * b.n
+    def values(w: WindowGraph, c: Colouring) -> np.ndarray:
+        src = w.edge_arrays[0]
+        bichrom = _incidences(w, c.colours[src] != c.colours[w.indices])
+        ball_size = 1 + np.diff(w.csr.indptr) - (w.csr.diagonal() != 0)
+        return a * (c.colours == 1).astype(np.float64) + b_ * np.diff(w.indptr) + c_ * bichrom + d_ * ball_size
 
-    return VertexFunction(name, 1, evaluate)
+    return VertexFunction(name, 1, values)
 
 
 BUILTIN_TRANSPORTS: dict[str, Callable[..., TransportFunction]] = {

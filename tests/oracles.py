@@ -12,7 +12,8 @@ these, never from the code paths under test.
 directed edge (u, v) comes from the coloured ball around u alone, so it is
 local by construction.  The ball forms of the library's built-in transports,
 of ``f_arrow`` and of the tests' own transports are the references for their
-entry-array forms.
+entry-array forms.  ``BallVertexFunction`` is the ball form of a vertex
+function in the same way, the reference for the built-ins' value arrays.
 
 ``build_explicit`` labels an arbitrary simple edge list greedily: it builds
 the tests' irregular fixture windows, and it is the reference for the
@@ -192,7 +193,48 @@ BALL_BUILTINS = {
 }
 
 
-def ball_f_arrow(f_vertex, signed: bool = False) -> BallTransport:
+@dataclass(frozen=True)
+class BallVertexFunction:
+    """Value at a vertex, computed from its radius-``radius`` coloured ball."""
+
+    name: str
+    radius: int
+    evaluate: Callable[[RootedBall], float]
+
+
+def ball_root_colour(colour: int = 1) -> BallVertexFunction:
+    return BallVertexFunction(
+        f"colour-indicator[{colour}]", 0, lambda b: 1.0 if b.colours[0] == colour else 0.0
+    )
+
+
+def ball_neighbour_colour_count(colour: int = 1) -> BallVertexFunction:
+    """Number of root neighbours carrying ``colour`` (with multiplicity; loops never count)."""
+    return BallVertexFunction(
+        f"neighbour-count[{colour}]", 1,
+        lambda b: float(sum(1 for j in b.rows[0] if b.colours[j] == colour and j != 0)),
+    )
+
+
+def ball_feature_mix(coeffs: tuple[float, float, float, float], name: str = "mix") -> BallVertexFunction:
+    """a*[root colour 1] + b*deg(root) + c*#bichromatic root incidences + d*|ball|."""
+    a, b_, c_, d_ = coeffs
+
+    def evaluate(b: RootedBall) -> float:
+        root_col = 1.0 if b.colours[0] == 1 else 0.0
+        bichrom = sum(1 for j in b.rows[0] if j != 0 and b.colours[j] != b.colours[0])
+        return a * root_col + b_ * b.degree(0) + c_ * bichrom + d_ * b.n
+
+    return BallVertexFunction(name, 1, evaluate)
+
+
+def ball_vertex_values(window, colouring, f_vertex: BallVertexFunction) -> np.ndarray:
+    """f at every vertex, from a fresh radius-r ball around it."""
+    return np.array([float(f_vertex.evaluate(ball(window, colouring, u, f_vertex.radius)))
+                     for u in range(window.n)], dtype=np.float64)
+
+
+def ball_f_arrow(f_vertex: BallVertexFunction, signed: bool = False) -> BallTransport:
     """f(u) - f(v) (absolute unless ``signed``), each side from the radius-r
     ball cut inside the ball around u."""
     r = f_vertex.radius

@@ -24,7 +24,16 @@ from urglab.cli import (
     run,
     validate,
 )
+from urglab.colourings import sample, uniform_bernoulli_model
 from urglab.palm import GuardViolation
+from urglab.transport import (
+    f_arrow,
+    feature_mix_function,
+    mtp_check,
+    neighbour_colour_count,
+    norm_bound_check,
+    root_colour_function,
+)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -154,7 +163,14 @@ def test_mtp_check_exact_flag(tmp_path):
     assert payload["exact"] is True
 
 
-@pytest.mark.parametrize("transport", sorted(cli.BUILTIN_TRANSPORTS))
+VERTEX_FUNCTIONS = {
+    "colour-indicator": root_colour_function,
+    "neighbour-count": neighbour_colour_count,
+    "mix": lambda: feature_mix_function((1.0, 2.0, 1.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("transport", sorted(cli.BUILTIN_TRANSPORTS) + [f"vertex:{f}" for f in VERTEX_FUNCTIONS])
 def test_mtp_check_builtins_cut_no_ball(transport, tmp_path, monkeypatch):
     from urglab import balls
 
@@ -162,8 +178,14 @@ def test_mtp_check_builtins_cut_no_ball(transport, tmp_path, monkeypatch):
         raise AssertionError("cut a ball")
 
     monkeypatch.setattr(balls, "_cut", unreachable)
+    w = build_window({"model": "torus", "d": 2, "L": 8}, 0)
     with pytest.raises(AssertionError, match="cut a ball"):  # the patch reaches every ball cut
-        balls.ball(build_window({"model": "torus", "d": 2, "L": 8}, 0), None, 0, 1)
+        balls.ball(w, None, 0, 1)
+    if transport.startswith("vertex:"):
+        # f_arrow and the norm bound of each built-in vertex function
+        f, c = VERTEX_FUNCTIONS[transport.removeprefix("vertex:")](), sample(uniform_bernoulli_model(2), w, 0)
+        assert mtp_check(w, c, f_arrow(f)).exact and norm_bound_check(w, c, f).holds
+        return
     argv = ["mtp-check", "--model", "torus", "--d", "2", "--L", "8", "--transport", transport]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "mtp_report.json").read_text())["exact"] is True

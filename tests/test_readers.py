@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "urglab"
 
 KEPT = {
+    "balls.ball": "the tests' locality reference; perfbench's tracer wraps it as the balls.ball span",
     "cli.validate": "the library's validation entry point: run() without running",
     "colourings.subset_colouring": "builds the d = 2 colouring that subset_mask reads back",
     "graphs.window_to_json": "writes the window-file format that the window-file model reads",

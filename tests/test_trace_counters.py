@@ -43,7 +43,7 @@ def test_mtp_check_counters(tmp_path):
     layers = traced_run({"kind": "mtp-check", "params": {"L": 8}, "out_dir": str(tmp_path)})
     assert layers["transport.mtp_check.edges"] == 256  # 64 vertices x 4 directed entries
     assert layers["graphs.build_torus_window.calls"] == 1
-    assert layers["balls.ball.calls"] == 0  # built-in transports read the entry arrays, not balls
+    assert layers["balls.ball.calls"] == 0  # no library code cuts a ball: transports read the window's arrays
 
 
 def test_kazhdan_counters(tmp_path):

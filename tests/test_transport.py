@@ -1,7 +1,8 @@
 """Outflow/inflow identity, edge differences, and the gradient norm bound.
 
-Every edge transport is checked against its ball form in ``oracles``: the
-entry arrays must equal the fresh-ball values bit for bit.
+Every edge transport and vertex function is checked against its ball form
+in ``oracles``: the entry and value arrays must equal the fresh-ball values
+bit for bit.
 """
 
 import hashlib
@@ -18,9 +19,13 @@ from oracles import (
     ball_degree_weighted,
     ball_entries,
     ball_f_arrow,
+    ball_feature_mix,
     ball_inexact,
+    ball_neighbour_colour_count,
+    ball_root_colour,
     ball_source_colour,
     ball_spike,
+    ball_vertex_values,
     build_explicit,
     directed_bichromatic_count,
     mtp_sums,
@@ -137,20 +142,23 @@ def test_f_arrow_signed_sums_to_zero():
     assert np.array_equal(g, -g[w.mirror])
 
 
-def test_f_arrow_evaluates_its_vertex_function_n_times():
-    roots = []
+def test_f_arrow_calls_values_once_per_entries_call():
+    calls = []
     count = neighbour_colour_count(1)
-    counted = VertexFunction("counted", 1, lambda b: roots.append(b.original[0]) or count.evaluate(b))
+    counted = VertexFunction("counted", 1, lambda w, c: calls.append(c) or count.values(w, c))
     w = build_torus_window(2, 32)
-    mtp_check(w, bern(w, 3), f_arrow(counted))
-    assert roots == list(range(w.n))  # once per vertex, none per entry
+    colourings = [bern(w, 3), bern(w, 4)]
+    grad = f_arrow(counted)
+    for c in colourings:
+        grad.entries(w, c)
+    assert calls == colourings  # once per entries call, none per vertex or entry
 
 
 def test_f_arrow_shared_across_threads_matches_serial():
     def vertex_id() -> VertexFunction:
-        # yields the interpreter lock inside every evaluation, so threads
-        # interleave between reading and refreshing f_arrow's root value
-        return VertexFunction("vertex-id", 1, lambda b: time.sleep(0) or float(b.original[0]))
+        # yields the interpreter lock inside every call, so threads
+        # interleave inside one shared f_arrow's entries
+        return VertexFunction("vertex-id", 1, lambda w, c: time.sleep(0) or np.arange(w.n, dtype=np.float64))
 
     w = build_torus_window(2, 12)
     colourings = [bern(w, seed) for seed in range(8)]
@@ -159,6 +167,22 @@ def test_f_arrow_shared_across_threads_matches_serial():
     with ThreadPoolExecutor(max_workers=4) as pool:
         shared = list(pool.map(lambda c: mtp_check(w, c, grad), colourings, timeout=60))
     assert shared == serial
+
+
+def test_vertex_values_rejects_wrong_shape_and_non_finite():
+    # a bad value is refused naming the function and its first bad vertex
+    w = build_torus_window(2, 5)
+    c = bern(w)
+    with pytest.raises(ValueError, match=r"'short' returned \(24,\) values for 25 vertices"):
+        vertex_values(w, c, VertexFunction("short", 0, lambda w, c: np.ones(w.n - 1)))
+    for bad in (math.nan, math.inf, -math.inf):
+        values = np.ones(w.n)
+        values[[7, 11]] = bad
+        f = VertexFunction("bad", 0, lambda w, c: values)
+        with pytest.raises(ValueError, match=rf"'bad' returned {bad!r} at vertex 7"):
+            vertex_values(w, c, f)
+        with pytest.raises(ValueError, match=rf"'bad' returned {bad!r} at vertex 7"):
+            norm_bound_check(w, c, f)
 
 
 def test_norm_bound_zero_function():
@@ -246,18 +270,29 @@ def spike_transport() -> TransportFunction:
     return TransportFunction("spike", 0, lambda w, c: np.where(c.colours[w.edge_arrays[0]] == 1, 2.0**53, 1.0))
 
 
+def vertex_pairs(d: int):
+    """(value-array form, ball form) of each built-in vertex function at every
+    colour parameter 1..d, and of feature_mix at integer and float coefficients."""
+    for colour in range(1, d + 1):
+        yield root_colour_function(colour), ball_root_colour(colour)
+        yield neighbour_colour_count(colour), ball_neighbour_colour_count(colour)
+    for coeffs in ((1, -2, 3, -4), (0.1, -1.5, 1 / 3, 0.7)):
+        yield feature_mix_function(coeffs), ball_feature_mix(coeffs)
+
+
 def transport_pairs(d: int):
     """(entry-array form, ball form) of each built-in at every colour parameter
-    1..d, of f_arrow signed and unsigned, and of the tests' own transports."""
+    1..d, of f_arrow signed and unsigned of every vertex pair, and of the
+    tests' own transports."""
     assert set(BALL_BUILTINS) == set(BUILTIN_TRANSPORTS)
     yield constant_transport(2.5), ball_constant(2.5)
     yield bichromatic_indicator(), ball_bichromatic()
     for colour in range(1, d + 1):
         yield source_colour_indicator(colour), ball_source_colour(colour)
         yield degree_weighted_indicator(colour), ball_degree_weighted(colour)
-        for f_vertex in (root_colour_function(colour), neighbour_colour_count(colour)):
-            for signed in (False, True):
-                yield f_arrow(f_vertex, signed), ball_f_arrow(f_vertex, signed)
+    for f_vertex, ball_form in vertex_pairs(d):
+        for signed in (False, True):
+            yield f_arrow(f_vertex, signed), ball_f_arrow(ball_form, signed)
     yield inexact_transport(), ball_inexact()
     yield spike_transport(), ball_spike()
 
@@ -268,6 +303,10 @@ def test_entries_equal_ball_oracle_bit_for_bit(name):
     for d in (1, 2, 3):
         for seed in range(2):
             c = bern(w, seed, d)
+            for f_vertex, oracle in vertex_pairs(d):
+                assert f_vertex.name == oracle.name and f_vertex.radius == oracle.radius
+                values = vertex_values(w, c, f_vertex)
+                assert values.tobytes() == ball_vertex_values(w, c, oracle).tobytes(), (d, seed, f_vertex.name)
             for transport, oracle in transport_pairs(d):
                 assert transport.name == oracle.name and transport.radius == oracle.radius
                 values = transport.entries(w, c)
