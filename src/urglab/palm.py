@@ -299,6 +299,20 @@ def verify_voronoi_inversion(
 # ----------------------------------------------------------------------
 
 
+def _uniform_ball(rng: np.random.Generator, radius: float, count: int, dim: int) -> np.ndarray:
+    """``count`` uniform points of the centred ``dim``-ball of ``radius``.
+
+    A normalised Gaussian direction times ``radius * U**(1/dim)``: the
+    radius's law makes ``(r / radius)**dim`` uniform, as the ball's volume
+    requires.  Rejection from the bounding cube keeps a share of draws that
+    falls faster than exponentially in ``dim`` (about 2.5e-8 at dim = 20);
+    this costs the same few draws per point in every dimension.
+    """
+    directions = rng.standard_normal((count, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return directions * (radius * rng.uniform(size=(count, 1)) ** (1.0 / dim))
+
+
 @dataclass(frozen=True)
 class LocalFinitenessReport:
     nearest_distance: float  # R = d(h, w)
@@ -335,14 +349,8 @@ def check_local_finiteness(
     else:
         eps = float(math.sqrt(np.partition(d2, k)[k]) - math.sqrt(r_sq))  # nearest non-minimizer
 
-    rng = derive_rng(seed, "local-finiteness")
-    radius = eps / 2.0
-    accepted: list[np.ndarray] = []
-    while sum(len(a) for a in accepted) < trials:
-        batch = rng.uniform(-radius, radius, size=(max(64, trials), torus.dim))
-        inside = np.sum(batch * batch, axis=1) <= radius * radius
-        accepted.append(h + batch[inside])
-    locations = torus.wrap(np.vstack(accepted)[:trials])
+    offsets = _uniform_ball(derive_rng(seed, "local-finiteness"), eps / 2.0, trials, torus.dim)
+    locations = torus.wrap(h + offsets)
     _, assigned = bulk_nearest(config, locations)
     violations = int(np.count_nonzero(~np.isin(assigned, minimizers)))
     return LocalFinitenessReport(

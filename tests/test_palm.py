@@ -3,6 +3,7 @@ identity, local finiteness, and the cost composition."""
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +46,51 @@ def test_wrap_stays_inside():
     t = FlatTorus(1, 20.0)
     assert 0.0 <= t.wrap(np.array([-1e-18]))[0] < 20.0
     assert t.wrap(np.array([20.0]))[0] == 0.0
+
+
+def _wrap_reference(arr, side):
+    arr = np.mod(arr, side)
+    return np.where(arr >= side, arr - side, arr)
+
+
+def _wrap_mismatches(wrap):
+    """Names of the inputs on which ``wrap(torus, points)`` differs from the
+    np.mod + seam reference in any bit, or returns the caller's array."""
+    torus = FlatTorus(2, 20.0)
+    rng = np.random.default_rng(5)
+    cases = {
+        "in range": rng.uniform(0.0, 20.0, (300, 2)),
+        "-0.0": np.array([[-0.0, 3.0], [1.0, -0.0], [0.0, 19.5]]),
+        "exactly side": np.array([[20.0, 1.0], [0.0, 20.0]]),
+        "negatives": np.array([[-1e-18, -3.5], [-20.0, -41.0]]),
+        "above side": np.array([[20.5, 63.0], [1e6, 7.0]]),
+        "nan": np.array([[np.nan, 1.0], [2.0, 3.0]]),
+        "empty": np.zeros((0, 2)),
+    }
+    wrong = []
+    for name, arr in cases.items():
+        got, want = wrap(torus, arr), _wrap_reference(arr, torus.side)
+        if (got.dtype != want.dtype or got.shape != want.shape or got.tobytes() != want.tobytes()
+                or np.shares_memory(got, arr)):
+            wrong.append(name)
+    return wrong
+
+
+def _fast_wrap_mutant(in_range):
+    def wrap(torus, points):
+        arr = np.asarray(points, dtype=float)
+        if arr.size and arr.min() >= 0.0 and arr.max() < torus.side:
+            return in_range(arr)
+        return _wrap_reference(arr, torus.side)
+
+    return wrap
+
+
+def test_wrap_matches_mod_reference_bit_for_bit():
+    assert _wrap_mismatches(FlatTorus.wrap) == []
+    # a fast path must copy, and must turn -0.0 into +0.0 as np.mod does
+    assert _wrap_mismatches(_fast_wrap_mutant(lambda arr: arr)) != []
+    assert _wrap_mismatches(_fast_wrap_mutant(lambda arr: arr.copy())) == ["-0.0"]
 
 
 def test_poisson_counts_moments():
@@ -294,12 +340,46 @@ def _prefilter_cases():
 PREFILTER_CASES = _prefilter_cases()
 
 
-def test_cell_members_equal_full_query_filtered():
-    for config, idx, locations in PREFILTER_CASES:
-        members, dists = cell_members(config, idx, locations)
-        want_members, want_dists = _cell_members_by_full_query(config, idx, locations)
-        assert np.array_equal(members, want_members)
-        assert np.array_equal(dists, want_dists)
+def test_cell_members_equal_full_query_filtered(monkeypatch):
+    import urglab.torus
+
+    # one bisector at a time throughout, the default switch, and one product from the start
+    for settled in (0, urglab.torus.SETTLED_LOCATIONS, 10**9):
+        monkeypatch.setattr(urglab.torus, "SETTLED_LOCATIONS", settled)
+        for config, idx, locations in PREFILTER_CASES:
+            members, dists = cell_members(config, idx, locations)
+            want_members, want_dists = _cell_members_by_full_query(config, idx, locations)
+            assert np.array_equal(members, want_members), settled
+            assert np.array_equal(dists, want_dists), settled
+
+
+def _inputs_changed():
+    """Dimensions in which ``cell_members`` edits its locations or the points."""
+    changed = []
+    for dim in (1, 2, 3):
+        config = palm_sample_poisson(1.0, FlatTorus(dim, 6.0), seed=dim)
+        locations = np.random.default_rng(dim).uniform(0.0, 6.0, (3000, dim))
+        before = locations.copy(), config.points.copy()
+        cell_members(config, 1, locations)
+        if not (np.array_equal(locations, before[0]) and np.array_equal(config.points, before[1])):
+            changed.append(dim)
+    return changed
+
+
+def test_cell_members_leaves_inputs_unchanged(monkeypatch):
+    import urglab.torus
+
+    assert _inputs_changed() == []
+
+    # a (m, 1) array's transpose is already contiguous, so this edits the caller's array in d = 1
+    def in_place_rows(torus, locations, site):
+        rows = np.ascontiguousarray(locations.T)
+        rows -= site[:, None]
+        rows -= torus.side * np.rint(rows / torus.side)
+        return rows
+
+    monkeypatch.setattr(urglab.torus, "_offset_rows", in_place_rows)
+    assert _inputs_changed() == [1]
 
 
 def test_cell_members_query_few_locations(monkeypatch):
@@ -315,7 +395,10 @@ def test_cell_members_query_few_locations(monkeypatch):
 
 
 def _filtered_members(config, idx, locations, bound):
-    """``cell_members`` with its exclusion bound written as ``bound(|p|^2, side)``."""
+    """The tree-k-NN bisector prefilter in its plain form, one pass per
+    bisector over ``(m, d)`` offsets, with its exclusion bound written as
+    ``bound(|p|^2, side)``; the broken bounds below are tried on this form,
+    not on ``cell_members`` itself."""
     torus = config.torus
     site = config.points[idx]
     _, near = config.kdtree.query(site, k=min(17, len(config)))
@@ -423,7 +506,9 @@ def test_inversion_generic_path_agrees_with_radial():
 
 # sha256 of the palm outputs that the benchmark's seed-0 digests do not
 # cover (it pins only the d=2 inversion run); any change to the sampled
-# configurations, the in-cell sets or their distances alters them
+# configurations, the in-cell sets or their distances alters them; locfin
+# writes no sampled location, so its row pins the configurations, nearest
+# distances and eps, and the ball sampler has its own radial-law test
 PALM_GOLDEN_RUNS = [
     (
         {"t": 1.0, "L": 8.0, "d": 2, "m": 2000, "check": "cellvol"}, 20, 2,
@@ -440,13 +525,18 @@ PALM_GOLDEN_RUNS = [
         "670fdaa9f6c1e05c03db4cc62c98eb35274cbfa9985e1bc8042ea5f1786ce242",
         "10229e300524ca6dd4f17d2b172f0c28658762f7d4a69f543e098f85c5938cdc",
     ),
+    (
+        {"t": 1.0, "L": 10.0, "d": 2, "m": 500, "check": "locfin"}, 20, 5,
+        "87b994ce4a2ba087d86f98b4f8565b9a0ea278d56fd918d86a9639f43a3ebd79",
+        "817773f1d548c0a52104da690fa5b63476a066d17c42fe182e53623674cb4658",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "params, trials, seed, report_sha, trials_sha",
     PALM_GOLDEN_RUNS,
-    ids=["cellvol-d2", "inversion-d1", "inversion-d3"],
+    ids=["cellvol-d2", "inversion-d1", "inversion-d3", "locfin-d2"],
 )
 def test_palm_outputs_match_golden_digests(tmp_path, params, trials, seed, report_sha, trials_sha):
     run(ExperimentConfig("palm", params, trials=trials, seed=seed, out_dir=str(tmp_path)))
@@ -485,6 +575,49 @@ def test_local_finiteness_constructed_tie():
     assert report.minimizer_count == 2
     assert report.eps == pytest.approx(0.5)
     assert report.holds
+
+
+def test_local_finiteness_reports_violations_beyond_eps(monkeypatch):
+    import urglab.palm
+
+    # the constructed tie again, sampled out to radius 2 * eps in place of eps / 2
+    ball = urglab.palm._uniform_ball
+    monkeypatch.setattr(urglab.palm, "_uniform_ball", lambda rng, radius, count, dim: ball(rng, 4 * radius, count, dim))
+    config = PointConfiguration(FlatTorus(2, 20.0), np.array([[12.0, 10.0], [8.0, 10.0], [10.0, 12.5]]))
+    report = check_local_finiteness(config, np.array([10.0, 10.0]), 500, seed=3)
+    assert report.violations > 0 and not report.holds
+
+
+def test_local_finiteness_high_dimension_is_fast(tmp_path):
+    # rejection from the bounding cube keeps about 2.5e-8 of its draws at d = 20
+    start = time.perf_counter()
+    run(ExperimentConfig("palm", {"t": 1e-4, "L": 2.0, "d": 20, "m": 10, "check": "locfin"},
+                         trials=1, seed=0, out_dir=str(tmp_path)))
+    assert time.perf_counter() - start < 1.0
+
+
+def _radial_law_rejected(sampler):
+    """Dimensions in which (r / radius)^d of the sampled points is not uniform (KS test)."""
+    rejected = []
+    for dim in (1, 2, 5, 20):
+        points = sampler(np.random.default_rng(dim), 1.5, 4000, dim)
+        u = (np.linalg.norm(points, axis=1) / 1.5) ** dim
+        if points.shape != (4000, dim) or stats.kstest(u, "uniform").pvalue < 1e-3:
+            rejected.append(dim)
+    return rejected
+
+
+def test_ball_sampler_radial_law():
+    import urglab.palm
+
+    assert _radial_law_rejected(urglab.palm._uniform_ball) == []
+
+    def linear_radius(rng, radius, count, dim):
+        directions = rng.standard_normal((count, dim))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        return directions * (radius * rng.uniform(size=(count, 1)))
+
+    assert _radial_law_rejected(linear_radius) == [2, 5, 20]  # right only on a line
 
 
 def test_pp_cost_bound_arithmetic():
