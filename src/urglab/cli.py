@@ -214,6 +214,11 @@ class PalmSpec(_Spec):
     functional: str | None = _field(None, "inversion functional; every built-in one when unset",
                                     choices=tuple(sorted(BUILTIN_FUNCTIONALS)))
 
+    def cross_problems(self) -> list[str]:
+        if self.functional is not None and self.check != "inversion":
+            return [f"palm: check {self.check} takes no functional"]
+        return []
+
 
 @dataclass(frozen=True)
 class WindowSpec(_Spec):

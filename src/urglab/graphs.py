@@ -163,9 +163,6 @@ class WindowGraph:
     def degree_bound(self) -> int:
         return self.gens.size
 
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     @cached_property
     def neighbour_rows(self) -> tuple[list[int], ...]:
         """Per vertex, its row of ``indices`` as a list: Python loops read these faster than arrays."""

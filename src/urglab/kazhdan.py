@@ -10,17 +10,14 @@ must hold every part's weight within eps of its target; eps = 0 is read as
 since exact targets are unattainable whenever they are not integers.
 
 The annealer runs each restart on a Python list of colours, which its
-per-step reads index faster than a numpy array.  It keeps the restart's best
-state not as a copy but as an undo log: each vertex's colour at the last
-snapshot, recorded on its first write after it, beside a heap of the
-vertices written away from that colour.  The heap's smallest live vertex is
-the first index where the state and the snapshot differ, so comparing them,
-taking a snapshot and restoring it never scan all n colours.
+per-step reads index faster than a numpy array.  It keeps the restart's
+first lowest-count state not as a copy but as an undo log: each vertex's
+colour at the last snapshot, recorded on its first write after it.  So
+taking a snapshot and restoring it never copy all n colours.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
@@ -197,7 +194,7 @@ def brute_force_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
         if any(not (lo <= counts[i + 1] <= hi) for i, (lo, hi) in enumerate(windows)):
             continue
         cut = sum(1 for u, v in edges if assignment[u] != assignment[v])
-        if best is None or (cut, assignment) < best:
+        if best is None or cut < best[0]:  # product order: the first minimum is the lexicographic least
             best = (cut, assignment)
     if best is None:
         raise InfeasibleBalanceError("no admissible partition exists")
@@ -229,29 +226,11 @@ def _recolour_delta(rows: tuple[list[int], ...], colours: list[int], u: int, new
     return 2 * delta
 
 
-def _write(colours: list[int], saved: dict[int, int], heap: list[int], v: int, new: int) -> None:
+def _write(colours: list[int], saved: dict[int, int], v: int, new: int) -> None:
     """``colours[v] = new`` through the undo log: ``saved`` keeps v's colour
-    at the last snapshot (set by v's first write after it), and ``heap``
-    gains v when v leaves that colour."""
-    old = colours[v]
-    if saved.setdefault(v, old) == old and new != old:
-        heapq.heappush(heap, v)
+    at the last snapshot, set by v's first write after it."""
+    saved.setdefault(v, colours[v])
     colours[v] = new
-
-
-def _improves(count: int, colours: list[int], best_count: int, saved: dict[int, int], heap: list[int]) -> bool:
-    """``(count, colours) < (best_count, snapshot)``, the snapshot being
-    ``colours`` with ``saved`` written back.
-
-    The smallest vertex on ``heap`` whose colour differs from ``saved`` is
-    the first index where the two sequences differ; heap tops written back
-    to their snapshot colour are dropped on the way to it.
-    """
-    if count != best_count:
-        return count < best_count
-    while heap and colours[heap[0]] == saved[heap[0]]:
-        heapq.heappop(heap)
-    return bool(heap) and colours[heap[0]] < saved[heap[0]]
 
 
 def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
@@ -260,15 +239,14 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
 
     Deterministic in the problem seed.  Restarts run one after another, each
     on its own derived stream.  The best state of a restart, and then the
-    best over all restarts, is replaced only by a strictly lower count, or
-    by an equal count whose colour sequence is smaller at the first index
-    where the two differ.
+    best over all restarts, is replaced only by a strictly lower count, so
+    the first state to reach the lowest count is the one reported.
 
     A restart runs on a Python list of colours.  Its best state is not a
-    copy but an undo log (see ``_write`` and ``_improves``): taking a
-    snapshot clears the log, and the log is written back once, at the end of
-    the restart.  So no step costs more than O(degree + log n), apart from
-    a merge move's cluster decomposition.
+    copy but an undo log (see ``_write``): taking a snapshot clears the log,
+    and the log is written back once, at the end of the restart.  So no step
+    costs more than O(degree), apart from a merge move's cluster
+    decomposition.
     """
     w, k, n = problem.window, problem.k, problem.window.n
     rows = w.neighbour_rows
@@ -289,14 +267,13 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
         sizes = list(sizes0)
         count = run_count = _bichromatic_count(w, start)
         saved: dict[int, int] = {}
-        heap: list[int] = []
         temperature = float(w.degree_bound)
 
         for step in range(steps):
             kind = rng.random()
             if kind < 0.05 and step % MERGE_MOVE_PERIOD == 0:
                 merges += 1
-                accepted = _try_merge_move(w, colours, sizes, windows, rng, saved, heap)
+                accepted = _try_merge_move(w, colours, sizes, windows, rng, saved)
                 if accepted is not None:
                     count += accepted
                     merges_done += 1
@@ -312,8 +289,8 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
                     colours[u] = cu
                     delta = d1 + d2
                     if delta <= 0 or rng.random() < math.exp(-(delta / n) / temperature):
-                        _write(colours, saved, heap, u, cv)
-                        _write(colours, saved, heap, v, cu)
+                        _write(colours, saved, u, cv)
+                        _write(colours, saved, v, cu)
                         count += delta
                         swaps_done += 1
             else:
@@ -323,22 +300,21 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
                 if new != old and sizes[old - 1] > windows[old - 1][0] and sizes[new - 1] < windows[new - 1][1]:
                     delta = _recolour_delta(rows, colours, u, new)
                     if delta <= 0 or rng.random() < math.exp(-(delta / n) / temperature):
-                        _write(colours, saved, heap, u, new)
+                        _write(colours, saved, u, new)
                         sizes[old - 1] -= 1
                         sizes[new - 1] += 1
                         count += delta
                         recolours_done += 1
             temperature *= COOLING
-            if _improves(count, colours, run_count, saved, heap):
+            if count < run_count:
                 run_count = count
                 saved.clear()
-                heap.clear()
             if (step + 1) % epoch_len == 0:
                 trace.append((restart, step + 1, run_count / n))
 
         for v, c in saved.items():
             colours[v] = c
-        if restart == 0 or (run_count, colours) < (best_count, best_colours):
+        if restart == 0 or run_count < best_count:
             best_count, best_colours = run_count, colours
 
     moves = {
@@ -359,7 +335,7 @@ def _boundary_entries(w: WindowGraph, colours: np.ndarray, from_part: int, to_pa
     return dec, np.bincount(cluster[into], minlength=dec.count)
 
 
-def _try_merge_move(w, colours, sizes, windows, rng, saved, heap) -> int | None:
+def _try_merge_move(w, colours, sizes, windows, rng, saved) -> int | None:
     """Propose a full-cluster relocation; apply when balance survives.
 
     Returns the objective count delta when applied, else None.  The move
@@ -385,7 +361,7 @@ def _try_merge_move(w, colours, sizes, windows, rng, saved, heap) -> int | None:
     ):
         return None
     for v in members.tolist():
-        _write(colours, saved, heap, v, b)
+        _write(colours, saved, v, b)
     sizes[r - 1] -= moved
     sizes[b - 1] += moved
     return -2 * int(entries[cluster])

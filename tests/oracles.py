@@ -20,9 +20,9 @@ the tests' irregular fixture windows, and it is the reference for the
 closed-form labels of ``graphs.build_path`` and ``graphs.build_complete``.
 
 ``anneal_reference`` is the balanced-partition annealer as it ran on a numpy
-colour array, copying the array on each new best state and comparing
-states by a first-difference scan: the bit-for-bit reference for
-``kazhdan.anneal_kazhdan``, which runs on a colour list with an undo log.
+colour array, copying the array on each new best state: the bit-for-bit
+reference for ``kazhdan.anneal_kazhdan``, which runs on a colour list with an
+undo log.
 """
 
 from __future__ import annotations
@@ -407,27 +407,13 @@ def _recolour_delta(w: WindowGraph, colours: np.ndarray, u: int, new: int) -> in
     return 2 * delta
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    """``tuple(a) < tuple(b)`` for equal-length integer arrays: the first
-    index where they differ decides, and equal arrays are not less."""
-    diff = (a != b).nonzero()[0]
-    return diff.size > 0 and bool(a[diff[0]] < b[diff[0]])
-
-
-def _improves(count: int, colours: np.ndarray, best_count: int, best_colours: np.ndarray) -> bool:
-    """The annealer's best-state order on (count, colour sequence)."""
-    return count < best_count or (count == best_count and _lex_less(colours, best_colours))
-
-
 def anneal_reference(problem: KazhdanProblem) -> KazhdanResult:
     """Heuristic minimizer: balance-preserving swaps, slack recolours, and an
     occasional cluster-merge move, under geometric cooling with restarts.
 
     Deterministic in the problem seed.  Restarts run one after another, each
     on its own derived stream.  The best state of a restart, and then the
-    best over all restarts, is replaced only by a strictly lower count, or
-    by an equal count whose colour sequence is smaller at the first index
-    where the two differ.
+    best over all restarts, is replaced only by a strictly lower count.
     """
     w, k = problem.window, problem.k
     windows = feasible_size_windows(w.n, problem.alpha, problem.eps)
@@ -444,7 +430,6 @@ def anneal_reference(problem: KazhdanProblem) -> KazhdanResult:
         sizes = list(sizes0)
         count = _bichromatic_count(w, colours)
         run_count, run_colours = count, colours.copy()
-        changed = False  # whether a move was applied since the last snapshot
         temperature = float(w.degree_bound)
 
         for step in range(problem.budget):
@@ -455,7 +440,6 @@ def anneal_reference(problem: KazhdanProblem) -> KazhdanResult:
                 accepted = _try_merge_move(w, colours, sizes, windows, rng)
                 if accepted is not None:
                     count += accepted
-                    changed = True
             elif kind < 0.65:
                 u = int(rng.integers(w.n))
                 v = int(rng.integers(w.n))
@@ -468,7 +452,6 @@ def anneal_reference(problem: KazhdanProblem) -> KazhdanResult:
                     if delta <= 0 or rng.random() < math.exp(-(delta / w.n) / temperature):
                         colours[v] = cu
                         count += delta
-                        changed = True
                     else:
                         colours[u] = cu
             else:
@@ -482,16 +465,13 @@ def anneal_reference(problem: KazhdanProblem) -> KazhdanResult:
                         sizes[old - 1] -= 1
                         sizes[new - 1] += 1
                         count += delta
-                        changed = True
             temperature *= COOLING
-            # unchanged colours equal the snapshot (count included), which never improves on itself
-            if changed and _improves(count, colours, run_count, run_colours):
+            if count < run_count:
                 run_count, run_colours = count, colours.copy()
-                changed = False
             if (step + 1) % epoch_len == 0:
                 trace.append((restart, step + 1, run_count / w.n))
 
-        if restart == 0 or _improves(run_count, run_colours, best_count, best_colours):
+        if restart == 0 or run_count < best_count:
             best_count, best_colours = run_count, run_colours
 
     return _result(Colouring(w, k, best_colours), best_count, tuple(trace), certificate=False)

@@ -25,14 +25,20 @@ them); a failing criterion fails its test.  Criteria and tolerances:
     fill on 1000 random instances, bit-exact
 10. reruns with the same master seed produce byte-identical data outputs
     (gauss-check, percolation, palm, kazhdan, cost-bound, mtp-check)
+
+Criteria 3, 4 and 5 each have a negative control: the same test must
+reject a wrong closed form, or a size-biased sampler in place of the Palm
+one, and accept the true input.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
 from oracles import directed_bichromatic_count, flood_fill_clusters
 
+from urglab import palm
 from urglab.cli import ExperimentConfig, run
 from urglab.clusters import connect_clusters, cost_upper_bound, decompose, gaboriau_induction
 from urglab.colourings import (
@@ -52,7 +58,7 @@ from urglab.kazhdan import (
     uniform_weights,
 )
 from urglab.palm import BUILTIN_FUNCTIONALS, verify_mean_cell_volume, verify_voronoi_inversion
-from urglab.torus import FlatTorus
+from urglab.torus import FlatTorus, PointConfiguration, bulk_nearest
 from urglab.transport import (
     bichromatic_indicator,
     constant_transport,
@@ -148,6 +154,19 @@ def test_criterion_3_gaussian_orthant():
     report(3, "orthant identity matches MC at five correlations", f"{elapsed:.1f}s")
 
 
+def test_criterion_3_rejects_wrong_closed_forms():
+    # both wrong forms give 1/4 at rho = 0, so the control sits at rho = +-0.5
+    forms = {
+        "arccos(rho)/(2 pi)": orthant_probability,
+        "(1 - rho)/4": lambda rho: (1.0 - rho) / 4.0,
+        "arccos(rho)/pi": lambda rho: math.acos(rho) / math.pi,
+    }
+    for rho in (-0.5, 0.5):
+        mc = orthant_probability_mc(rho, 10**6, seed=3)
+        accepted = {name for name, form in forms.items() if abs(form(rho) - mc.estimate) < 4.0 * mc.stderr}
+        assert accepted == {"arccos(rho)/(2 pi)"}, (rho, accepted)
+
+
 def test_criterion_4_mean_cell_volume():
     start = time.time()
     details = []
@@ -158,6 +177,25 @@ def test_criterion_4_mean_cell_volume():
     elapsed = time.time() - start
     assert elapsed < 300.0
     report(4, "mean origin-cell volume hits 1/t", "; ".join(details) + f", {elapsed:.0f}s")
+
+
+def size_biased_zero_cell(t: float, torus: FlatTorus, seed: int) -> PointConfiguration:
+    """A broken Palm sampler: the plain sample translated so that its point
+    nearest the origin sits at the origin, listed first.  Its origin cell is
+    the stationary zero cell, whose volume is size-biased (mean about 1.28/t
+    in the plane, against the typical cell's 1/t)."""
+    config = palm.sample_poisson(t, torus, seed)
+    _, nearest = bulk_nearest(config, np.zeros((1, torus.dim)))
+    points = np.roll(config.points, -int(nearest[0]), axis=0)
+    return PointConfiguration(torus, points - points[0], rooted=True)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["palm", "zero-cell"])
+def test_criterion_4_rejects_the_zero_cell(broken, monkeypatch):
+    if broken:
+        monkeypatch.setattr(palm, "palm_sample_poisson", size_biased_zero_cell)
+    rep, _ = verify_mean_cell_volume(1.0, FlatTorus(2, 8.0), trials=200, m=2000, seed=6)
+    assert (rep.abs_error > 4.0 * rep.stderr) == broken, rep
 
 
 def test_criterion_5_voronoi_inversion():
@@ -173,6 +211,15 @@ def test_criterion_5_voronoi_inversion():
     assert elapsed < 300.0
     report(5, "inversion identity holds for all three functionals",
            "; ".join(details) + f", {elapsed:.0f}s")
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["palm", "zero-cell"])
+def test_criterion_5_rejects_the_zero_cell(broken, monkeypatch):
+    if broken:
+        monkeypatch.setattr(palm, "palm_sample_poisson", size_biased_zero_cell)
+    f = BUILTIN_FUNCTIONALS["one"]()
+    rep, _, _ = verify_voronoi_inversion(f, 1.0, FlatTorus(2, 8.0), trials=200, m=2000, seed=7)
+    assert (rep.diff > 4.0 * max(rep.combined_stderr, 1e-12)) == broken, rep
 
 
 def test_criterion_6_annealer_matches_certificates():

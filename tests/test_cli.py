@@ -287,6 +287,8 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
          "transport: invalid value ['a']"),
         (["palm", "--check", "inversion", "--config", config_file("functional.cfg", "functional = [1]\n")],
          "functional: invalid value [1]"),
+        (["palm", "--check", "cellvol", "--functional", "one"], "check cellvol takes no functional"),
+        (["palm", "--check", "locfin", "--functional", "one"], "check locfin takes no functional"),
         (["mtp-check", "--config", config_file("window.cfg", 'model = "window-file"\nwindow_file = 5\n')],
          "window_file: invalid value 5"),
         (["mtp-check", "--model", "window-file", "--window-file", str(tmp_path / "missing.json")],

@@ -23,7 +23,6 @@ from urglab.kazhdan import (
     InstanceTooLargeError,
     KazhdanProblem,
     WeightVector,
-    _improves,
     _write,
     anneal_kazhdan,
     brute_force_kazhdan,
@@ -164,24 +163,20 @@ def test_anneal_deterministic():
 
 @settings(max_examples=200)
 @given(data=st.data(), n=st.integers(1, 8), k=st.integers(2, 4))
-def test_undo_log_order_matches_tuple_order(data, n, k):
+def test_undo_log_restores_the_snapshot(data, n, k):
     # random writes, some back to the snapshot colour, with snapshots taken
-    # whenever the state improves, as the annealer takes them
+    # at random steps, as the annealer takes them at each new lowest count
     colours = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
-    snapshot, best_count = list(colours), data.draw(st.integers(0, 2))
-    saved, heap = {}, []
+    snapshot, saved = list(colours), {}
     for _ in range(data.draw(st.integers(1, 20))):
         v = data.draw(st.integers(0, n - 1))
         new = data.draw(st.sampled_from([snapshot[v], *range(1, k + 1)]))
-        _write(colours, saved, heap, v, new)
+        _write(colours, saved, v, new)
+        assert colours[v] == new
         assert [saved.get(u, c) for u, c in enumerate(colours)] == snapshot
-        count = data.draw(st.integers(0, 2))
-        improves = (count, tuple(colours)) < (best_count, tuple(snapshot))
-        assert _improves(count, colours, best_count, saved, heap) == improves
-        if improves:
-            snapshot, best_count = list(colours), count
+        if data.draw(st.booleans()):
+            snapshot = list(colours)
             saved.clear()
-            heap.clear()
 
 
 def irregular_window_with_loops():
@@ -240,8 +235,8 @@ def test_anneal_matches_numpy_reference_through_merge_moves():
 
 
 # Annealer output pinned byte for byte.  The cycle has many optimal
-# bipartitions, so its partition digest depends on the tie rule (a lower
-# count, or an equal count with a lexicographically smaller colour sequence).
+# bipartitions, so its partition digest depends on the tie rule (the first
+# state to reach the lowest count is kept).
 ANNEAL_GOLDEN = [
     (
         lambda: KazhdanProblem(window=build_torus_window(1, 16), k=2, alpha=uniform_weights(2),
@@ -249,7 +244,7 @@ ANNEAL_GOLDEN = [
         0.25,
         500,
         "16591155e4bf0667fb4c66193c9f252fd4381a06518b6cd611d4373f055a4cce",
-        "8453b338926cad94bf9f7a75cab0ae0a6a448ed92b18b5c349c7fdf6c5f81453",
+        "adb708665c505b324b5a9494d1fb4ca06dc79048fb23b19aa93fc3362616b9d7",
     ),
     (
         lambda: KazhdanProblem(window=build_random_regular(2, 256, seed=0), k=3,
@@ -257,7 +252,7 @@ ANNEAL_GOLDEN = [
         1.5390625,
         150,
         "5e9868cd644fd9eb10a9f921eb954f23d87594f321c8ad5f979f728adecbb1ac",
-        "f74b7bf96c00c52657a9cd0ee0e057cedd372ea2bb05d3a9b5e6be757f7441fd",
+        "8d06e4059de3f83112157390ae2f2d5c0c78de8c1bcde80cbe6db79e55cba008",
     ),
 ]
 
@@ -269,6 +264,7 @@ def test_anneal_golden_output(make_problem, value, trace_len, trace_sha, colours
     result = anneal_kazhdan(problem)
     assert_move_counts(result, problem)
     assert result.value == value
+    assert directed_bichromatic_count(problem.window, result.partition.colours) / problem.window.n == value
     assert len(result.trace) == trace_len
     assert hashlib.sha256(repr(result.trace).encode()).hexdigest() == trace_sha
     assert hashlib.sha256(result.partition.colours.tobytes()).hexdigest() == colours_sha
