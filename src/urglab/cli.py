@@ -2,7 +2,9 @@
 
 Each experiment kind is one typed spec (a frozen dataclass below): it
 generates the kind's flags and reads its flat ``key = value`` config files
-(flags win) and its ``run()`` params.  Every run writes its data outputs plus
+(flags win) and its ``run()`` params.  A kind's runner only computes: it
+returns its data outputs as ``{file name: payload}``, and ``run()`` validates
+the spec, runs its ``guard()``, builds the window, then writes each output and
 ``run.manifest.json`` (config echo, version, wall time, sha256 per output)
 beside them.  All randomness is derived from the master seed, so rerunning a
 config reproduces the data files byte for byte.
@@ -60,7 +62,6 @@ from .palm import (
     GuardViolation,
     check_local_finiteness,
     check_point_budget,
-    check_sample_guard,
     sample_poisson,
     verify_mean_cell_volume,
     verify_voronoi_inversion,
@@ -74,8 +75,12 @@ WINDOW_MODELS = ("torus", "cycle", "path", "complete", "random-regular", "window
 # directed entries of a built-in window; one percolation trial on a 1024^2 torus (4.2e6 entries)
 # peaks at about 530 MB
 MAX_WINDOW_ENTRIES = 10**8
+# per-trial samples (the m*d coordinates of palm's m locations, gauss-check's n normal
+# pairs) cost tens of bytes each, so 1e8 of them take gigabytes
+MAX_SAMPLES = 10**8
 # kazhdan's k and mtp-check's colours: each part or colour takes a weight in a Python list
 MAX_PARTS = 10**6
+_PARTS_CAP = (MAX_PARTS, "the run would build a list of that many weights")
 # mtp-check field -> keyword of the transport factory that takes it
 _TRANSPORT_ARGS = {"transport_colour": "colour", "transport_value": "value"}
 
@@ -105,8 +110,8 @@ class RunManifest:
 
 # ----------------------------------------------------------------------
 # Experiment specs: one frozen dataclass per kind.  A field's annotation,
-# default and metadata (help, choices, single-field check) generate its
-# flag, coerce its config-file and run() values, and check them.
+# default and metadata (help, choices, single-field check, size cap) generate
+# its flag, coerce its config-file and run() values, check and guard them.
 # ----------------------------------------------------------------------
 
 
@@ -127,9 +132,10 @@ def _float_list(value) -> list[float]:
 _CASTS = {"int": int, "float": float, "str": str, "bool": bool, "list[float]": _float_list}
 
 
-def _field(default, help: str, *, choices=None, check=None):
-    """A spec field; ``check`` is ``(predicate, message)`` on a non-None value."""
-    metadata = {"help": help, "choices": choices, "check": check}
+def _field(default, help: str, *, choices=None, check=None, cap=None):
+    """A spec field; ``check`` is ``(predicate, message)`` on a non-None value,
+    ``cap`` is ``(limit, cost)``: guard() refuses a value above ``limit``."""
+    metadata = {"help": help, "choices": choices, "check": check, "cap": cap}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=metadata)
     return field(default=default, metadata=metadata)
@@ -170,6 +176,14 @@ class _Spec:
     def cross_problems(self) -> list[str]:
         return []
 
+    def guard(self) -> None:
+        """Refuse a field above its cap (GuardViolation); run() calls it after
+        validation and before anything is built or sampled."""
+        for f in fields(self):
+            value, cap = getattr(self, f.name), f.metadata["cap"]
+            if cap is not None and value > cap[0]:
+                raise GuardViolation(f"{f.name}: {value} is above the guard {cap[0]:g}; {cap[1]}")
+
 
 def _resolve(cls: type[_Spec], kind: str, values: dict) -> _Spec:
     """Coerce raw values into ``cls`` and check them; ValidationError names
@@ -197,7 +211,8 @@ class GaussSpec(_Spec):
 
     rho: list[float] = _field([0.0], "comma-separated correlations",
                               check=(lambda rho: all(abs(r) <= 1 for r in rho), "rho must lie in [-1, 1]"))
-    n: int = _field(10**5, "samples per correlation", check=(lambda n: n >= 1, "sample count n must be positive"))
+    n: int = _field(10**5, "samples per correlation", check=(lambda n: n >= 1, "sample count n must be positive"),
+                    cap=(MAX_SAMPLES, "one trial would take gigabytes"))
 
 
 @dataclass(frozen=True)
@@ -218,6 +233,13 @@ class PalmSpec(_Spec):
         if self.functional is not None and self.check != "inversion":
             return [f"palm: check {self.check} takes no functional"]
         return []
+
+    def guard(self) -> None:
+        super().guard()
+        check_point_budget(self.t, FlatTorus(self.d, self.L))
+        if self.m * self.d > MAX_SAMPLES:
+            raise GuardViolation(f"m: {self.m} locations per trial of dimension {self.d} hold {self.m * self.d:g} "
+                                 f"coordinates, above the guard {MAX_SAMPLES:g}; one trial would take gigabytes")
 
 
 @dataclass(frozen=True)
@@ -284,21 +306,15 @@ class WindowSpec(_Spec):
             return build_random_regular(self.k_rank, self.n, window_seed)
         try:
             data = json.loads(Path(self.window_file).read_text())
-            # the vertex count and the edge rows size every array the window builds
-            if max(data["n"], 2 * len(data["edges"])) <= MAX_WINDOW_ENTRIES:
+            rank = {"torus": "d", "random-regular": "k"}.get(data["model"])
+            labels = 2 * data["params"][rank] if rank else 0
+            # the vertex count, the edge rows and the declared labels size every array the window builds
+            if max(data["n"], 2 * len(data["edges"]), labels) <= MAX_WINDOW_ENTRIES:
                 return window_from_dict(data)
         except (OSError, ValueError, LookupError, TypeError) as exc:
             raise ValidationError([f"window_file: cannot read {self.window_file}: {exc}"]) from None
         raise GuardViolation(f"window_file: {self.window_file} has more than {MAX_WINDOW_ENTRIES:g} "
-                             "vertices or directed entries; building it would take gigabytes")
-
-
-def _check_parts(name: str, count: int) -> None:
-    """Refuse a part or colour count above MAX_PARTS (GuardViolation) before
-    any per-part list exists."""
-    if count > MAX_PARTS:
-        raise GuardViolation(f"{name}: {count} is above the guard {MAX_PARTS:g}; "
-                             "the run would build a list of that many weights")
+                             "vertices, directed entries or edge labels; building it would take gigabytes")
 
 
 @dataclass(frozen=True)
@@ -322,7 +338,7 @@ class CostBoundSpec(WindowSpec):
 class KazhdanSpec(WindowSpec):
     """balanced partition search"""
 
-    k: int = _field(2, "number of parts", check=(lambda k: k >= 1, "part count k must be positive"))
+    k: int = _field(2, "number of parts", check=(lambda k: k >= 1, "part count k must be positive"), cap=_PARTS_CAP)
     alpha: list[float] | None = _field(None, "comma-separated target weights; uniform when unset",
                                        check=(lambda a: all(map(math.isfinite, a)), "alpha entries must be finite"))
     eps: float = _field(0.0, "allowed deviation of each part's weight from its target")
@@ -336,14 +352,14 @@ class KazhdanSpec(WindowSpec):
         return self.alpha or [1.0 / self.k] * self.k
 
     def cross_problems(self) -> list[str]:
-        _check_parts("k", self.k)
         v = super().cross_problems()
-        target = self.weights()
-        if len(target) != self.k:
+        alpha = self.alpha
+        if alpha and len(alpha) != self.k:
             v.append("kazhdan: alpha length must equal k")
-        elif self.alpha and (min(target) < 0 or abs(math.fsum(target) - 1.0) > 1e-12):
+        elif alpha and (min(alpha) < 0 or abs(math.fsum(alpha) - 1.0) > 1e-12):
             v.append("kazhdan: alpha must be a probability vector")
-        if not 0 <= self.eps < min(target):
+        # every uniform weight is 1/k, so no k-long list is built to find the least
+        if not 0 <= self.eps < (min(alpha) if alpha else 1.0 / self.k):
             v.append("kazhdan: eps must satisfy eps < min(alpha)")
         return v
 
@@ -358,10 +374,10 @@ class MtpSpec(WindowSpec):
                                            check=(lambda x: 0 <= x < math.inf,
                                                   "transport_value must be finite and nonnegative"))
     colouring: str = _field("bernoulli", "colouring model", choices=("bernoulli", "constant"))
-    colours: int = _field(2, "number of colours", check=(lambda c: c >= 1, "need at least one colour"))
+    colours: int = _field(2, "number of colours", check=(lambda c: c >= 1, "need at least one colour"),
+                          cap=_PARTS_CAP)
 
     def cross_problems(self) -> list[str]:
-        _check_parts("colours", self.colours)
         v = super().cross_problems()
         accepted = inspect.signature(BUILTIN_TRANSPORTS[self.transport]).parameters
         for key, arg in _TRANSPORT_ARGS.items():
@@ -397,8 +413,7 @@ def _resolve_config(config: ExperimentConfig) -> _Spec:
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Empty list iff run() will clear its validation layer (a window file
-    is read, and so checked, only when the window is built); a part count
-    above MAX_PARTS raises GuardViolation, as in run()."""
+    is read, and so checked, only when the window is built)."""
     try:
         _resolve_config(config)
     except ValidationError as exc:
@@ -413,12 +428,12 @@ def build_window(params: dict, seed: int) -> WindowGraph:
 
 
 # ----------------------------------------------------------------------
-# Experiment bodies (each returns {filename: writer} lazily via plan)
+# Experiment bodies: each returns {file name: payload}, a payload being a
+# JSON object or a CSV (header, rows) pair; run() writes them
 # ----------------------------------------------------------------------
 
 
-def _run_gauss_check(spec: GaussSpec, config: ExperimentConfig, out: Path, w: None) -> list[Path]:
-    check_sample_guard("n", spec.n)
+def _run_gauss_check(spec: GaussSpec, config: ExperimentConfig, w: None) -> dict:
     rows = []
     for i, rho in enumerate(spec.rho):
         closed = orthant_probability(rho)
@@ -427,21 +442,17 @@ def _run_gauss_check(spec: GaussSpec, config: ExperimentConfig, out: Path, w: No
         rows.append(
             (fmt_float(rho), fmt_float(closed), fmt_float(mc.estimate), fmt_float(mc.stderr), ok)
         )
-    path = out / "gauss_check.csv"
-    write_csv(path, ("rho", "closed_form", "mc", "stderr", "ok"), rows)
-    return [path]
+    return {"gauss_check.csv": (("rho", "closed_form", "mc", "stderr", "ok"), rows)}
 
 
-def _run_mtp_check(spec: MtpSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
+def _run_mtp_check(spec: MtpSpec, config: ExperimentConfig, w: WindowGraph) -> dict:
     d = spec.colours
     model = constant_model(d) if spec.colouring == "constant" else uniform_bernoulli_model(d)
     c = sample(model, w, derive_seed(config.seed, "colouring"))
     kwargs = {arg: getattr(spec, key) for key, arg in _TRANSPORT_ARGS.items() if getattr(spec, key) is not None}
     report = mtp_check(w, c, BUILTIN_TRANSPORTS[spec.transport](**kwargs))
-    path = out / "mtp_report.json"
-    write_json(
-        path,
-        {
+    return {
+        "mtp_report.json": {
             "window": w.window_id,
             "transport": spec.transport,
             "lhs": report.lhs,
@@ -450,8 +461,7 @@ def _run_mtp_check(spec: MtpSpec, config: ExperimentConfig, out: Path, w: Window
             "n": report.n,
             "exact": report.exact,
         },
-    )
-    return [path]
+    }
 
 
 def _cost_pipeline(w: WindowGraph, p: float, seed: int):
@@ -460,7 +470,7 @@ def _cost_pipeline(w: WindowGraph, p: float, seed: int):
     return dec, cost_upper_bound(dec, connect_clusters(dec))
 
 
-def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
+def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, w: WindowGraph) -> dict:
     def row(i: int):  # trial i % trials at p[i // trials]: one p value gives a plain trial run
         p = spec.p[i // config.trials]
         dec, bound = _cost_pipeline(w, p, derive_seed(config.seed, "percolation", i))
@@ -474,23 +484,15 @@ def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, out: Path,
             fmt_float(bound.empirical_bound),
         )
 
-    rows = [row(i) for i in range(len(spec.p) * config.trials)]
-    path = out / "percolation.csv"
-    write_csv(
-        path,
-        ("p", "intensity", "cluster_count", "largest_cluster_fraction",
-         "cost_bound_lemma", "cost_bound_empirical"),
-        rows,
-    )
-    return [path]
+    header = ("p", "intensity", "cluster_count", "largest_cluster_fraction",
+              "cost_bound_lemma", "cost_bound_empirical")
+    return {"percolation.csv": (header, [row(i) for i in range(len(spec.p) * config.trials)])}
 
 
-def _run_cost_bound(spec: CostBoundSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
+def _run_cost_bound(spec: CostBoundSpec, config: ExperimentConfig, w: WindowGraph) -> dict:
     dec, bound = _cost_pipeline(w, spec.p, derive_seed(config.seed, "subset"))
-    path = out / "cost_bound.json"
-    write_json(
-        path,
-        {
+    return {
+        "cost_bound.json": {
             "window": w.window_id,
             "p": spec.p,
             "intensity": bound.intensity,
@@ -504,11 +506,10 @@ def _run_cost_bound(spec: CostBoundSpec, config: ExperimentConfig, out: Path, w:
             if bound.intensity > 0
             else 1.0,
         },
-    )
-    return [path]
+    }
 
 
-def _run_kazhdan(spec: KazhdanSpec, config: ExperimentConfig, out: Path, w: WindowGraph) -> list[Path]:
+def _run_kazhdan(spec: KazhdanSpec, config: ExperimentConfig, w: WindowGraph) -> dict:
     alpha = WeightVector(tuple(spec.weights()))
     problem = KazhdanProblem(
         window=w,
@@ -520,10 +521,8 @@ def _run_kazhdan(spec: KazhdanSpec, config: ExperimentConfig, out: Path, w: Wind
         seed=config.seed,
     )
     result = brute_force_kazhdan(problem) if spec.brute_force else anneal_kazhdan(problem)
-    json_path = out / "kazhdan_result.json"
-    write_json(
-        json_path,
-        {
+    return {
+        "kazhdan_result.json": {
             "window": w.window_id,
             "k": spec.k,
             "alpha": list(alpha.values),
@@ -535,28 +534,18 @@ def _run_kazhdan(spec: KazhdanSpec, config: ExperimentConfig, out: Path, w: Wind
             "seed": config.seed,
             "partition": colouring_to_dict(result.partition),
         },
-    )
-    trace_path = out / "kazhdan_trace.csv"
-    write_csv(
-        trace_path,
-        ("restart", "step", "best_value"),
-        [(str(r), str(s), fmt_float(v)) for r, s, v in result.trace],
-    )
-    return [json_path, trace_path]
+        "kazhdan_trace.csv": (("restart", "step", "best_value"),
+                              [(str(r), str(s), fmt_float(v)) for r, s, v in result.trace]),
+    }
 
 
-def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path, w: None) -> list[Path]:
+def _run_palm(spec: PalmSpec, config: ExperimentConfig, w: None) -> dict:
     torus = FlatTorus(spec.d, spec.L)
-    check_point_budget(spec.t, torus)
-    check_sample_guard("m", spec.m, spec.d)
     t, m = spec.t, spec.m
-    json_path = out / "palm_report.json"
-    csv_path = out / "palm_trials.csv"
 
     if spec.check == "cellvol":
         report, values = verify_mean_cell_volume(t, torus, config.trials, m, config.seed)
-        write_json(json_path, report)
-        write_csv(csv_path, ("trial", "volume"), [(str(i), fmt_float(v)) for i, v in enumerate(values)])
+        header, rows = ("trial", "volume"), [(str(i), fmt_float(v)) for i, v in enumerate(values)]
     elif spec.check == "inversion":
         names = [spec.functional] if spec.functional else list(BUILTIN_FUNCTIONALS)
         reports = []
@@ -571,8 +560,7 @@ def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path, w: None) -> l
                 (name, str(i), fmt_float(lv), fmt_float(rv))
                 for i, (lv, rv) in enumerate(zip(lhs_values, rhs_values))
             )
-        write_json(json_path, {"checks": reports})
-        write_csv(csv_path, ("functional", "trial", "lhs_value", "rhs_value"), rows)
+        report, header = {"checks": reports}, ("functional", "trial", "lhs_value", "rhs_value")
     else:  # locfin
         rows = []
         total_violations = 0
@@ -587,13 +575,12 @@ def _run_palm(spec: PalmSpec, config: ExperimentConfig, out: Path, w: None) -> l
                 (str(i), fmt_float(report.nearest_distance), str(report.minimizer_count),
                  fmt_float(report.eps), str(report.violations), report.holds)
             )
-        write_json(json_path, {"trials": len(rows), "total_violations": total_violations,
-                               "all_hold": total_violations == 0})
-        write_csv(csv_path, ("trial", "nearest_distance", "minimizers", "eps", "violations", "holds"), rows)
-    return [json_path, csv_path]
+        report = {"trials": len(rows), "total_violations": total_violations, "all_hold": total_violations == 0}
+        header = ("trial", "nearest_distance", "minimizers", "eps", "violations", "holds")
+    return {"palm_report.json": report, "palm_trials.csv": (header, rows)}
 
 
-# kind -> (spec, runner(spec, config, out, window or None)); the spec's docstring is the subcommand's help
+# kind -> (spec, runner(spec, config, window or None)); the spec's docstring is the subcommand's help
 _KINDS = {
     "gauss-check": (GaussSpec, _run_gauss_check),
     "mtp-check": (MtpSpec, _run_mtp_check),
@@ -606,13 +593,19 @@ KINDS = tuple(_KINDS)
 
 
 def run(config: ExperimentConfig) -> RunManifest:
-    """Validate, dispatch, write outputs and the manifest."""
+    """Validate, guard, dispatch, then write and hash each output and write the manifest."""
     spec = _resolve_config(config)
+    spec.guard()
     start = time.perf_counter()
     w = spec.build(config.seed) if isinstance(spec, WindowSpec) else None
+    payloads = _KINDS[config.kind][1](spec, config, w)
     out = Path(config.out_dir)
     # the writers make ``out``, so a run refused before its first write leaves no directory
-    outputs = _KINDS[config.kind][1](spec, config, out, w)
+    for name, payload in payloads.items():
+        if isinstance(payload, tuple):
+            write_csv(out / name, *payload)
+        else:
+            write_json(out / name, payload)
     manifest = RunManifest(
         config={
             "kind": config.kind,
@@ -622,7 +615,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         },
         artifact_version=__version__,
         wall_time_s=time.perf_counter() - start,
-        outputs={path.name: sha256_of(path) for path in outputs},
+        outputs={name: sha256_of(out / name) for name in payloads},
     )
     write_json(out / "run.manifest.json", manifest)
     return manifest

@@ -51,9 +51,6 @@ MIN_EXPECTED_POINTS = 20.0
 # a sample holds 8*d bytes per point plus, once queried, a KD-tree over them, so 1e8 points take
 # gigabytes (numpy's Poisson sampler itself fails above a mean of about 9.2e18)
 MAX_EXPECTED_POINTS = 1e8
-# per-trial samples (the m*d coordinates of palm's m locations, gauss-check's n normal
-# pairs) cost tens of bytes each, so 1e8 of them take gigabytes
-MAX_SAMPLES = 10**8
 
 
 def _check_point_guard(t: float, torus: FlatTorus) -> None:
@@ -75,14 +72,6 @@ def check_point_budget(t: float, torus: FlatTorus) -> None:
     if coordinates > MAX_EXPECTED_POINTS:
         raise GuardViolation(f"d: a sample of dimension {torus.dim} holds about {coordinates:.3g} coordinates, "
                              f"above the guard {MAX_EXPECTED_POINTS:g}; one sample would take gigabytes")
-
-
-def check_sample_guard(field: str, count: int, dim: int = 1) -> None:
-    """Refuse ``count`` samples of ``field`` per trial, ``dim`` coordinates each,
-    above MAX_SAMPLES coordinates."""
-    if count * dim > MAX_SAMPLES:
-        raise GuardViolation(f"{field}: {count} samples per trial of dimension {dim} hold {count * dim:g} "
-                             f"coordinates, above the guard {MAX_SAMPLES:g}; one trial would take gigabytes")
 
 
 # ----------------------------------------------------------------------

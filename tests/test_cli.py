@@ -1,10 +1,12 @@
 """Config validation, experiment dispatch, and reproducibility contracts."""
 
 import argparse
+import ast
 import hashlib
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +409,29 @@ def test_window_file_guard_counts_vertices_and_rows(tmp_path, monkeypatch):
             build_window(params, 0)
 
 
+@pytest.mark.parametrize("model, rank", [("torus", "d"), ("random-regular", "k")])
+def test_window_file_guard_counts_declared_labels(model, rank, tmp_path, capsys, monkeypatch):
+    # a torus file declares 2d edge labels and a random-regular file 2k; the guard counts them
+    # before the generator set is built, so a 3-vertex file declaring 2e8 labels is refused at once
+    def window_file(value):
+        path = tmp_path / f"{model}-{value}.json"
+        path.write_text(json.dumps({"model": model, "params": {rank: value}, "seed": None, "n": 3, "edges": []}))
+        return str(path)
+
+    start = time.perf_counter()
+    assert main(["mtp-check", "--model", "window-file", "--window-file", window_file(10**8),
+                 "--out", str(tmp_path / "refused")]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "guard: window_file: " in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+    params = {"model": "window-file", "window_file": window_file(2)}
+    monkeypatch.setattr(cli, "MAX_WINDOW_ENTRIES", 4)  # the 4 labels of rank 2 outnumber the 3 vertices
+    assert build_window(params, 0).n == 3
+    monkeypatch.setattr(cli, "MAX_WINDOW_ENTRIES", 3)
+    with pytest.raises(GuardViolation, match="^window_file: "):
+        build_window(params, 0)
+
+
 def test_palm_dimension_guard_counts_coordinates(tmp_path, capsys, monkeypatch):
     # t*L^d*d coordinates per sample (at least d, the origin row) at MAX_EXPECTED_POINTS reach the
     # sampler, one more is refused; a sampler call here would try to allocate up to 160 GB.  One
@@ -435,7 +460,7 @@ def test_palm_dimension_guard_counts_coordinates(tmp_path, capsys, monkeypatch):
 def test_palm_location_guard_counts_m_times_d(tmp_path, capsys, monkeypatch):
     # m locations of d coordinates each: m*d at MAX_SAMPLES reaches the sampler, one more
     # is refused naming m; the first case would ask for 5e14 coordinates
-    assert palm.MAX_SAMPLES == 10**8
+    assert cli.MAX_SAMPLES == 10**8
 
     def unreachable(*args):
         raise AssertionError("reached the sampler")
@@ -475,6 +500,36 @@ def test_part_counts_sum_exactly_and_are_capped(tmp_path, capsys, monkeypatch):
             assert main([*argv, "--out", str(refused)]) == 3, argv
             assert message in capsys.readouterr().err, argv
             assert not refused.exists(), argv
+
+
+@pytest.mark.parametrize("kind, field", [("kazhdan", "k"), ("mtp-check", "colours")])
+def test_part_guard_runs_in_run_not_in_validate(kind, field, tmp_path):
+    # a part count above MAX_PARTS is valid, and run() refuses it naming the field
+    config = ExperimentConfig(kind, {"model": "cycle", "L": 8, field: 10**10}, out_dir=str(tmp_path / "out"))
+    assert validate(config) == []
+    with pytest.raises(GuardViolation, match=f"^{field}: "):
+        run(config)
+    assert not (tmp_path / "out").exists()
+
+
+def test_validation_is_reported_before_guards(tmp_path, capsys):
+    # eps is invalid at any k, so the part guard that k = 10**10 would trip is never reached
+    argv = ["kazhdan", "--model", "cycle", "--L", "8", "--k", "10000000000", "--eps", "0.5"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "validation: kazhdan: eps must satisfy" in err and "guard: " not in err
+
+
+def test_only_run_calls_the_writers():
+    # runners return their payloads, and run() alone writes them: inside the package only
+    # cli.run names write_json or write_csv (reporting defines them, cli imports them)
+    writers = set()
+    for path in sorted((ROOT / "src" / "urglab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for sub in ast.walk(node):
+                if getattr(sub, "id", getattr(sub, "attr", None)) in ("write_json", "write_csv"):
+                    writers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert writers == {"cli.run"}
 
 
 def test_percolation_p_grid_rows(tmp_path):

@@ -1,6 +1,8 @@
 """Partition objective, exact optima, annealer agreement, and the merge move."""
 
 import hashlib
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -123,6 +125,31 @@ def test_brute_force_guard():
     w = build_torus_window(2, 5)  # 2**25 > 10**7
     with pytest.raises(InstanceTooLargeError):
         brute_force_kazhdan(KazhdanProblem(window=w, k=2, alpha=uniform_weights(2), eps=0.0))
+
+
+def test_brute_force_guard_matches_the_power(monkeypatch):
+    # the guard's verdict is that of k**n > 10**7 on a grid through its boundary
+    # (10**7 at k = 10, n = 7; 2**23 < 10**7 < 2**24), and it never runs the search
+    import urglab.kazhdan as kazhdan
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(kazhdan, "feasible_size_windows", admitted)
+    for k in (1, 2, 3, 9, 10, 11, 3162, 3163, 10**6):
+        alpha = uniform_weights(k)
+        for n in range(1, 31):
+            problem = KazhdanProblem(window=SimpleNamespace(n=n), k=k, alpha=alpha, eps=0.0)
+            with pytest.raises(InstanceTooLargeError if k**n > 10**7 else Admitted):
+                brute_force_kazhdan(problem)
+    problem = KazhdanProblem(window=SimpleNamespace(n=10**6), k=10**6, alpha=uniform_weights(10**6), eps=0.0)
+    start = time.perf_counter()
+    with pytest.raises(InstanceTooLargeError):
+        brute_force_kazhdan(problem)
+    assert time.perf_counter() - start < 0.1  # k**n itself has six million digits
 
 
 def test_brute_force_monotone_in_eps():
