@@ -5,9 +5,14 @@ Each row holds the best value the annealer found within its budget: an
 upper bound on the optimum, not the optimum.  At the default budget it
 reaches the cycle optimum 4/n only up to n = 32, and on random-regular
 windows the value grows with n, so the rows do not yet show the
-amenable/expander contrast past small n.  Emits one CSV row per window; the
-standard output line of a row adds the annealer's acceptance rate per move
-kind (accepted / proposed, summed over restarts).
+amenable/expander contrast past small n.  Each row's window and value are
+those of ``urglab kazhdan`` with the same family params, ``--k``, ``--eps``,
+``--budget``, ``--restarts`` and ``--seed``: the windows come from
+``cli.build_window``, so a random-regular window is seeded from ``--seed``
+as the CLI seeds it, and a size above the CLI's window guard exits 3 before
+its window is built or any row is written.  Emits one CSV row per window;
+the standard output line of a row adds the annealer's acceptance rate per
+move kind (accepted / proposed, summed over restarts).
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from urglab.graphs import build_random_regular, build_torus_window
+from urglab.cli import build_window
 from urglab.kazhdan import InfeasibleBalanceError, feasible_size_windows, kazhdan_profile, uniform_weights
+from urglab.palm import GuardViolation
 from urglab.reporting import fmt_float, write_csv
 
 
@@ -57,15 +63,20 @@ def main() -> int:
 
     if not (0.0 <= args.eps < 1.0 / args.k):
         parser.error(f"--eps must satisfy 0 <= eps < 1/k = {1.0 / args.k:g}, got {args.eps:g}")
-    build = {
-        "cycle": lambda n: build_torus_window(1, n),
-        "torus2d": lambda L: build_torus_window(2, L),
-        "random-regular": lambda n: build_random_regular(2, n, seed=args.seed),
+    if args.seed < 0:
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
+    params = {
+        "cycle": lambda n: {"model": "cycle", "L": n},
+        "torus2d": lambda L: {"model": "torus", "d": 2, "L": L},
+        "random-regular": lambda n: {"model": "random-regular", "k_rank": 2, "n": n},
     }[args.family]
     windows = []
     for size in args.sizes:
         try:
-            windows.append(build(size))
+            windows.append(build_window(params(size), args.seed))
+        except GuardViolation as err:
+            print(f"guard: --sizes: {args.family} size {size}: {err}", file=sys.stderr)
+            return 3
         except ValueError as err:
             parser.error(f"--sizes: {args.family} size {size}: {err}")
         try:

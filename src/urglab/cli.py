@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -71,7 +71,6 @@ from .rng import derive_rng, derive_seed
 from .torus import FlatTorus
 from .transport import BUILTIN_TRANSPORTS, mtp_check
 
-WINDOW_MODELS = ("torus", "cycle", "path", "complete", "random-regular", "window-file")
 # directed entries of a built-in window; one percolation trial on a 1024^2 torus (4.2e6 entries)
 # peaks at about 530 MB
 MAX_WINDOW_ENTRIES = 10**8
@@ -242,6 +241,28 @@ class PalmSpec(_Spec):
                                  f"coordinates, above the guard {MAX_SAMPLES:g}; one trial would take gigabytes")
 
 
+# window model -> ({message: check}, field that sizes it, directed entries, builder(spec, master
+# seed)); the checks read unset sizes as 0, and the rows look their builders up when called
+_WINDOW_MODELS = {
+    # 2d * L^d, exact up to d = 64; past it L^64 >= 3^64 alone is over the guard
+    "torus": ({"side L must satisfy L >= 3": lambda s: s.L >= 3, "dimension d must be positive": lambda s: s.d >= 1},
+              "L", lambda s: 2 * s.d * s.L ** min(s.d, 64), lambda s, seed: build_torus_window(s.d, s.L)),
+    "cycle": ({"length L must satisfy L >= 3": lambda s: s.L >= 3}, "L", lambda s: 2 * s.L,
+              lambda s, seed: build_torus_window(1, s.L)),
+    "path": ({"need n >= 2": lambda s: s.n >= 2}, "n", lambda s: 2 * (s.n - 1), lambda s, seed: build_path(s.n)),
+    "complete": ({"need n >= 2": lambda s: s.n >= 2}, "n", lambda s: s.n * (s.n - 1),
+                 lambda s, seed: build_complete(s.n)),
+    "random-regular": ({"need k >= 1 and n >= 2k + 1": lambda s: s.k_rank >= 1 and s.n >= 2 * s.k_rank + 1}, "n",
+                       lambda s: 2 * s.k_rank * s.n,
+                       lambda s, seed: build_random_regular(s.k_rank, s.n, derive_seed(seed, "window")
+                                                            if s.window_seed is None else s.window_seed)),
+    # the reader guards the file's own sizes
+    "window-file": ({"missing path": lambda s: bool(s.window_file)}, "window_file", lambda s: 0,
+                    lambda s, seed: s._read_window_file()),
+}
+WINDOW_MODELS = tuple(_WINDOW_MODELS)
+
+
 @dataclass(frozen=True)
 class WindowSpec(_Spec):
     """The window graph shared by the window-based kinds."""
@@ -251,59 +272,26 @@ class WindowSpec(_Spec):
     L: int | None = _field(None, "torus side or cycle length")
     n: int | None = _field(None, "vertex count of a path, complete or random-regular window")
     k_rank: int = _field(2, "rank of the random-regular model")
-    window_seed: int | None = _field(None, "random-regular seed; derived from the master seed when unset")
+    window_seed: int | None = _field(None, "random-regular seed; derived from the master seed when unset",
+                                     check=(lambda seed: seed >= 0, "window_seed must be nonnegative"))
     window_file: str | None = _field(None, "window JSON file of the window-file model")
 
     def cross_problems(self) -> list[str]:
-        model, L, n = self.model, self.L or 0, self.n or 0
-        v = []
-        if model == "torus":
-            if L < 3:
-                v.append("torus: side L must satisfy L >= 3")
-            if self.d < 1:
-                v.append("torus: dimension d must be positive")
-        elif model == "cycle" and L < 3:
-            v.append("cycle: length L must satisfy L >= 3")
-        elif model in ("path", "complete") and n < 2:
-            v.append(f"{model}: need n >= 2")
-        elif model == "random-regular" and (self.k_rank < 1 or n < 2 * self.k_rank + 1):
-            v.append("random-regular: need k >= 1 and n >= 2k + 1")
-        elif model == "window-file" and not self.window_file:
-            v.append("window-file: missing path")
-        return v
-
-    def check_size(self) -> None:
-        """Refuse a built-in window above MAX_WINDOW_ENTRIES directed entries
-        (GuardViolation), counted from the spec in Python ints."""
-        if self.model in ("torus", "cycle"):
-            d = self.d if self.model == "torus" else 1
-            # 2d * L^d, exact up to d = 64; past it L^64 >= 3^64 alone is over the guard
-            name, entries = "L", 2 * d * self.L ** min(d, 64)
-        elif self.model == "window-file":
-            return
-        else:
-            n = self.n
-            name, entries = "n", {"path": 2 * (n - 1), "complete": n * (n - 1),
-                                  "random-regular": 2 * self.k_rank * n}[self.model]
-        if entries > MAX_WINDOW_ENTRIES:
-            raise GuardViolation(f"{name}: a {self.model} window of this size has more than "
-                                 f"{MAX_WINDOW_ENTRIES:g} directed entries; building it would take gigabytes")
+        sized = replace(self, L=self.L or 0, n=self.n or 0)
+        return [f"{self.model}: {message}" for message, check in _WINDOW_MODELS[self.model][0].items()
+                if not check(sized)]
 
     def build(self, seed: int) -> WindowGraph:
-        """The window; a window file that cannot be read raises ValidationError,
-        a window above the size guard GuardViolation."""
-        self.check_size()
-        if self.model == "torus":
-            return build_torus_window(self.d, self.L)
-        if self.model == "cycle":
-            return build_torus_window(1, self.L)
-        if self.model == "path":
-            return build_path(self.n)
-        if self.model == "complete":
-            return build_complete(self.n)
-        if self.model == "random-regular":
-            window_seed = derive_seed(seed, "window") if self.window_seed is None else self.window_seed
-            return build_random_regular(self.k_rank, self.n, window_seed)
+        """The window of the model's row.  A built-in window above MAX_WINDOW_ENTRIES directed
+        entries, counted from the spec in Python ints, raises GuardViolation before it is built;
+        a window file that cannot be read raises ValidationError."""
+        _, size, entries, builder = _WINDOW_MODELS[self.model]
+        if entries(self) > MAX_WINDOW_ENTRIES:
+            raise GuardViolation(f"{size}: a {self.model} window of this size has more than "
+                                 f"{MAX_WINDOW_ENTRIES:g} directed entries; building it would take gigabytes")
+        return builder(self, seed)
+
+    def _read_window_file(self) -> WindowGraph:
         try:
             data = json.loads(Path(self.window_file).read_text())
             rank = {"torus": "d", "random-regular": "k"}.get(data["model"])

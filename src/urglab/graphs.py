@@ -30,9 +30,10 @@ holds one entry per edge end at u, so a loop fills two.  Rows are ordered by
 that order.  ``mirror`` pairs each entry (u, v, s) with an entry (v, u, s^-1)
 and is its own inverse (a loop under a self-inverse label is its own mirror).
 ``neighbour_rows``, each row's neighbours as a list, is the view that the
-Python loops (ball cuts, annealer steps) read; ``adjacency``, per-vertex
-(neighbour, label name) tuples, is a read-only view derived from the arrays
-for tests and outside tooling.
+Python loops (ball cuts, annealer steps) read; ``csr`` is the same arrays as
+the scipy matrix that ``scipy.sparse.csgraph`` reads; ``adjacency``,
+per-vertex (neighbour, label name) tuples, is a read-only view derived from
+the arrays for tests and outside tooling.
 """
 
 from __future__ import annotations
@@ -178,16 +179,12 @@ class WindowGraph:
 
     @cached_property
     def csr(self) -> sparse.csr_array:
-        """Read-only n x n matrix of entry counts for ``scipy.sparse.csgraph``.
-
-        Entry (u, v) counts the directed entries u -> v, so parallel edges
-        are summed and a loop at u holds 2.
-        """
-        src, dst = self.edge_arrays
-        m = sparse.csr_array((np.ones(len(src)), (src, dst)), shape=(self.n, self.n))
-        for a in (m.data, m.indices, m.indptr):
-            a.flags.writeable = False
-        return m
+        """The window as an n x n matrix for ``scipy.sparse.csgraph``: a view that shares
+        ``indices`` and ``indptr``, with one read-only unit entry per directed entry, so
+        parallel entries stay apart and a loop at u is two entries (u, u)."""
+        ones = np.ones(self.indices.size)
+        ones.flags.writeable = False
+        return sparse.csr_array((ones, self.indices, self.indptr), shape=(self.n, self.n))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, str], ...], ...]:

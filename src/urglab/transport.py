@@ -203,14 +203,14 @@ def feature_mix_function(coeffs: tuple[float, float, float, float], name: str = 
 
     A cheap family of radius-1 ball functions for fuzzing; integer coeffs
     give integer-valued f.  |ball| counts the root and its distinct
-    neighbours: 1 + the row's nonzeros in ``w.csr``, less one for a loop.
+    non-loop neighbours.
     """
     a, b_, c_, d_ = coeffs
 
     def values(w: WindowGraph, c: Colouring) -> np.ndarray:
-        src = w.edge_arrays[0]
-        bichrom = _incidences(w, c.colours[src] != c.colours[w.indices])
-        ball_size = 1 + np.diff(w.csr.indptr) - (w.csr.diagonal() != 0)
+        src, dst = w.edge_arrays
+        bichrom = _incidences(w, c.colours[src] != c.colours[dst])
+        ball_size = 1 + np.bincount(np.unique((src * w.n + dst)[src != dst]) // w.n, minlength=w.n)
         return a * (c.colours == 1).astype(np.float64) + b_ * np.diff(w.indptr) + c_ * bichrom + d_ * ball_size
 
     return VertexFunction(name, 1, values)

@@ -27,10 +27,11 @@ them); a failing criterion fails its test.  Criteria and tolerances:
 10. reruns with the same master seed produce byte-identical data outputs
     (gauss-check, percolation, palm, kazhdan, cost-bound, mtp-check)
 
-Criteria 3, 4, 5 and 7 each have a negative control: the same test must
+Criteria 3, 4, 5, 7 and 9 each have a negative control: the same test must
 reject a wrong closed form, a size-biased sampler in place of the Palm one,
-or single-vertex clusters in place of the true decomposition, and accept
-the true input.  Criterion 2's control is its tightness: some instance
+single-vertex clusters in place of the true decomposition (7), or the whole
+window's components restricted to the subset in place of the subset's own
+(9), and accept the true input.  Criterion 2's control is its tightness: some instance
 comes within 5% of the bound, so a bound 5% too loose, or a fuzz that no
 longer reaches the tight cases, fails it (one too low fails the bound).
 """
@@ -40,6 +41,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 from oracles import directed_bichromatic_count, flood_fill_clusters
 
 from urglab import kazhdan, palm
@@ -326,18 +328,40 @@ def test_criterion_8_cost_bound_pipeline():
            f"gaps to 1: {[f'{g:.4f}' for g in gaps]}")
 
 
-def test_criterion_9_decompose_matches_flood_fill():
+def flood_fill_mismatches(decompose) -> int:
+    """Instances of criterion 9 where ``decompose(w, mask)`` disagrees with the BFS flood fill."""
     rng = np.random.default_rng(9)
     pool = window_pool()
+    mismatches = 0
     for i in range(1000):
         w = pool[i % len(pool)]
         p = float(rng.uniform(0.05, 0.95))
         subset = sample(bernoulli_model([p, 1.0 - p]), w, seed=3000 + i)
         dec = decompose(w, subset_mask(subset))
         oracle = flood_fill_clusters(w, dec.mask)
-        assert dec.count == len(oracle)
-        assert [sorted(dec.vertices_of(cid).tolist()) for cid in range(dec.count)] == oracle
+        mismatches += [sorted(dec.vertices_of(cid).tolist()) for cid in range(dec.count)] != oracle
+    return mismatches
+
+
+def test_criterion_9_decompose_matches_flood_fill():
+    assert flood_fill_mismatches(decompose) == 0
     report(9, "csgraph components agree with flood fill on 1000 instances")
+
+
+def whole_window_components(w, mask: np.ndarray) -> ClusterDecomposition:
+    """A broken decomposition: the whole window's components restricted to the subset, so
+    subset vertices joined only through vertices outside it share a cluster."""
+    inside = np.flatnonzero(mask)
+    _, labels = np.unique(connected_components(w.csr, directed=False)[1][inside], return_inverse=True)
+    cluster_id = np.full(w.n, -1, dtype=np.int64)
+    cluster_id[inside] = labels
+    sizes = np.bincount(labels)
+    return ClusterDecomposition(w, mask, cluster_id, sizes.size, tuple(sizes.tolist()))
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["decompose", "whole-window-components"])
+def test_criterion_9_rejects_whole_window_components(broken):
+    assert (flood_fill_mismatches(whole_window_components if broken else decompose) > 0) == broken
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path):

@@ -315,6 +315,8 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
          "transport_colour must lie in 1..2"),
         (["mtp-check", *cycle, "--transport", "source-colour", "--transport-colour", "7"],
          "transport_colour must lie in 1..2"),
+        *[([kind, "--model", "random-regular", "--n", "20", "--window-seed", "-1"], "window_seed must be nonnegative")
+          for kind in ("mtp-check", "percolation", "cost-bound", "kazhdan")],
     ]
     refused = tmp_path / "refused"
     for argv, message in malformed:
@@ -393,6 +395,17 @@ def test_window_guard_counts_directed_entries(monkeypatch):
         assert build_window(params, 0).startswith("build_"), params
         with pytest.raises(GuardViolation, match=f"^{field}: "):
             build_window({**params, field: params[field] + 1}, 0)
+
+
+@pytest.mark.parametrize("params", [
+    {"model": "torus", "d": 1, "L": 5}, {"model": "torus", "d": 2, "L": 4}, {"model": "torus", "d": 3, "L": 3},
+    {"model": "cycle", "L": 7}, {"model": "path", "n": 6}, {"model": "complete", "n": 7},
+    *[{"model": "random-regular", "k_rank": k, "n": 9} for k in (1, 2, 3)],
+], ids=lambda params: "-".join(map(str, params.values())))
+def test_window_model_rows_count_the_built_entries(params):
+    # the guard's count of a model's row is the size of the window its builder returns
+    spec = cli._resolve(cli.WindowSpec, "window", params)
+    assert cli._WINDOW_MODELS[spec.model][2](spec) == build_window(params, 0).indices.size
 
 
 def test_window_file_guard_counts_vertices_and_rows(tmp_path, monkeypatch):
@@ -530,6 +543,38 @@ def test_only_run_calls_the_writers():
                 if getattr(sub, "id", getattr(sub, "attr", None)) in ("write_json", "write_csv"):
                     writers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
     assert writers == {"cli.run"}
+
+
+def test_window_spec_dispatches_on_model_once():
+    # each window model is one row of the model table: no comparison inside WindowSpec tests
+    # self.model, or a local copy of it, against a model name
+    tree = ast.parse((ROOT / "src" / "urglab" / "cli.py").read_text())
+    spec = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "WindowSpec")
+
+    def is_model(node):
+        return isinstance(node, ast.Attribute) and node.attr == "model" and getattr(node.value, "id", None) == "self"
+
+    copies = set()
+    for node in ast.walk(spec):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
+                         and isinstance(node.value, ast.Tuple) else [(target, node.value)])
+                copies |= {t.id for t, v in pairs if isinstance(t, ast.Name) and is_model(v)}
+
+    def model_names(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return {e.value for e in elts if isinstance(e, ast.Constant)} & set(cli.WINDOW_MODELS)
+
+    chains = []
+    for node in ast.walk(spec):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(is_model(o) or isinstance(o, ast.Name) and o.id in copies for o in operands)
+                    and any(map(model_names, operands))):
+                chains.append(ast.unparse(node))
+    assert chains == []
+    assert cli.WINDOW_MODELS == tuple(cli._WINDOW_MODELS)
 
 
 def test_percolation_p_grid_rows(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.csgraph import minimum_spanning_tree
 from oracles import (
     build_explicit,
@@ -73,6 +74,37 @@ def test_decompose_matches_flood_fill_oracle():
         oracle = flood_fill_clusters(w, mask)
         assert dec.count == len(oracle)
         assert [sorted(dec.vertices_of(i).tolist()) for i in range(dec.count)] == oracle
+
+
+def summed_count_matrix(w) -> sparse.csr_array:
+    """The window as a matrix of entry counts built through COO: parallel entries summed, a loop 2."""
+    src, dst = w.edge_arrays
+    return sparse.csr_array((np.ones(src.size), (src, dst)), shape=(w.n, w.n))
+
+
+def cluster_outcome(w, mask):
+    """Everything decompose and connect_clusters report, as plain values (or the split's grouping)."""
+    dec = decompose(w, mask)
+    try:
+        extra = connect_clusters(dec)
+    except DisconnectedClustersError as err:
+        return dec.cluster_id.tolist(), dec.sizes, err.components
+    return dec.cluster_id.tolist(), dec.sizes, [a.tolist() for a in (extra.pairs, extra.distances, extra.cluster_pairs)]
+
+
+def test_csgraph_view_matches_summed_counts():
+    # csgraph reads one unit entry per directed entry; the summed-count matrix, with parallel
+    # entries added up and loops held as 2, must give the same clusters, pairs and splits
+    multi = 0
+    for k, n in [(1, 9), (2, 7), (2, 30), (3, 9)]:
+        for seed in range(5):
+            w, oracle = build_random_regular(k, n, seed=seed), build_random_regular(k, n, seed=seed)
+            oracle.__dict__["csr"] = summed_count_matrix(oracle)  # the cached property's slot
+            multi += summed_count_matrix(w).data.max() > 1
+            for p in (0.05, 0.3, 0.6):
+                mask = subset_mask(sample(bernoulli_model([p, 1.0 - p]), w, seed=seed))
+                assert cluster_outcome(w, mask) == cluster_outcome(oracle, mask), (k, n, seed, p)
+    assert multi > 0  # some windows hold loops or parallel edges
 
 
 def test_connect_two_antipodal_vertices():

@@ -332,6 +332,20 @@ def test_mirror_pairs_each_entry_with_its_reverse(build):
     assert not mirror.flags.writeable
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_torus_window(2, 5),
+    lambda: build_random_regular(3, 7, seed=1),  # loops and parallel edges
+    lambda: window_from_dict(LOOP_FILE),
+], ids=["torus", "random-regular-multi", "self-inverse-loop-file"])
+def test_csr_is_a_view_of_the_window_arrays(build):
+    # csgraph reads the window's own indices and indptr: one unit entry per directed entry, unsummed
+    w = build()
+    m = w.csr
+    assert np.shares_memory(m.indices, w.indices) and np.shares_memory(m.indptr, w.indptr)
+    assert m.shape == (w.n, w.n) and np.array_equal(m.data, np.ones(w.indices.size))
+    assert not m.data.flags.writeable and not m.indices.flags.writeable and not m.indptr.flags.writeable
+
+
 def cycle_entries():
     """Directed entries of the 4-cycle torus(1, 4): label 0 is +e1, label 1 is -e1."""
     u = np.arange(4)

@@ -1,6 +1,7 @@
 """Smoke tests for the sweep scripts in scripts/: tiny arguments, one run each."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +37,35 @@ def test_kazhdan_profile_script(tmp_path):
     assert [row[0] for row in rows] == ["16", "32"]
     lines = proc.stdout.splitlines()
     assert all("accepted swap=" in line and " recolour=" in line and " merge=" in line for line in lines[:2])
+
+
+def test_kazhdan_profile_rows_are_cli_runs(tmp_path):
+    # a random-regular row is the urglab kazhdan run of the same params: same window seed, same value
+    from urglab.cli import main
+
+    flags = ["--budget", "100", "--restarts", "2", "--seed", "0"]
+    run_script("kazhdan_profile.py", "--family", "random-regular", "--sizes", "16,32", *flags,
+               "--out", str(tmp_path / "profile.csv"), cwd=tmp_path)
+    for n, value, *_ in read_csv(tmp_path / "profile.csv")[1:]:
+        out = tmp_path / n
+        assert main(["kazhdan", "--model", "random-regular", "--k-rank", "2", "--n", n, *flags, "--out", str(out)]) == 0
+        assert float(value) == json.loads((out / "kazhdan_result.json").read_text())["value"], n
+
+
+def test_kazhdan_profile_refuses_oversize_windows(tmp_path):
+    # 2 * 2e8 directed entries: over the CLI's window guard, refused before any window is built
+    proc = run_script("kazhdan_profile.py", "--family", "cycle", "--sizes", "8,200000000",
+                      "--out", str(tmp_path / "profile.csv"), cwd=tmp_path, returncode=3)
+    assert proc.stderr.startswith("guard: --sizes: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "profile.csv").exists()
+
+
+def test_kazhdan_profile_refuses_a_negative_seed(tmp_path):
+    # seeds derive from a nonnegative master seed; a negative one is named, not a traceback
+    proc = run_script("kazhdan_profile.py", "--sizes", "8", "--seed", "-1", "--out", str(tmp_path / "profile.csv"),
+                      cwd=tmp_path, returncode=2)
+    assert "--seed must be nonnegative" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "profile.csv").exists()
 
 
 @pytest.mark.parametrize("args,field", [
