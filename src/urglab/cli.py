@@ -32,14 +32,7 @@ from .clusters import (
     decompose,
     gaboriau_induction,
 )
-from .colourings import (
-    bernoulli_model,
-    colouring_to_dict,
-    constant_model,
-    sample,
-    subset_mask,
-    uniform_bernoulli_model,
-)
+from .colourings import colouring_to_dict, sample, sample_constant, subset_mask
 from .gaussian import orthant_probability, orthant_probability_mc
 from .graphs import (
     WindowGraph,
@@ -77,7 +70,8 @@ MAX_WINDOW_ENTRIES = 10**8
 # per-trial samples (the m*d coordinates of palm's m locations, gauss-check's n normal
 # pairs) cost tens of bytes each, so 1e8 of them take gigabytes
 MAX_SAMPLES = 10**8
-# kazhdan's k and mtp-check's colours: each part or colour takes a weight in a Python list
+# kazhdan's k and mtp-check's colours: each part or colour takes a weight in a Python list; and a
+# window file's declared edge labels: each takes about 257 B of Python strings and dicts
 MAX_PARTS = 10**6
 _PARTS_CAP = (MAX_PARTS, "the run would build a list of that many weights")
 # mtp-check field -> keyword of the transport factory that takes it
@@ -297,12 +291,14 @@ class WindowSpec(_Spec):
             rank = {"torus": "d", "random-regular": "k"}.get(data["model"])
             labels = 2 * data["params"][rank] if rank else 0
             # the vertex count, the edge rows and the declared labels size every array the window builds
-            if max(data["n"], 2 * len(data["edges"]), labels) <= MAX_WINDOW_ENTRIES:
+            label_cap = min(MAX_WINDOW_ENTRIES, MAX_PARTS)
+            if max(data["n"], 2 * len(data["edges"])) <= MAX_WINDOW_ENTRIES and labels <= label_cap:
                 return window_from_dict(data)
         except (OSError, ValueError, LookupError, TypeError) as exc:
             raise ValidationError([f"window_file: cannot read {self.window_file}: {exc}"]) from None
-        raise GuardViolation(f"window_file: {self.window_file} has more than {MAX_WINDOW_ENTRIES:g} "
-                             "vertices, directed entries or edge labels; building it would take gigabytes")
+        raise GuardViolation(f"window_file: {self.window_file} has more than {MAX_WINDOW_ENTRIES:g} vertices or "
+                             f"directed entries, or more than {label_cap:g} edge labels; building it would take "
+                             "gigabytes")
 
 
 @dataclass(frozen=True)
@@ -434,9 +430,8 @@ def _run_gauss_check(spec: GaussSpec, config: ExperimentConfig, w: None) -> dict
 
 
 def _run_mtp_check(spec: MtpSpec, config: ExperimentConfig, w: WindowGraph) -> dict:
-    d = spec.colours
-    model = constant_model(d) if spec.colouring == "constant" else uniform_bernoulli_model(d)
-    c = sample(model, w, derive_seed(config.seed, "colouring"))
+    d, seed = spec.colours, derive_seed(config.seed, "colouring")
+    c = sample_constant(d, w, seed) if spec.colouring == "constant" else sample([1.0 / d] * d, w, seed)
     kwargs = {arg: getattr(spec, key) for key, arg in _TRANSPORT_ARGS.items() if getattr(spec, key) is not None}
     report = mtp_check(w, c, BUILTIN_TRANSPORTS[spec.transport](**kwargs))
     return {
@@ -454,7 +449,7 @@ def _run_mtp_check(spec: MtpSpec, config: ExperimentConfig, w: WindowGraph) -> d
 
 def _cost_pipeline(w: WindowGraph, p: float, seed: int):
     """A Bernoulli(p) subset, its clusters and its connection-cost bounds."""
-    dec = decompose(w, subset_mask(sample(bernoulli_model([p, 1.0 - p]), w, seed)))
+    dec = decompose(w, subset_mask(sample([p, 1.0 - p], w, seed)))
     return dec, cost_upper_bound(dec, connect_clusters(dec))
 
 
@@ -539,9 +534,9 @@ def _run_palm(spec: PalmSpec, config: ExperimentConfig, w: None) -> dict:
         reports = []
         rows = []
         for j, name in enumerate(names):
-            f = BUILTIN_FUNCTIONALS[name]()
+            seed = derive_seed(config.seed, "inversion-functional", j)
             report, lhs_values, rhs_values = verify_voronoi_inversion(
-                f, t, torus, config.trials, m, derive_seed(config.seed, "inversion-functional", j)
+                BUILTIN_FUNCTIONALS[name], t, torus, config.trials, m, seed
             )
             reports.append(report.__dict__)
             rows.extend(

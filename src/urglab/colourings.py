@@ -1,4 +1,4 @@
-"""Random d-colourings of windows: iid and constant sampling models, and
+"""Random d-colourings of windows: the iid and constant samplers, and
 expansion.
 
 Colour values live in 1..d.  The d = 2 case doubles as a subset/percolation
@@ -63,50 +63,25 @@ def subset_mask(c: Colouring) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Sampling models
+# Samplers: each draws from derive_rng(seed, "colouring-sample")
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColouringModel:
-    """How to draw a colouring: iid per vertex, or one global colour."""
-
-    kind: str  # "bernoulli" | "constant"
-    d: int
-    p: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("need at least one colour")
-        if self.kind == "bernoulli":
-            if self.p is None or len(self.p) != self.d:
-                raise ValueError("bernoulli model needs a length-d probability vector")
-            if min(self.p) < 0 or abs(math.fsum(self.p) - 1.0) > 1e-12:
-                raise ValueError("probability vector must be nonnegative and sum to 1")
-        elif self.kind != "constant":
-            raise ValueError(f"unknown colouring model kind {self.kind!r}")
+def sample(p, w: WindowGraph, seed: int) -> Colouring:
+    """iid colours 1..len(p) with probabilities p; deterministic in (p, window, seed)."""
+    p = np.asarray(p, dtype=float)
+    if p.size == 0 or p.min() < 0 or abs(math.fsum(p) - 1.0) > 1e-12:
+        raise ValueError("probability vector must be nonempty, nonnegative and sum to 1")
+    colours = derive_rng(seed, "colouring-sample").choice(np.arange(1, p.size + 1), size=w.n, p=p)
+    return Colouring(w, p.size, colours)
 
 
-def bernoulli_model(p) -> ColouringModel:
-    return ColouringModel("bernoulli", len(p), p=tuple(float(x) for x in p))
-
-
-def uniform_bernoulli_model(d: int) -> ColouringModel:
-    return bernoulli_model([1.0 / d] * d)
-
-
-def constant_model(d: int) -> ColouringModel:
-    return ColouringModel("constant", d)
-
-
-def sample(model: ColouringModel, w: WindowGraph, seed: int) -> Colouring:
-    """Draw one colouring; deterministic in (model, window, seed)."""
-    rng = derive_rng(seed, "colouring-sample")
-    if model.kind == "bernoulli":
-        colours = rng.choice(np.arange(1, model.d + 1), size=w.n, p=np.asarray(model.p))
-    else:
-        colours = np.full(w.n, rng.integers(1, model.d + 1), dtype=np.int64)
-    return Colouring(w, model.d, colours)
+def sample_constant(d: int, w: WindowGraph, seed: int) -> Colouring:
+    """One uniform colour of 1..d on every vertex; deterministic in (d, window, seed)."""
+    if d < 1:
+        raise ValueError("need at least one colour")
+    colour = derive_rng(seed, "colouring-sample").integers(1, d + 1)
+    return Colouring(w, d, np.full(w.n, colour, dtype=np.int64))
 
 
 def expansion(c: Colouring) -> float:

@@ -5,13 +5,13 @@ For standard normals X, Y with correlation rho,
     P(X >= 0, Y < 0) = arccos(rho) / (2 pi),
 
 pinned by the independent case (rho = 0 forces 1/4) and verified here by a
-direct Monte Carlo oracle over the construction Y = rho X + sqrt(1-rho^2) Z.
+direct Monte Carlo oracle over the construction Y = rho X + sqrt(1-rho^2) Z,
+which ``correlated_pair`` samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,22 +19,14 @@ from .reporting import EstimateReport, binomial_stderr
 from .rng import derive_rng
 
 
-@dataclass(frozen=True)
-class CorrelatedGaussianPair:
-    """Standard normal marginals with E[XY] = rho."""
-
-    rho: float
-
-    def __post_init__(self):
-        if abs(self.rho) > 1.0:
-            raise ValueError("correlation must lie in [-1, 1]")
-
-    def sample(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = derive_rng(seed, "gaussian-pair")
-        x = rng.standard_normal(n)
-        z = rng.standard_normal(n)
-        y = self.rho * x + math.sqrt(max(0.0, 1.0 - self.rho**2)) * z
-        return x, y
+def correlated_pair(rho: float, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """n draws of (X, Y), standard normal marginals with E[XY] = rho."""
+    if abs(rho) > 1.0:
+        raise ValueError("correlation must lie in [-1, 1]")
+    rng = derive_rng(seed, "gaussian-pair")
+    x = rng.standard_normal(n)
+    z = rng.standard_normal(n)
+    return x, rho * x + math.sqrt(max(0.0, 1.0 - rho**2)) * z
 
 
 def orthant_probability(rho: float) -> float:
@@ -48,6 +40,6 @@ def orthant_probability_mc(rho: float, n: int, seed: int) -> EstimateReport:
     """Sampling oracle for the orthant probability (frequency of X>=0, Y<0)."""
     if n < 1:
         raise ValueError("need at least one trial")
-    x, y = CorrelatedGaussianPair(rho).sample(n, seed)
+    x, y = correlated_pair(rho, n, seed)
     p_hat = float(np.count_nonzero((x >= 0.0) & (y < 0.0))) / n
     return EstimateReport(estimate=p_hat, stderr=binomial_stderr(p_hat, n))

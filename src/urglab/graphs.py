@@ -138,16 +138,17 @@ class WindowGraph:
         degree = np.bincount(src, minlength=n)
         if degree.max() > gens.size:
             raise ValueError(f"vertex {degree.argmax()} exceeds the degree bound {gens.size}")
-        # each entry and its required mirror, encoded as one integer apiece that rises in row
-        # order (src, label name, dst); the stable sorts put the entries in row order and pair
-        # the k-th entry of a key with the k-th entry whose mirror has that key
+        # each entry and its required mirror, as a row (src) and a within-row key that rises with
+        # (label name, dst) and stays below labels * n, so no packed key wraps; the stable sorts put
+        # the entries in row order and pair the k-th entry of a (row, key) with the k-th entry
+        # whose mirror has them
         rank = gens.name_rank
-        key = (src * gens.size + rank[label_id]) * n + dst
-        order = np.argsort(key, kind="stable")
+        key = rank[label_id] * n + dst
+        order = np.lexsort((key, src))
         src, dst, label_id, key = src[order], dst[order], label_id[order], key[order]
-        mirror_key = (dst * gens.size + rank[gens.inverse_id[label_id]]) * n + src
-        backward = np.argsort(mirror_key, kind="stable")
-        if not np.array_equal(key, mirror_key[backward]):
+        mirror_key = rank[gens.inverse_id[label_id]] * n + src
+        backward = np.lexsort((mirror_key, dst))
+        if not (np.array_equal(src, dst[backward]) and np.array_equal(key, mirror_key[backward])):
             raise ValueError("edge labelling is not symmetric under inversion")
         mirror = np.empty_like(backward)
         mirror[backward] = np.arange(len(key))

@@ -67,11 +67,6 @@ def d_infinity(a: WeightVector, b: WeightVector) -> float:
     return max(abs(x - y) for x, y in zip(a.values, b.values))
 
 
-def weight_vector(partition: Colouring) -> WeightVector:
-    counts = partition.counts().astype(float) / partition.window.n
-    return WeightVector(tuple(counts))
-
-
 # ----------------------------------------------------------------------
 # Problems and feasibility
 # ----------------------------------------------------------------------
@@ -117,7 +112,7 @@ def _result(
     return KazhdanResult(
         partition=partition,
         value=count / partition.window.n,
-        weights=weight_vector(partition),
+        weights=WeightVector(tuple(counts / partition.window.n)),
         trace=trace,
         certificate=certificate,
         empty_parts=tuple(int(i + 1) for i in range(partition.d) if counts[i] == 0),

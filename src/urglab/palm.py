@@ -9,7 +9,8 @@ Two identities are checked numerically:
 * the inversion identity: for bounded f,
       E[f(w)]  =  t * E_Palm[ integral over V_0(w) of f(w - u) du ],
   whose inner integral is estimated by uniform torus samples filtered to
-  the origin cell (numerator and cell volume share the same draws).
+  the origin cell (numerator and cell volume share the same draws).  The
+  built-in f are the ``BoundedFunctional`` values of ``BUILTIN_FUNCTIONALS``.
 
 A Palm sample lists the origin first, so both read the origin cell as the
 cell of point 0.  Both filter their uniform locations with
@@ -174,42 +175,22 @@ class BoundedFunctional:
     """
 
     name: str
-    bound: float
     value: Callable[[PointConfiguration], float]
     radial: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def __post_init__(self):
-        if not math.isfinite(self.bound):
-            raise ValueError("functional must declare a finite bound")
+
+def _origin_distance(config: PointConfiguration) -> float:
+    return nearest_distance(config, np.zeros(config.torus.dim))
 
 
-def _f_one() -> BoundedFunctional:
-    return BoundedFunctional("one", 1.0, lambda config: 1.0, radial=lambda d: np.ones_like(d))
-
-
-def _f_capped_distance() -> BoundedFunctional:
-    return BoundedFunctional(
-        "capped-nearest-distance",
-        1.0,
-        lambda config: min(1.0, nearest_distance(config, np.zeros(config.torus.dim))),
-        radial=lambda d: np.minimum(1.0, d),
-    )
-
-
-def _f_ball_occupied() -> BoundedFunctional:
-    return BoundedFunctional(
-        "ball-occupied",
-        1.0,
-        lambda config: 1.0 if nearest_distance(config, np.zeros(config.torus.dim)) <= 1.0 else 0.0,
-        radial=lambda d: (d <= 1.0).astype(float),
-    )
-
-
-BUILTIN_FUNCTIONALS: dict[str, Callable[[], BoundedFunctional]] = {
-    "one": _f_one,
-    "capped-nearest-distance": _f_capped_distance,
-    "ball-occupied": _f_ball_occupied,
-}
+# the built-in functionals, each bounded by 1, keyed by name
+BUILTIN_FUNCTIONALS: dict[str, BoundedFunctional] = {f.name: f for f in (
+    BoundedFunctional("one", lambda config: 1.0, radial=np.ones_like),
+    BoundedFunctional("capped-nearest-distance", lambda config: min(1.0, _origin_distance(config)),
+                      radial=lambda d: np.minimum(1.0, d)),
+    BoundedFunctional("ball-occupied", lambda config: 1.0 if _origin_distance(config) <= 1.0 else 0.0,
+                      radial=lambda d: (d <= 1.0).astype(float)),
+)}
 
 
 @dataclass(frozen=True)

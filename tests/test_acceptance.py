@@ -38,6 +38,7 @@ longer reaches the tight cases, fails it (one too low fails the bound).
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -53,13 +54,7 @@ from urglab.clusters import (
     decompose,
     gaboriau_induction,
 )
-from urglab.colourings import (
-    bernoulli_model,
-    constant_model,
-    sample,
-    subset_mask,
-    uniform_bernoulli_model,
-)
+from urglab.colourings import sample, sample_constant, subset_mask
 from urglab.gaussian import orthant_probability, orthant_probability_mc
 from urglab.graphs import build_complete, build_path, build_random_regular, build_torus_window
 from urglab.kazhdan import (
@@ -120,11 +115,11 @@ def test_criterion_1_mass_transport_exactness():
         f_arrow(feature_mix_function((1.0, 2.0, 1.0, 0.0), name="mix")),
     ]
     pool = window_pool()
-    models = [uniform_bernoulli_model(2), uniform_bernoulli_model(3), constant_model(2)]
+    draws = [partial(sample, [0.5, 0.5]), partial(sample, [1.0 / 3] * 3), partial(sample_constant, 2)]
     worst = 0.0
     for i in range(1000):
         w = pool[i % len(pool)]
-        c = sample(models[i % len(models)], w, seed=i)
+        c = draws[i % len(draws)](w, seed=i)
         f = transports[i % len(transports)]
         rep = mtp_check(w, c, f)
         tolerance = 1e-9 * max(rep.lhs, 1.0)
@@ -144,7 +139,8 @@ def test_criterion_2_norm_bound_never_violated():
     tightest = 0.0
     for i in range(10**4):
         w = pool[i % len(pool)]
-        c = sample(uniform_bernoulli_model(int(rng.integers(2, 4))), w, seed=i)
+        d = int(rng.integers(2, 4))
+        c = sample([1.0 / d] * d, w, seed=i)
         coeffs = tuple(int(x) for x in rng.integers(-4, 5, size=4))
         f = feature_mix_function(coeffs, name=f"fuzz{i}")
         rep = norm_bound_check(w, c, f)
@@ -220,8 +216,7 @@ def test_criterion_5_voronoi_inversion():
     torus = FlatTorus(2, 20.0)
     details = []
     for j, name in enumerate(sorted(BUILTIN_FUNCTIONALS)):
-        f = BUILTIN_FUNCTIONALS[name]()
-        rep, _, _ = verify_voronoi_inversion(f, 1.0, torus, trials=10**3, m=10**4, seed=500 + j)
+        rep, _, _ = verify_voronoi_inversion(BUILTIN_FUNCTIONALS[name], 1.0, torus, trials=10**3, m=10**4, seed=500 + j)
         assert rep.diff <= 4.0 * max(rep.combined_stderr, 1e-12), rep
         details.append(f"{name}: |{rep.lhs:.4f}-{rep.rhs:.4f}|")
     elapsed = time.time() - start
@@ -234,8 +229,7 @@ def test_criterion_5_voronoi_inversion():
 def test_criterion_5_rejects_the_zero_cell(broken, monkeypatch):
     if broken:
         monkeypatch.setattr(palm, "palm_sample_poisson", size_biased_zero_cell)
-    f = BUILTIN_FUNCTIONALS["one"]()
-    rep, _, _ = verify_voronoi_inversion(f, 1.0, FlatTorus(2, 8.0), trials=200, m=2000, seed=7)
+    rep, _, _ = verify_voronoi_inversion(BUILTIN_FUNCTIONALS["one"], 1.0, FlatTorus(2, 8.0), trials=200, m=2000, seed=7)
     assert (rep.diff > 4.0 * max(rep.combined_stderr, 1e-12)) == broken, rep
 
 
@@ -277,12 +271,12 @@ def merge_decrement_failures() -> int:
     for i in range(100):
         w = pool[i % len(pool)]
         k = 2 if i % 2 == 0 else 3
-        partition = sample(uniform_bernoulli_model(k), w, seed=1000 + i)
+        partition = sample([1.0 / k] * k, w, seed=1000 + i)
         failures += fails(w, partition, rng.permutation(k)[:2] + 1, 0.8, i)
     # eps = 1, two parts: the move never increases the objective
     for i in range(40):
         w = pool[i % len(pool)]
-        failures += fails(w, sample(uniform_bernoulli_model(2), w, seed=2000 + i), (1, 2), 1.0, i)
+        failures += fails(w, sample([0.5, 0.5], w, seed=2000 + i), (1, 2), 1.0, i)
     return failures
 
 
@@ -336,7 +330,7 @@ def flood_fill_mismatches(decompose) -> int:
     for i in range(1000):
         w = pool[i % len(pool)]
         p = float(rng.uniform(0.05, 0.95))
-        subset = sample(bernoulli_model([p, 1.0 - p]), w, seed=3000 + i)
+        subset = sample([p, 1.0 - p], w, seed=3000 + i)
         dec = decompose(w, subset_mask(subset))
         oracle = flood_fill_clusters(w, dec.mask)
         mismatches += [sorted(dec.vertices_of(cid).tolist()) for cid in range(dec.count)] != oracle

@@ -5,7 +5,7 @@ import pytest
 from oracles import bfs_ball
 
 from urglab.balls import ball
-from urglab.colourings import sample, subset_colouring, uniform_bernoulli_model
+from urglab.colourings import sample, subset_colouring
 from urglab.graphs import build_random_regular, build_torus_window
 
 
@@ -39,7 +39,7 @@ def test_torus_ball_radius_one():
     build_random_regular(3, 7, seed=1),  # loops and parallel edges of multiplicity up to 4
 ], ids=["torus", "cycle", "random-regular-multi"])
 def test_ball_matches_bfs_oracle(w):
-    for colouring in (None, sample(uniform_bernoulli_model(3), w, 5)):
+    for colouring in (None, sample([1.0 / 3] * 3, w, 5)):
         for u in range(w.n):
             for r in range(4):
                 b = ball(w, colouring, u, r)
@@ -55,7 +55,7 @@ def test_ball_matches_bfs_oracle(w):
     build_random_regular(3, 7, seed=1),  # loops and parallel edges of multiplicity up to 4
 ], ids=["torus", "random-regular", "random-regular-k1", "random-regular-multi"])
 def test_ball_cut_inside_a_ball_is_the_direct_ball(w):
-    c = sample(uniform_bernoulli_model(2), w, 4)
+    c = sample([0.5, 0.5], w, 4)
     fields = ("original", "colours", "distances", "edges")
     checked = 0
     for u in range(w.n):

@@ -26,7 +26,7 @@ from urglab.cli import (
     run,
     validate,
 )
-from urglab.colourings import sample, uniform_bernoulli_model
+from urglab.colourings import sample
 from urglab.palm import GuardViolation
 from urglab.transport import (
     f_arrow,
@@ -185,7 +185,7 @@ def test_mtp_check_builtins_cut_no_ball(transport, tmp_path, monkeypatch):
         balls.ball(w, None, 0, 1)
     if transport.startswith("vertex:"):
         # f_arrow and the norm bound of each built-in vertex function
-        f, c = VERTEX_FUNCTIONS[transport.removeprefix("vertex:")](), sample(uniform_bernoulli_model(2), w, 0)
+        f, c = VERTEX_FUNCTIONS[transport.removeprefix("vertex:")](), sample([0.5, 0.5], w, 0)
         assert mtp_check(w, c, f_arrow(f)).exact and norm_bound_check(w, c, f).holds
         return
     argv = ["mtp-check", "--model", "torus", "--d", "2", "--L", "8", "--transport", transport]
@@ -217,6 +217,25 @@ def test_cost_bound_json(tmp_path):
 def test_cost_bound_golden_bytes(tmp_path, params, seed, digest):
     run(ExperimentConfig("cost-bound", params, seed=seed, out_dir=str(tmp_path)))
     assert hashlib.sha256(read(tmp_path / "cost_bound.json")).hexdigest() == digest
+
+
+# sha256 of the data file of runs that draw through each sampler: Gaussian pairs, the constant
+# colouring, iid colourings with d = 3 and Bernoulli subsets; recorded while the colourings were
+# drawn through a model object and the pairs through a pair class
+@pytest.mark.parametrize("kind, params, trials, seed, name, digest", [
+    ("gauss-check", {"rho": [-0.9, 0.0, 0.5], "n": 10000}, 100, 3, "gauss_check.csv",
+     "8999859fbb82546923be936cfe449b0fcfbfe7e3ad50614821e9c92b3f416be9"),
+    ("mtp-check", {"model": "torus", "d": 2, "L": 8, "colouring": "constant", "colours": 3,
+                   "transport": "source-colour", "transport_colour": 2}, 100, 4, "mtp_report.json",
+     "cdc035246f8c6dd894718a7e027c19b60ed4cd4baf4493d03205f414848778e5"),
+    ("mtp-check", {"model": "random-regular", "k_rank": 2, "n": 50, "colours": 3, "transport": "bichromatic"},
+     100, 5, "mtp_report.json", "c369b056944c9c85b80b15509a2225050e394498b36dce0224acc8a6781e627e"),
+    ("percolation", {"model": "torus", "d": 2, "L": 16, "p": [0.2, 0.5]}, 3, 6, "percolation.csv",
+     "0576b06390f8c199a67bb0fb5dc8399ce5253f9011ec790debbec7d163f64ab5"),
+], ids=["gauss-check", "mtp-constant", "mtp-iid-3", "percolation"])
+def test_sampler_golden_bytes(tmp_path, kind, params, trials, seed, name, digest):
+    run(ExperimentConfig(kind, params, trials=trials, seed=seed, out_dir=str(tmp_path)))
+    assert hashlib.sha256(read(tmp_path / name)).hexdigest() == digest
 
 
 def test_mtp_check_from_window_file(tmp_path):
@@ -437,6 +456,14 @@ def test_window_file_guard_counts_declared_labels(model, rank, tmp_path, capsys,
     assert time.perf_counter() - start < 1.0
     assert "guard: window_file: " in capsys.readouterr().err
     assert not (tmp_path / "refused").exists()
+    # 2 * 500,001 labels are under MAX_WINDOW_ENTRIES but over MAX_PARTS: each label costs Python
+    # strings and dicts, and at k = 500,000 the file takes seconds and hundreds of MB to read
+    start = time.perf_counter()
+    assert main(["mtp-check", "--model", "window-file", "--window-file", window_file(500_001),
+                 "--out", str(tmp_path / "refused")]) == 3
+    assert time.perf_counter() - start < 0.1
+    assert "guard: window_file: " in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
     params = {"model": "window-file", "window_file": window_file(2)}
     monkeypatch.setattr(cli, "MAX_WINDOW_ENTRIES", 4)  # the 4 labels of rank 2 outnumber the 3 vertices
     assert build_window(params, 0).n == 3
@@ -504,7 +531,8 @@ def test_part_counts_sum_exactly_and_are_capped(tmp_path, capsys, monkeypatch):
         raise AssertionError("a part count above the guard reached its per-part list")
 
     monkeypatch.setattr(cli.KazhdanSpec, "weights", unreachable)
-    monkeypatch.setattr(cli, "uniform_bernoulli_model", unreachable)
+    # mtp-check derives its colouring seed just before it builds its [1/d] * d list
+    monkeypatch.setattr(cli, "derive_seed", unreachable)
     refused = tmp_path / "refused"
     for count in ("1000001", "10000000000"):
         for argv, message in [(["kazhdan", *cycle, "--k", count], "guard: k: "),

@@ -20,7 +20,7 @@ from urglab.clusters import (
     decompose,
     gaboriau_induction,
 )
-from urglab.colourings import bernoulli_model, sample, subset_mask
+from urglab.colourings import sample, subset_mask
 from urglab.graphs import build_random_regular, build_torus_window
 
 
@@ -58,7 +58,7 @@ def test_cycle_three_in_vertices():
 def test_decompose_refuses_anything_but_a_vertex_mask():
     # a Colouring once decomposed as one cluster of size 1, and a short mask was accepted
     w = build_torus_window(2, 4)
-    for mask in (sample(bernoulli_model([1.0, 0.0]), w, 0), np.ones(15, dtype=bool),
+    for mask in (sample([1.0, 0.0], w, 0), np.ones(15, dtype=bool),
                  np.ones((16, 1), dtype=bool), np.ones(16, dtype=np.int64)):
         with pytest.raises(ValueError, match=r"boolean array of shape \(16,\)"):
             decompose(w, mask)
@@ -102,7 +102,7 @@ def test_csgraph_view_matches_summed_counts():
             oracle.__dict__["csr"] = summed_count_matrix(oracle)  # the cached property's slot
             multi += summed_count_matrix(w).data.max() > 1
             for p in (0.05, 0.3, 0.6):
-                mask = subset_mask(sample(bernoulli_model([p, 1.0 - p]), w, seed=seed))
+                mask = subset_mask(sample([p, 1.0 - p], w, seed=seed))
                 assert cluster_outcome(w, mask) == cluster_outcome(oracle, mask), (k, n, seed, p)
     assert multi > 0  # some windows hold loops or parallel edges
 
@@ -128,7 +128,7 @@ def test_connect_makes_subset_connected():
     for w in (build_torus_window(2, 16), build_random_regular(3, 200, seed=4),
               build_random_regular(2, 150, seed=5)):
         for seed in range(5):
-            subset = subset_mask(sample(bernoulli_model([0.2, 0.8]), w, seed))
+            subset = subset_mask(sample([0.2, 0.8], w, seed))
             dec = decompose(w, subset)
             extra = connect_clusters(dec)
             assert len(extra.pairs) == dec.count - 1
@@ -141,7 +141,7 @@ def test_connect_makes_subset_connected():
 
 def test_connect_returns_int64_arrays():
     w = build_torus_window(2, 16)
-    for mask in (subset_mask(sample(bernoulli_model([0.2, 0.8]), w, 0)), np.ones(w.n, dtype=bool)):
+    for mask in (subset_mask(sample([0.2, 0.8], w, 0)), np.ones(w.n, dtype=bool)):
         dec = decompose(w, mask)
         extra = connect_clusters(dec)
         m = dec.count - 1
@@ -152,7 +152,7 @@ def test_connect_returns_int64_arrays():
 def test_connect_success_path_skips_window_components(monkeypatch):
     # the window components are computed only to name a split window
     w = build_random_regular(3, 200, seed=4)
-    dec = decompose(w, subset_mask(sample(bernoulli_model([0.2, 0.8]), w, 0)))
+    dec = decompose(w, subset_mask(sample([0.2, 0.8], w, 0)))
 
     def unexpected(*args, **kwargs):
         raise AssertionError("connected_components ran on the success path")
@@ -164,7 +164,7 @@ def test_connect_success_path_skips_window_components(monkeypatch):
 def test_connect_order_does_not_rest_on_tree_storage(monkeypatch):
     # the same tree stored transposed must list the same pairs in the same order
     w = build_torus_window(2, 16)
-    dec = decompose(w, subset_mask(sample(bernoulli_model([0.2, 0.8]), w, 0)))
+    dec = decompose(w, subset_mask(sample([0.2, 0.8], w, 0)))
     expected = connect_clusters(dec)
     monkeypatch.setattr("urglab.clusters.minimum_spanning_tree",
                         lambda graph: minimum_spanning_tree(graph).T.tocsr())
@@ -176,7 +176,7 @@ def test_connect_order_does_not_rest_on_tree_storage(monkeypatch):
 def test_connect_pairs_realize_cluster_distances():
     for w in (build_torus_window(2, 12), build_random_regular(3, 150, seed=6),
               build_random_regular(2, 100, seed=7)):
-        subset = subset_mask(sample(bernoulli_model([0.15, 0.85]), w, 11))
+        subset = subset_mask(sample([0.15, 0.85], w, 11))
         dec = decompose(w, subset)
         extra = connect_clusters(dec)
         clusters = [set(dec.vertices_of(i).tolist()) for i in range(dec.count)]
@@ -190,7 +190,7 @@ def test_connect_total_is_minimum_spanning_weight():
     for w in (build_torus_window(2, 5), build_torus_window(2, 8),
               build_random_regular(2, 40, seed=8), build_random_regular(2, 60, seed=9)):
         for seed in range(4):
-            subset = subset_mask(sample(bernoulli_model([0.2, 0.8]), w, seed))
+            subset = subset_mask(sample([0.2, 0.8], w, seed))
             dec = decompose(w, subset)
             clusters = [set(dec.vertices_of(i).tolist()) for i in range(dec.count)]
             weights = [[set_distance(w, a, b) for b in clusters] for a in clusters]
@@ -200,7 +200,7 @@ def test_connect_total_is_minimum_spanning_weight():
 def test_connect_is_tree_minimal():
     # removing any retained pair disconnects the subset again
     w = build_torus_window(2, 10)
-    subset = subset_mask(sample(bernoulli_model([0.25, 0.75]), w, 3))
+    subset = subset_mask(sample([0.25, 0.75], w, 3))
     dec = decompose(w, subset)
     extra = connect_clusters(dec)
     for skip in range(len(extra.pairs)):
@@ -284,7 +284,7 @@ def test_cost_bound_requires_connecting_pairs():
 def test_cost_bound_empirical_at_least_one_minus_intensity():
     w = build_torus_window(2, 12)
     for seed in range(5):
-        subset = subset_mask(sample(bernoulli_model([0.3, 0.7]), w, seed))
+        subset = subset_mask(sample([0.3, 0.7], w, seed))
         dec = decompose(w, subset)
         bound = cost_upper_bound(dec, connect_clusters(dec))
         assert bound.empirical_bound >= 1.0 - bound.intensity - 1e-12

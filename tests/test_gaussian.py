@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from urglab.gaussian import (
-    CorrelatedGaussianPair,
+    correlated_pair,
     orthant_probability,
     orthant_probability_mc,
 )
@@ -55,8 +55,7 @@ def test_monotone_and_continuous_on_grid():
 
 
 def test_pair_moments():
-    pair = CorrelatedGaussianPair(0.6)
-    x, y = pair.sample(200_000, seed=4)
+    x, y = correlated_pair(0.6, 200_000, seed=4)
     n = len(x)
     for arr in (x, y):
         assert abs(arr.mean()) <= 4 / math.sqrt(n)

@@ -180,6 +180,14 @@ def test_window_serialization_round_trip():
         assert all(np.array_equal(a, b) for a, b in zip(back.edge_arrays, w.edge_arrays))
 
 
+def test_round_trip_holds_past_a_packed_sort_key():
+    # labels * n^2 = 2e5 * 4.9e13 is far past 2^63: one int64 key packing (src, label name, dst)
+    # wraps here and misorders the rows; each row's (label name, dst) key stays below labels * n
+    data = {"model": "random-regular", "params": {"k": 100_000}, "seed": None, "n": 7_000_000,
+            "edges": [[5, 6, "s2"], [6999999, 0, "s1"], [6999999, 6999998, "s99999"]]}
+    assert window_to_dict(window_from_dict(data)) == data
+
+
 def test_label_ids_equal_list_index_definition():
     mixed = GeneratorSet.paired([("a", "b"), ("c", "c"), ("d", "e")])
     for gens in (torus_generators(3), free_generators(2), build_complete(40).gens, mixed):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import anneal_reference, build_explicit, directed_bichromatic_count, exhaustive_bipartition_minimum
 
-from urglab.colourings import Colouring, expansion, sample, uniform_bernoulli_model
+from urglab.colourings import Colouring, expansion, sample
 from urglab.graphs import (
     build_complete,
     build_path,
@@ -81,7 +81,7 @@ def test_kazhdan_value_complete_graph():
 
 def test_kazhdan_value_invariant_under_relabelling():
     w = build_torus_window(2, 4)
-    partition = sample(uniform_bernoulli_model(3), w, 8)
+    partition = sample([1.0 / 3] * 3, w, 8)
     perm = np.array([3, 1, 2])
     relabelled = Colouring(w, 3, perm[partition.colours - 1])
     assert expansion(relabelled) == expansion(partition)
@@ -354,7 +354,7 @@ def test_merge_move_decrement_matches_recount_k3():
     rng = np.random.default_rng(9)
     w = build_torus_window(2, 6)
     for trial in range(50):
-        partition = sample(uniform_bernoulli_model(3), w, trial)
+        partition = sample([1.0 / 3] * 3, w, trial)
         r = int(rng.integers(1, 4))
         b = int(rng.integers(1, 4))
         if r == b:
@@ -375,7 +375,7 @@ def test_merge_move_golden_on_criterion_7_pool():
     for i in range(100):
         w = pool[i % len(pool)]
         k = 2 if i % 2 == 0 else 3
-        partition = sample(uniform_bernoulli_model(k), w, seed=1000 + i)
+        partition = sample([1.0 / k] * k, w, seed=1000 + i)
         parts = rng.permutation(k)[:2] + 1
         results.append(cluster_merge_move(w, partition, int(parts[0]), int(parts[1]), 0.8, seed=i))
     flipped = [r.flipped_clusters for r in results]

@@ -203,7 +203,7 @@ def test_trees_are_built_by_their_first_query(monkeypatch):
     built = []
     tree = urglab.torus.cKDTree
     monkeypatch.setattr(urglab.torus, "cKDTree", lambda *args, **kw: built.append(1) or tree(*args, **kw))
-    f = BUILTIN_FUNCTIONALS["capped-nearest-distance"]()
+    f = BUILTIN_FUNCTIONALS["capped-nearest-distance"]
     config = sample_poisson(1.0, T2, seed=3)
     f.value(config)
     moved = config.shifted(-config.points[0])
@@ -217,7 +217,7 @@ def test_trees_are_built_by_their_first_query(monkeypatch):
     assert len(built) == 1
     # one tree per Palm configuration, none for the lhs samples or the translates
     built.clear()
-    generic = BoundedFunctional("generic", f.bound, f.value)
+    generic = BoundedFunctional("generic", f.value)
     verify_voronoi_inversion(generic, 1.0, FlatTorus(2, 6.0), 4, 300, seed=2)
     assert len(built) == 4
 
@@ -476,8 +476,7 @@ def test_mean_cell_volume_guard():
 
 
 def test_inversion_constant_functional():
-    f = BUILTIN_FUNCTIONALS["one"]()
-    report, lhs_values, rhs_values = verify_voronoi_inversion(f, 1.0, T2, 200, 4000, seed=7)
+    report, lhs_values, rhs_values = verify_voronoi_inversion(BUILTIN_FUNCTIONALS["one"], 1.0, T2, 200, 4000, seed=7)
     assert np.all(lhs_values == 1.0)
     assert report.lhs == 1.0
     assert report.diff <= 4 * max(report.combined_stderr, 1e-12)
@@ -485,16 +484,15 @@ def test_inversion_constant_functional():
 
 def test_inversion_radial_functionals_small():
     for name in ("capped-nearest-distance", "ball-occupied"):
-        f = BUILTIN_FUNCTIONALS[name]()
-        report, _, _ = verify_voronoi_inversion(f, 1.0, T2, 300, 4000, seed=8)
+        report, _, _ = verify_voronoi_inversion(BUILTIN_FUNCTIONALS[name], 1.0, T2, 300, 4000, seed=8)
         assert report.diff <= 4 * report.combined_stderr
 
 
 def test_inversion_generic_path_agrees_with_radial():
     # drop the fast path and make sure the generic shifted-configuration
     # evaluation estimates the same quantity
-    radial = BUILTIN_FUNCTIONALS["ball-occupied"]()
-    generic = BoundedFunctional("ball-occupied-generic", 1.0, radial.value, radial=None)
+    radial = BUILTIN_FUNCTIONALS["ball-occupied"]
+    generic = BoundedFunctional("ball-occupied-generic", radial.value)
     torus = FlatTorus(2, 6.0)
     rep_r, _, _ = verify_voronoi_inversion(radial, 1.0, torus, 150, 800, seed=9)
     rep_g, lhs_values, rhs_values = verify_voronoi_inversion(generic, 1.0, torus, 150, 800, seed=9)
@@ -542,11 +540,6 @@ def test_palm_outputs_match_golden_digests(tmp_path, params, trials, seed, repor
     run(ExperimentConfig("palm", params, trials=trials, seed=seed, out_dir=str(tmp_path)))
     assert hashlib.sha256((tmp_path / "palm_report.json").read_bytes()).hexdigest() == report_sha
     assert hashlib.sha256((tmp_path / "palm_trials.csv").read_bytes()).hexdigest() == trials_sha
-
-
-def test_inversion_rejects_unbounded():
-    with pytest.raises(ValueError):
-        BoundedFunctional("bad", math.inf, lambda c: 1.0)
 
 
 def test_local_finiteness_single_point():

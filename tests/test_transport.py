@@ -32,7 +32,7 @@ from oracles import (
 )
 
 from urglab.cli import ExperimentConfig, run
-from urglab.colourings import sample, subset_colouring, uniform_bernoulli_model
+from urglab.colourings import sample, subset_colouring
 from urglab.graphs import build_random_regular, build_torus_window, window_from_dict
 from urglab.transport import (
     BUILTIN_TRANSPORTS,
@@ -53,7 +53,7 @@ from urglab.transport import (
 
 
 def bern(w, seed=0, d=2):
-    return sample(uniform_bernoulli_model(d), w, seed)
+    return sample([1.0 / d] * d, w, seed)
 
 
 def test_constant_transport_gives_average_degree():
