@@ -290,7 +290,9 @@ class WindowSpec(_Spec):
             data = json.loads(Path(self.window_file).read_text())
             rank = {"torus": "d", "random-regular": "k"}.get(data["model"])
             labels = 2 * data["params"][rank] if rank else 0
-            # the vertex count, the edge rows and the declared labels size every array the window builds
+            if data["model"] == "explicit":  # one label per distinct name in the edge rows
+                labels = len({s for _, _, s in data["edges"]})
+            # the vertex count, the edge rows and the labels size every array the window builds
             label_cap = min(MAX_WINDOW_ENTRIES, MAX_PARTS)
             if max(data["n"], 2 * len(data["edges"])) <= MAX_WINDOW_ENTRIES and labels <= label_cap:
                 return window_from_dict(data)
@@ -374,22 +376,24 @@ class MtpSpec(WindowSpec):
 
 def _resolve_config(config: ExperimentConfig) -> _Spec:
     """The config's typed spec; ValidationError lists every problem found."""
-    if config.kind not in _KINDS:
+    if not isinstance(config.kind, str) or config.kind not in _KINDS:
         raise ValidationError([f"unknown experiment kind: {config.kind}"])
     messages = []
     # run() takes these typed: only config_from_args reads them from text
     for name, ok in (("trials", type(config.trials) is int), ("seed", type(config.seed) is int),
-                     ("out_dir", isinstance(config.out_dir, (str, os.PathLike)))):
+                     ("out_dir", isinstance(config.out_dir, (str, os.PathLike))),
+                     ("params", isinstance(config.params, dict))):
         if not ok:
             messages.append(f"{name}: invalid value {getattr(config, name)!r}")
     if type(config.seed) is int and config.seed < 0:
         messages.append("master seed must be a nonnegative integer")
     if type(config.trials) is int and config.trials < 1:
         messages.append("trials must be positive")
-    try:
-        spec = _resolve(_KINDS[config.kind][0], config.kind, config.params)
-    except ValidationError as exc:
-        messages += exc.messages
+    if isinstance(config.params, dict):
+        try:
+            spec = _resolve(_KINDS[config.kind][0], config.kind, config.params)
+        except ValidationError as exc:
+            messages += exc.messages
     if messages:
         raise ValidationError(messages)
     return spec
@@ -434,17 +438,7 @@ def _run_mtp_check(spec: MtpSpec, config: ExperimentConfig, w: WindowGraph) -> d
     c = sample_constant(d, w, seed) if spec.colouring == "constant" else sample([1.0 / d] * d, w, seed)
     kwargs = {arg: getattr(spec, key) for key, arg in _TRANSPORT_ARGS.items() if getattr(spec, key) is not None}
     report = mtp_check(w, c, BUILTIN_TRANSPORTS[spec.transport](**kwargs))
-    return {
-        "mtp_report.json": {
-            "window": w.window_id,
-            "transport": spec.transport,
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "abs_diff": report.abs_diff,
-            "n": report.n,
-            "exact": report.exact,
-        },
-    }
+    return {"mtp_report.json": {"window": w.window_id, "transport": spec.transport, **asdict(report)}}
 
 
 def _cost_pipeline(w: WindowGraph, p: float, seed: int):
@@ -474,21 +468,11 @@ def _run_percolation(spec: PercolationSpec, config: ExperimentConfig, w: WindowG
 
 def _run_cost_bound(spec: CostBoundSpec, config: ExperimentConfig, w: WindowGraph) -> dict:
     dec, bound = _cost_pipeline(w, spec.p, derive_seed(config.seed, "subset"))
+    # restricted cost at most the degree bound, pushed back up
+    gaboriau = gaboriau_induction(float(w.degree_bound), bound.intensity) if bound.intensity > 0 else 1.0
     return {
-        "cost_bound.json": {
-            "window": w.window_id,
-            "p": spec.p,
-            "intensity": bound.intensity,
-            "half_degree": bound.half_degree,
-            "lemma_bound": bound.lemma_bound,
-            "empirical_bound": bound.empirical_bound,
-            "cluster_count": dec.count,
-            "extra_pairs": bound.extra_pairs,
-            # restricted cost at most the degree bound, pushed back up
-            "gaboriau_from_degree": gaboriau_induction(float(w.degree_bound), bound.intensity)
-            if bound.intensity > 0
-            else 1.0,
-        },
+        "cost_bound.json": {"window": w.window_id, "p": spec.p, "cluster_count": dec.count,
+                            "gaboriau_from_degree": gaboriau, **asdict(bound)},
     }
 
 
@@ -528,7 +512,8 @@ def _run_palm(spec: PalmSpec, config: ExperimentConfig, w: None) -> dict:
 
     if spec.check == "cellvol":
         report, values = verify_mean_cell_volume(t, torus, config.trials, m, config.seed)
-        header, rows = ("trial", "volume"), [(str(i), fmt_float(v)) for i, v in enumerate(values)]
+        report, header = asdict(report), ("trial", "volume")
+        rows = [(str(i), fmt_float(v)) for i, v in enumerate(values)]
     elif spec.check == "inversion":
         names = [spec.functional] if spec.functional else list(BUILTIN_FUNCTIONALS)
         reports = []
@@ -538,7 +523,7 @@ def _run_palm(spec: PalmSpec, config: ExperimentConfig, w: None) -> dict:
             report, lhs_values, rhs_values = verify_voronoi_inversion(
                 BUILTIN_FUNCTIONALS[name], t, torus, config.trials, m, seed
             )
-            reports.append(report.__dict__)
+            reports.append(asdict(report))
             rows.extend(
                 (name, str(i), fmt_float(lv), fmt_float(rv))
                 for i, (lv, rv) in enumerate(zip(lhs_values, rhs_values))
@@ -600,7 +585,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         wall_time_s=time.perf_counter() - start,
         outputs={name: sha256_of(out / name) for name in payloads},
     )
-    write_json(out / "run.manifest.json", manifest)
+    write_json(out / "run.manifest.json", asdict(manifest))
     return manifest
 
 

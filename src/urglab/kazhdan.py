@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +58,6 @@ def uniform_weights(k: int) -> WeightVector:
     if k < 1:
         raise ValueError(f"need at least one part, got k = {k}")
     return WeightVector(tuple([1.0 / k] * k))
-
-
-def d_infinity(a: WeightVector, b: WeightVector) -> float:
-    if len(a) != len(b):
-        raise ValueError("weight vectors must have equal length")
-    return max(abs(x - y) for x, y in zip(a.values, b.values))
 
 
 # ----------------------------------------------------------------------
@@ -431,46 +424,3 @@ def cluster_merge_move(
         flipped_clusters=tuple(int(c) for c in flipped),
         no_adjacent_clusters=False,
     )
-
-
-# ----------------------------------------------------------------------
-# Size profiles
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProfileRow:
-    n: int
-    value: float
-    balance_gap: float  # d_inf between achieved weights and the uniform target
-    wall_time: float
-    moves: dict[str, tuple[int, int]]  # the annealer's KazhdanResult.moves
-
-
-def kazhdan_profile(
-    windows: list[WindowGraph],
-    k: int,
-    eps: float,
-    budget: int = 4000,
-    restarts: int = 10,
-    seed: int = 0,
-) -> tuple[ProfileRow, ...]:
-    """Best found value per window size, for decay/plateau comparisons."""
-    rows = []
-    for w in windows:
-        problem = KazhdanProblem(
-            window=w, k=k, alpha=uniform_weights(k), eps=eps, budget=budget,
-            restarts=restarts, seed=seed,
-        )
-        start = time.perf_counter()
-        result = anneal_kazhdan(problem)
-        rows.append(
-            ProfileRow(
-                n=w.n,
-                value=result.value,
-                balance_gap=d_infinity(result.weights, uniform_weights(k)),
-                wall_time=time.perf_counter() - start,
-                moves=result.moves,
-            )
-        )
-    return tuple(rows)

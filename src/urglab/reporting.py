@@ -6,7 +6,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -52,10 +52,9 @@ def write_csv(path: Path, header: tuple[str, ...], rows: Iterable) -> None:
 
 
 def write_json(path: Path, payload) -> None:
-    """Sorted, indented JSON; makes the parent directory if it is missing."""
+    """Sorted, indented JSON of plain JSON values (dicts, lists, strings,
+    numbers, bools, None); makes the parent directory if it is missing."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    if hasattr(payload, "__dataclass_fields__"):
-        payload = asdict(payload)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

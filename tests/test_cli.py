@@ -63,6 +63,7 @@ def test_validate_small_torus():
 
 def test_validate_unknown_kind():
     assert validate(ExperimentConfig("nope")) == ["unknown experiment kind: nope"]
+    assert validate(ExperimentConfig(["gauss-check"], {})) == ["unknown experiment kind: ['gauss-check']"]
 
 
 def test_run_rejects_invalid():
@@ -74,6 +75,7 @@ def test_run_rejects_invalid():
     ("trials", "3"), ("trials", None), ("trials", 2.5), ("trials", True),
     ("seed", "0"), ("seed", None), ("seed", 1.0), ("seed", True),
     ("out_dir", 5), ("out_dir", None),
+    ("params", [1, 2]), ("params", None), ("params", "x"),
 ])
 def test_run_rejects_untyped_common_fields(name, value, tmp_path):
     config = ExperimentConfig("gauss-check", {"n": 10}, trials=1, out_dir=str(tmp_path / "out"))
@@ -470,6 +472,23 @@ def test_window_file_guard_counts_declared_labels(model, rank, tmp_path, capsys,
     monkeypatch.setattr(cli, "MAX_WINDOW_ENTRIES", 3)
     with pytest.raises(GuardViolation, match="^window_file: "):
         build_window(params, 0)
+
+
+def test_window_file_guard_counts_explicit_labels(tmp_path, capsys, monkeypatch):
+    # an explicit file builds one label per distinct name in its edge rows; the guard counts them
+    def window_file(labels):
+        path = tmp_path / f"explicit-{labels}.json"
+        edges = [[i, (i + 1) % 5, f"e{i}"] for i in range(labels)]
+        path.write_text(json.dumps({"model": "explicit", "params": {}, "seed": None, "n": 5, "edges": edges}))
+        return path
+
+    monkeypatch.setattr(cli, "MAX_PARTS", 3)
+    assert main(["mtp-check", "--model", "window-file", "--window-file", str(window_file(4)),
+                 "--out", str(tmp_path / "refused")]) == 3
+    assert "guard: window_file: " in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+    assert main(["mtp-check", "--model", "window-file", "--window-file", str(window_file(3)),
+                 "--out", str(tmp_path / "ok")]) == 0
 
 
 def test_palm_dimension_guard_counts_coordinates(tmp_path, capsys, monkeypatch):

@@ -81,3 +81,17 @@ def test_kazhdan_profile_script_rejects_malformed_input(tmp_path, args, field):
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("args,expected", [
+    (("--family", "random-regular", "--sizes", "16,32", "--k", "3", "--eps", "0.05", "--budget", "300",
+      "--restarts", "2", "--seed", "4"),
+     [["16", "1.75", "0.041666666666666685"], ["32", "1.875", "0.020833333333333315"]]),
+    (("--family", "cycle", "--sizes", "8,16,32", "--budget", "500", "--restarts", "2", "--seed", "1"),
+     [["8", "0.5", "0.0"], ["16", "0.25", "0.0"], ["32", "0.5", "0.0"]]),
+], ids=["random-regular-k3", "cycle"])
+def test_kazhdan_profile_rows_are_pinned(tmp_path, args, expected):
+    # n, best value and balance gap of each row, as recorded before the row loop moved into the script
+    out = tmp_path / "profile.csv"
+    run_script("kazhdan_profile.py", *args, "--out", str(out), cwd=tmp_path)
+    assert [row[:3] for row in read_csv(out)[1:]] == expected
