@@ -13,12 +13,15 @@ The annealer runs each restart on a Python list of colours, which its
 per-step reads index faster than a numpy array.  It keeps the restart's
 first lowest-count state not as a copy but as an undo log: each vertex's
 colour at the last snapshot, recorded on its first write after it.  So
-taking a snapshot and restoring it never copy all n colours.
+taking a snapshot and restoring it never copy all n colours.  After the
+restart's shuffle, every scalar draw goes through ``rng.ScalarDraws``, which
+returns exactly what the restart's ``Generator`` would without numpy's
+per-call cost; the tests hold the annealer byte for byte to
+``anneal_reference``, which draws from the ``Generator`` itself.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +30,7 @@ import numpy as np
 from .clusters import decompose
 from .colourings import Colouring
 from .graphs import WindowGraph
-from .rng import derive_rng
+from .rng import ScalarDraws, derive_rng
 
 
 class InfeasibleBalanceError(ValueError):
@@ -167,27 +170,55 @@ def _bichromatic_count(w: WindowGraph, colours: np.ndarray) -> int:
 
 
 def brute_force_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
-    """Certified minimum over every admissible partition (k**n guarded)."""
-    w, k = problem.window, problem.k
-    # for k >= 2, k**24 >= 2**24 is over the guard, so capping the power at 24 keeps the verdict of k**n
-    if k ** min(w.n, 24) > 10**7:
-        raise InstanceTooLargeError(f"{k}**{w.n} assignments exceed the 10**7 guard")
-    windows = feasible_size_windows(w.n, problem.alpha, problem.eps)
-    edges = list(zip(*(a.tolist() for a in w.edge_arrays)))  # a loop is never cut
+    """Certified minimum over every admissible partition (k**n guarded).
 
-    best: tuple[int, tuple[int, ...]] | None = None
-    for assignment in itertools.product(range(1, k + 1), repeat=w.n):
-        counts = [0] * (k + 1)
-        for colour in assignment:
-            counts[colour] += 1
-        if any(not (lo <= counts[i + 1] <= hi) for i, (lo, hi) in enumerate(windows)):
-            continue
-        cut = sum(1 for u, v in edges if assignment[u] != assignment[v])
-        if best is None or cut < best[0]:  # product order: the first minimum is the lexicographic least
-            best = (cut, assignment)
+    A depth-first walk assigns colours 1..k to vertices 0..n-1 in
+    lexicographic order.  It drops a prefix once a part exceeds its upper
+    size, once the vertices left cannot lift every part to its lower size,
+    or once its cut count (charged to an edge when its later end is coloured)
+    reaches the best so far.  Only a strictly lower count replaces the best,
+    so the reported minimum is the lexicographically least one.
+    """
+    w, k, n = problem.window, problem.k, problem.window.n
+    # for k >= 2, k**24 >= 2**24 is over the guard, so capping the power at 24 keeps the verdict of k**n
+    if k ** min(n, 24) > 10**7:
+        raise InstanceTooLargeError(f"{k}**{n} assignments exceed the 10**7 guard")
+    windows = feasible_size_windows(n, problem.alpha, problem.eps)
+    lo = [lo for lo, _ in windows]
+    hi = [hi for _, hi in windows]
+    earlier: list[list[int]] = [[] for _ in range(n)]  # per vertex, its directed entries' earlier ends
+    for u, v in zip(*(a.tolist() for a in w.edge_arrays)):
+        if u != v:  # a loop is never cut
+            earlier[max(u, v)].append(min(u, v))
+    counts = [0] * k
+    assignment = [0] * n
+    best_cut, best = math.inf, None
+
+    def extend(i: int, cut: int, deficit: int) -> None:
+        """Try every colour of vertex i after prefix ``assignment[:i]``;
+        ``deficit`` is how many vertices the parts still lack to reach ``lo``."""
+        nonlocal best_cut, best
+        if i == n:
+            best_cut, best = cut, tuple(assignment)
+            return
+        for c in range(k):
+            if counts[c] == hi[c]:
+                continue
+            short = deficit - (counts[c] < lo[c])
+            if short > n - i - 1:
+                continue
+            colour = c + 1
+            grown = cut + sum(1 for v in earlier[i] if assignment[v] != colour)
+            if grown < best_cut:
+                assignment[i] = colour
+                counts[c] += 1
+                extend(i + 1, grown, short)
+                counts[c] -= 1
+
+    extend(0, 0, sum(lo))
     if best is None:
         raise InfeasibleBalanceError("no admissible partition exists")
-    return _result(Colouring(w, k, np.asarray(best[1], dtype=np.int64)), best[0], (), certificate=True)
+    return _result(Colouring(w, k, np.asarray(best, dtype=np.int64)), best_cut, (), certificate=True)
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +283,7 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
         rng = derive_rng(problem.seed, "anneal", restart)
         start = np.repeat(np.arange(1, k + 1, dtype=np.int64), sizes0)
         rng.shuffle(start)
+        rng = ScalarDraws(rng)  # the Generator is not read again
         colours = start.tolist()
         sizes = list(sizes0)
         count = run_count = _bichromatic_count(w, start)
@@ -268,8 +300,8 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
                     merges_done += 1
             elif kind < 0.65:
                 swaps += 1
-                u = int(rng.integers(n))
-                v = int(rng.integers(n))
+                u = rng.integers(n)
+                v = rng.integers(n)
                 cu, cv = colours[u], colours[v]
                 if cu != cv:
                     d1 = _recolour_delta(rows, colours, u, cv)
@@ -283,8 +315,8 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
                         count += delta
                         swaps_done += 1
             else:
-                u = int(rng.integers(n))
-                new = int(rng.integers(1, k + 1))
+                u = rng.integers(n)
+                new = rng.integers(1, k + 1)
                 old = colours[u]
                 if new != old and sizes[old - 1] > windows[old - 1][0] and sizes[new - 1] < windows[new - 1][1]:
                     delta = _recolour_delta(rows, colours, u, new)
@@ -330,18 +362,19 @@ def _try_merge_move(w, colours, sizes, windows, rng, saved) -> int | None:
     Returns the objective count delta when applied, else None.  The move
     recolours one source-part cluster adjacent to the target part, which
     can only delete boundary (the decrement identity), so it is always
-    accepted when feasible.  It writes through the annealer's undo log.
+    accepted when feasible.  It writes through the annealer's undo log and
+    draws from the restart's ``ScalarDraws``.
     """
     k = len(sizes)
-    r = int(rng.integers(1, k + 1))
-    b = int(rng.integers(1, k + 1))
+    r = rng.integers(1, k + 1)
+    b = rng.integers(1, k + 1)
     if r == b:
         return None
     dec, entries = _boundary_entries(w, np.array(colours, dtype=np.int64), r, b)
     touching = np.flatnonzero(entries)
     if touching.size == 0:
         return None
-    cluster = int(touching[int(rng.integers(touching.size))])
+    cluster = int(touching[rng.integers(touching.size)])
     members = dec.vertices_of(cluster)
     moved = members.size
     if not (

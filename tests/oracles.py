@@ -20,9 +20,14 @@ the tests' irregular fixture windows, and it is the reference for the
 closed-form labels of ``graphs.build_path`` and ``graphs.build_complete``.
 
 ``anneal_reference`` is the balanced-partition annealer as it ran on a numpy
-colour array, copying the array on each new best state: the bit-for-bit
-reference for ``kazhdan.anneal_kazhdan``, which runs on a colour list with an
-undo log.
+colour array, copying the array on each new best state and drawing every
+scalar from the numpy ``Generator`` itself: the bit-for-bit reference for
+``kazhdan.anneal_kazhdan``, which runs on a colour list with an undo log and
+draws through ``rng.ScalarDraws``.
+
+``brute_force_product`` is the exact partition search as a filter over
+``itertools.product``: the reference for ``kazhdan.brute_force_kazhdan``'s
+pruned depth-first walk.
 """
 
 from __future__ import annotations
@@ -392,6 +397,27 @@ def build_explicit(
 # ----------------------------------------------------------------------
 # The numpy-array annealer
 # ----------------------------------------------------------------------
+
+
+def brute_force_product(problem: KazhdanProblem) -> tuple[int, tuple[int, ...]]:
+    """(cut count, assignment) of the first minimum over every admissible
+    assignment in ``itertools.product`` order, each checked against the size
+    windows; the lexicographically least minimum."""
+    w, k = problem.window, problem.k
+    windows = feasible_size_windows(w.n, problem.alpha, problem.eps)
+    edges = list(zip(*(a.tolist() for a in w.edge_arrays)))  # a loop is never cut
+    best: tuple[int, tuple[int, ...]] | None = None
+    for assignment in itertools.product(range(1, k + 1), repeat=w.n):
+        counts = [0] * (k + 1)
+        for colour in assignment:
+            counts[colour] += 1
+        if any(not (lo <= counts[i + 1] <= hi) for i, (lo, hi) in enumerate(windows)):
+            continue
+        cut = sum(1 for u, v in edges if assignment[u] != assignment[v])
+        if best is None or cut < best[0]:
+            best = (cut, assignment)
+    assert best is not None, "feasible size windows always admit an assignment"
+    return best
 
 
 def _recolour_delta(w: WindowGraph, colours: np.ndarray, u: int, new: int) -> int:

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import anneal_reference, build_explicit, directed_bichromatic_count, exhaustive_bipartition_minimum
+from oracles import (
+    anneal_reference,
+    brute_force_product,
+    build_explicit,
+    directed_bichromatic_count,
+    exhaustive_bipartition_minimum,
+)
 
 from urglab.colourings import Colouring, expansion, sample
 from urglab.graphs import (
@@ -151,6 +157,43 @@ def test_brute_force_monotone_in_eps():
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
+def small_irregular_window():
+    # a star and a triangle on 9 vertices, with one self-inverse loop
+    data = window_to_dict(build_explicit(9, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 4), (6, 7),
+                                             (7, 8)], tag="star-triangle"))
+    data["edges"] += [[8, 8, "loop"]]
+    return window_from_dict(data)
+
+
+# windows and part counts small enough for the product enumeration (k**n <= 65536)
+BRUTE_FORCE_CASES = {
+    "cycle8-k2": (lambda: build_torus_window(1, 8), 2),
+    "cycle8-k3": (lambda: build_torus_window(1, 8), 3),
+    "cycle9-k3": (lambda: build_torus_window(1, 9), 3),
+    "cycle13-k2": (lambda: build_torus_window(1, 13), 2),
+    "torus3x3-k2": (lambda: build_torus_window(2, 3), 2),
+    "torus3x3-k3": (lambda: build_torus_window(2, 3), 3),
+    "torus4x4-k2": (lambda: build_torus_window(2, 4), 2),
+    "irregular-loops-k2": (lambda: irregular_window_with_loops(), 2),
+    "irregular9-k2": (small_irregular_window, 2),
+    "irregular9-k3": (small_irregular_window, 3),
+}
+
+
+@pytest.mark.parametrize("make_window,k", BRUTE_FORCE_CASES.values(), ids=BRUTE_FORCE_CASES.keys())
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.2])
+def test_brute_force_matches_product_enumeration(make_window, k, eps):
+    # the pruned walk reports the product order's first minimum, ties included;
+    # at k = 3, eps = 0.2 the upper sizes alone admit a part under its lower
+    # size (1 + 4 + 4 = 9 on the 9-vertex windows), so the lower-size prune counts
+    w = make_window()
+    problem = KazhdanProblem(window=w, k=k, alpha=uniform_weights(k), eps=eps)
+    cut, assignment = brute_force_product(problem)
+    result = brute_force_kazhdan(problem)
+    assert result.value == cut / w.n
+    assert result.partition.colours.tolist() == list(assignment)
+
+
 def test_problem_validation():
     w = build_torus_window(1, 8)
     with pytest.raises(ValueError):
@@ -242,6 +285,16 @@ def test_anneal_matches_numpy_reference(make_window):
             problem = KazhdanProblem(window=w, k=k, alpha=uniform_weights(k), eps=eps,
                                      budget=400, restarts=3, seed=k)
             assert_move_counts(assert_matches_reference(problem), problem)
+
+
+def test_anneal_matches_numpy_reference_across_block_refills():
+    # every step draws at least one 64-bit word, so each 4000-step restart
+    # refills the decoder's 1024-word block at least three times
+    problem = KazhdanProblem(window=build_random_regular(2, 1000, seed=5), k=3, alpha=uniform_weights(3),
+                             eps=0.1, budget=4000, restarts=2, seed=2)
+    result = assert_matches_reference(problem)
+    assert result.moves["merge"][0] > 0
+    assert_move_counts(result, problem)
 
 
 def test_anneal_matches_numpy_reference_through_merge_moves():
