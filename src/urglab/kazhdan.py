@@ -177,13 +177,16 @@ def brute_force_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
     size, once the vertices left cannot lift every part to its lower size,
     or once its cut count (charged to an edge when its later end is coloured)
     reaches the best so far.  Only a strictly lower count replaces the best,
-    so the reported minimum is the lexicographically least one.
+    so the reported minimum is the lexicographically least one.  The walk
+    recurses once per vertex, so k = 1 (one assignment) is answered directly.
     """
     w, k, n = problem.window, problem.k, problem.window.n
     # for k >= 2, k**24 >= 2**24 is over the guard, so capping the power at 24 keeps the verdict of k**n
     if k ** min(n, 24) > 10**7:
         raise InstanceTooLargeError(f"{k}**{n} assignments exceed the 10**7 guard")
     windows = feasible_size_windows(n, problem.alpha, problem.eps)
+    if k == 1:  # the one assignment cuts nothing; the guard admits every n here, so the walk could recurse n deep
+        return _result(Colouring(w, 1, np.ones(n, dtype=np.int64)), 0, (), certificate=True)
     lo = [lo for lo, _ in windows]
     hi = [hi for _, hi in windows]
     earlier: list[list[int]] = [[] for _ in range(n)]  # per vertex, its directed entries' earlier ends

@@ -117,6 +117,15 @@ def test_brute_force_single_part():
     assert result.value == 0.0
 
 
+def test_brute_force_single_part_on_a_long_window():
+    # the guard admits every n at k = 1, so a per-vertex walk would exceed the recursion limit
+    w = build_torus_window(1, 2000)
+    result = brute_force_kazhdan(KazhdanProblem(window=w, k=1, alpha=uniform_weights(1), eps=0.0))
+    assert result.value == 0.0
+    assert result.certificate
+    assert np.all(result.partition.colours == 1)
+
+
 def test_brute_force_guard():
     w = build_torus_window(2, 5)  # 2**25 > 10**7
     with pytest.raises(InstanceTooLargeError):
