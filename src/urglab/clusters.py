@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components, dijkstra, minimum_spanning_tree
+from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from .graphs import WindowGraph
 
@@ -97,7 +97,7 @@ class FactorGraphEdges:
 def connect_clusters(dec: ClusterDecomposition) -> FactorGraphEdges:
     """Minimum spanning tree over the cluster quotient graph.
 
-    A multi-source shortest-path search from all in-vertices partitions the
+    One breadth-first search from all in-vertices at once partitions the
     window into nearest-cluster regions.  Every window edge joining two
     regions gives a candidate pair (the two region anchors, weight = path
     length through that edge); each cluster pair keeps its smallest
@@ -115,8 +115,10 @@ def connect_clusters(dec: ClusterDecomposition) -> FactorGraphEdges:
     split window, and only then are the window components computed, to
     name them in ``DisconnectedClustersError``.
 
-    Ties: a vertex's anchor is whichever nearest in-vertex ``dijkstra``
-    reports as its source; a cluster pair keeps its shortest candidate, the
+    Ties: the in-vertices enter the search queue in increasing id order and
+    every other vertex takes the anchor of its search predecessor (on an
+    8-cycle with in-vertices 0 and 4, both 2 and 6 go to 0, since 7 is
+    dequeued before 5); a cluster pair keeps its shortest candidate, the
     first in ``edge_arrays`` row order among equal ones; the tree is scipy's
     ``minimum_spanning_tree``.  Which witness pairs are kept may change with
     the tie rule, the multiset of ``distances`` cannot, since every minimum
@@ -128,19 +130,15 @@ def connect_clusters(dec: ClusterDecomposition) -> FactorGraphEdges:
 
     w = dec.window
     inside = np.flatnonzero(dec.mask)
-    dist, _, anchor = dijkstra(
-        w.csr, indices=inside, unweighted=True, min_only=True, return_predecessors=True
-    )
+    anchor, dist = _nearest_in_vertex(w, inside)
     # each vertex's nearest cluster; -1 where no in-vertex reaches it
-    region = np.full(w.n, -1, dtype=np.int64)
-    reached = anchor >= 0
-    region[reached] = dec.cluster_id[anchor[reached]]
+    region = np.where(anchor >= 0, dec.cluster_id[anchor], -1)
     src, dst = w.edge_arrays
     ca, cb = region[src], region[dst]
     # each boundary edge appears once per direction; keep the one with ca < cb
-    keep = (ca >= 0) & (ca < cb)
-    src, dst, ca, cb = src[keep], dst[keep], ca[keep], cb[keep]
-    d = (dist[src] + 1 + dist[dst]).astype(np.int64)
+    keep = np.flatnonzero((ca >= 0) & (ca < cb))
+    src, dst, ca, cb = src.take(keep), dst.take(keep), ca.take(keep), cb.take(keep)
+    d = dist.take(src) + 1 + dist.take(dst)
     pair = ca * dec.count + cb
     order = np.lexsort((d, pair))
     best = order[np.diff(pair[order], prepend=-1) != 0]  # first of each pair's run
@@ -163,6 +161,31 @@ def connect_clusters(dec: ClusterDecomposition) -> FactorGraphEdges:
         d[kept],
         np.stack((ca[kept], cb[kept]), axis=1),
     )
+
+
+def _nearest_in_vertex(w: WindowGraph, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's anchor, a nearest vertex of ``inside``, and its distance to that anchor,
+    as int64 arrays; a vertex that no in-vertex reaches gets anchor -1 and distance 0.
+
+    One breadth-first search runs from a virtual root, vertex ``w.n``, whose row lists
+    ``inside``: the in-vertices enter the queue in increasing id order, and every other
+    vertex takes the anchor of its search predecessor.  Pointer jumping up the predecessor
+    array then finds every anchor and depth in about log2(max depth) vectorised passes.
+    """
+    n = w.n
+    indptr = np.concatenate((w.indptr, [w.indptr[-1] + inside.size]))
+    indices = np.concatenate((w.indices, inside))
+    g = sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(n + 1, n + 1))
+    pred = breadth_first_order(g, n, directed=True, return_predecessors=True)[1][:n]
+    # up[v] is the ancestor dist[v] steps up from v; in-vertices and unreached vertices are their own
+    hop = (pred >= 0) & (pred < n)
+    up = np.where(hop, pred, np.arange(n))
+    dist = hop.astype(np.int64)
+    while not np.array_equal(nxt := up[up], up):
+        dist += dist[up]
+        up = nxt
+    up[pred < 0] = -1
+    return up, dist
 
 
 # ----------------------------------------------------------------------

@@ -20,35 +20,41 @@ them); a failing criterion fails its test.  Criteria and tolerances:
     100 random 2- and 3-part instances; at eps=1 with 2 parts the value
     never increases
  8. spaced-subset cost pipeline: empirical bound below the 1 + 2/k
-    ceiling and approaching 1 monotonically over k in {2,4,8}; the
-    induction utility reproduces 1 + eps (D - 1)
+    ceiling and approaching 1 monotonically over k in {2,4,8}; on a torus
+    and a random-regular window, every connecting pair at its clusters'
+    distance and the total at the minimum spanning weight; the induction
+    utility reproduces 1 + eps (D - 1)
  9. csgraph connected-components decomposition agrees with a BFS flood
     fill on 1000 random instances, bit-exact
 10. reruns with the same master seed produce byte-identical data outputs
     (gauss-check, percolation, palm, kazhdan, cost-bound, mtp-check)
 
-Criteria 3, 4, 5, 7 and 9 each have a negative control: the same test must
+Criteria 3, 4, 5, 7, 8 and 9 each have a negative control: the same test must
 reject a wrong closed form, a size-biased sampler in place of the Palm one,
-single-vertex clusters in place of the true decomposition (7), or the whole
-window's components restricted to the subset in place of the subset's own
-(9), and accept the true input.  Criterion 2's control is its tightness: some instance
-comes within 5% of the bound, so a bound 5% too loose, or a fuzz that no
-longer reaches the tight cases, fails it (one too low fails the bound).
+single-vertex clusters in place of the true decomposition (7), a cost bound
+that counts each connecting pair at one end only or a region search one step
+too deep (8), or the whole window's components restricted to the subset in
+place of the subset's own (9), and accept the true input.  Criterion 2's
+control is its tightness: some instance comes within 5% of the bound, so a
+bound 5% too loose, or a fuzz that no longer reaches the tight cases, fails
+it (one too low fails the bound).
 """
 
 import math
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
-from oracles import directed_bichromatic_count, flood_fill_clusters
+from oracles import directed_bichromatic_count, flood_fill_clusters, prim_tree_weight, set_distance
 
-from urglab import kazhdan, palm
+from urglab import clusters, kazhdan, palm
 from urglab.cli import ExperimentConfig, run
 from urglab.clusters import (
     ClusterDecomposition,
+    CostBound,
     connect_clusters,
     cost_upper_bound,
     decompose,
@@ -302,24 +308,67 @@ def test_criterion_7_rejects_singleton_clusters(broken, monkeypatch):
     assert (merge_decrement_failures() > 0) == broken
 
 
-def test_criterion_8_cost_bound_pipeline():
-    gaps = []
+def cost_pipeline_failures(bound=cost_upper_bound) -> tuple[int, list[float]]:
+    """Failed checks of criterion 8 with ``bound`` as the cost bound, and the spaced subsets'
+    gaps to 1.  The checks: the ceiling and the monotone approach to 1 on spaced subsets of
+    cycles; on a torus and a random-regular window, every witness distance equal to the
+    distance between its clusters and the total equal to the minimum spanning weight."""
+    failures, gaps = 0, []
     for k in (2, 4, 8):
         w = build_torus_window(1, 16 * k)
         mask = np.zeros(w.n, dtype=bool)
         mask[::k] = True
         dec = decompose(w, mask)
-        extra = connect_clusters(dec)
-        bound = cost_upper_bound(dec, extra)
+        cost = bound(dec, connect_clusters(dec))
         lemma = 1.0 + 2.0 / k
-        assert bound.lemma_bound == pytest.approx(lemma)
-        assert bound.empirical_bound <= lemma + 1e-12
-        gaps.append(abs(bound.empirical_bound - 1.0))
-    assert gaps[0] > gaps[1] > gaps[2]  # monotone approach to 1 as k grows
-    assert gaps[2] <= 1.0 / 100.0
+        failures += cost.lemma_bound != pytest.approx(lemma)
+        failures += cost.empirical_bound > lemma + 1e-12
+        gaps.append(abs(cost.empirical_bound - 1.0))
+    failures += not gaps[0] > gaps[1] > gaps[2]  # monotone approach to 1 as k grows
+    failures += gaps[2] > 1.0 / 100.0
+    for w in (build_torus_window(2, 12), build_random_regular(3, 150, seed=6)):
+        dec = decompose(w, subset_mask(sample([0.15, 0.85], w, seed=11)))
+        extra = connect_clusters(dec)
+        members = [set(dec.vertices_of(i).tolist()) for i in range(dec.count)]
+        weights = [[0 if a is b else set_distance(w, a, b) for b in members] for a in members]
+        failures += sum(d != weights[ca][cb] for d, (ca, cb) in
+                        zip(extra.distances.tolist(), extra.cluster_pairs.tolist()))
+        failures += sum(extra.distances.tolist()) != prim_tree_weight(weights)
+    return failures, gaps
+
+
+def test_criterion_8_cost_bound_pipeline():
+    failures, gaps = cost_pipeline_failures()
+    assert failures == 0
     assert gaboriau_induction(5.0, 0.1) == pytest.approx(1.4)
-    report(8, "cost pipeline bounded by the ceiling and approaching 1",
+    report(8, "cost pipeline bounded by the ceiling and approaching 1, witnesses at cluster distance",
            f"gaps to 1: {[f'{g:.4f}' for g in gaps]}")
+
+
+def one_end_cost_bound(dec: ClusterDecomposition, extra) -> CostBound:
+    """A broken bound: each extra pair raises the factor-graph degree of one end only, so on
+    spaced subsets the gap to 1 stays near 1/(2k)."""
+    true = cost_upper_bound(dec, extra)
+    half_degree = true.half_degree - 0.5 * true.extra_pairs / int(dec.mask.sum()) * true.intensity
+    return replace(true, half_degree=half_degree, empirical_bound=1.0 + half_degree - true.intensity)
+
+
+NEAREST_IN_VERTEX = clusters._nearest_in_vertex
+
+
+def deeper_regions(w, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A broken region search: every vertex reported one step further from its anchor."""
+    anchor, dist = NEAREST_IN_VERTEX(w, inside)
+    return anchor, dist + 1
+
+
+@pytest.mark.parametrize("broken", [None, "one-end-bound", "deeper-regions"],
+                         ids=["pipeline", "one-end-bound", "deeper-regions"])
+def test_criterion_8_rejects_broken_pipelines(broken, monkeypatch):
+    if broken == "deeper-regions":
+        monkeypatch.setattr(clusters, "_nearest_in_vertex", deeper_regions)
+    failures, _ = cost_pipeline_failures(one_end_cost_bound if broken == "one-end-bound" else cost_upper_bound)
+    assert (failures > 0) == (broken is not None)
 
 
 def flood_fill_mismatches(decompose) -> int:

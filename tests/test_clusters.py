@@ -15,6 +15,7 @@ from oracles import (
 
 from urglab.clusters import (
     DisconnectedClustersError,
+    _nearest_in_vertex,
     connect_clusters,
     cost_upper_bound,
     decompose,
@@ -105,6 +106,40 @@ def test_csgraph_view_matches_summed_counts():
                 mask = subset_mask(sample([p, 1.0 - p], w, seed=seed))
                 assert cluster_outcome(w, mask) == cluster_outcome(oracle, mask), (k, n, seed, p)
     assert multi > 0  # some windows hold loops or parallel edges
+
+
+def test_regions_follow_the_search_queue():
+    # the in-vertices enter the queue in increasing id order and every other vertex takes its
+    # predecessor's anchor: 7 is dequeued before 4's branch reaches 6, so both 2 and 6 go to 0
+    anchor, dist = _nearest_in_vertex(cycle(8), np.array([0, 4]))
+    assert anchor.tolist() == [0, 0, 0, 4, 4, 4, 0, 0]
+    assert dist.tolist() == [0, 1, 2, 1, 0, 1, 2, 1]
+    assert anchor.dtype == dist.dtype == np.int64
+
+
+def test_regions_match_set_distance_oracle():
+    # every reached vertex lies at its set distance from the in-vertices, from an in-vertex at
+    # exactly that distance; a vertex of a component without in-vertices keeps anchor -1
+    windows = [build_torus_window(2, 9), cycle(40), build_torus_window(3, 4),
+               *[build_random_regular(k, 60, seed=s) for k in (1, 2) for s in range(3)]]
+    assert any(summed_count_matrix(w).data.max() > 1 for w in windows)  # loops or parallel edges
+    cases = [(w, subset_mask(sample([p, 1.0 - p], w, seed=i))) for i, w in enumerate(windows)
+             for p in (0.05, 0.2, 0.5)]
+    # {7, 8} and the isolated 9 hold no in-vertex
+    split = build_explicit(10, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (7, 8)])
+    cases.append((split, np.isin(np.arange(10), [0, 3, 5])))
+    for i, (w, mask) in enumerate(cases):
+        inside = np.flatnonzero(mask)
+        anchor, dist = _nearest_in_vertex(w, inside)
+        members = set(inside.tolist())
+        for v in range(w.n):
+            d = set_distance(w, members, {v})
+            if d < 0:
+                assert anchor[v] == -1, (i, v)
+                continue
+            assert dist[v] == d, (i, v)
+            assert anchor[v] in members and shortest_path_distance(w, int(anchor[v]), v) == d, (i, v)
+    assert anchor.tolist() == [0, 0, 3, 3, 5, 5, 5, -1, -1, -1]  # the split window, checked last
 
 
 def test_connect_two_antipodal_vertices():
