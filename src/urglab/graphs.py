@@ -34,6 +34,18 @@ Python loops (ball cuts, annealer steps) read; ``csr`` is the same arrays as
 the scipy matrix that ``scipy.sparse.csgraph`` reads; ``adjacency``,
 per-vertex (neighbour, label name) tuples, is a read-only view derived from
 the arrays for tests and outside tooling.
+
+Windows are built by one of two routes:
+
+* a label action, ``WindowGraph._from_permutations``: a table whose row s
+  is the permutation that label id s applies to the vertices.  Every row
+  then holds exactly one entry per label, so rows, labels and mirror follow
+  by index arithmetic with no sort.  Tori and the permutation model are
+  built this way.
+* a list of directed entries in any order, ``WindowGraph(...)``: two stable
+  sorts put them in row order and pair each with its mirror, and any
+  violation raises.  Explicit windows and window files are built this way,
+  and the tests hold the label-action route to it.
 """
 
 from __future__ import annotations
@@ -152,11 +164,47 @@ class WindowGraph:
             raise ValueError("edge labelling is not symmetric under inversion")
         mirror = np.empty_like(backward)
         mirror[backward] = np.arange(len(key))
-        indptr = np.concatenate(([0], np.cumsum(degree)))
-        for a in (indptr, dst, label_id, mirror):
+        self._store(n, np.concatenate(([0], np.cumsum(degree))), dst, label_id, mirror, gens, model, params, seed)
+
+    @classmethod
+    def _from_permutations(cls, perms, gens: GeneratorSet, model: str, params: dict | None = None,
+                           seed: int | None = None) -> "WindowGraph":
+        """Window of a label action: ``perms[s, u]`` is the vertex that label id s moves u to.
+
+        Each row holds one entry per label, so its (label name, neighbour) order is the label
+        name order, and every array follows by index arithmetic, with no sort.  Raises
+        ValueError unless the table has one row per label and at least one column, every
+        entry is a vertex, and each label's row inverts its inverse label's row.
+        """
+        perms = np.asarray(perms, dtype=np.int64)
+        k = gens.size
+        if perms.ndim != 2 or perms.shape[0] != k or perms.shape[1] < 1:
+            raise ValueError(f"permutation table has shape {perms.shape}, not ({k}, n) with n >= 1")
+        n = perms.shape[1]
+        if perms.min() < 0 or perms.max() >= n:
+            raise ValueError(f"neighbour {perms[(perms < 0) | (perms >= n)][0]} out of range")
+        identity = np.arange(n, dtype=np.int64)
+        inverse_id = gens.inverse_id
+        for s in range(k):
+            if not np.array_equal(perms[inverse_id[s]][perms[s]], identity):
+                raise ValueError(f"label {gens.labels[s]!r} is not undone by {gens.inverse[gens.labels[s]]!r}")
+        row = np.argsort(gens.name_rank)  # the label ids in row order
+        slot = np.empty(k, dtype=np.int64)
+        slot[row] = np.arange(k)
+        indices = perms[row].T.reshape(-1)
+        # entry (u, v, s) sits at u * k + slot[s]; its mirror (v, u, s^-1) at v * k + slot[s^-1]
+        mirror = indices.reshape(n, k) * k
+        mirror += slot[inverse_id[row]]
+        w = cls.__new__(cls)
+        w._store(n, np.arange(0, k * n + 1, k, dtype=np.int64), indices, np.tile(row, n),
+                 mirror.reshape(-1), gens, model, params, seed)
+        return w
+
+    def _store(self, n, indptr, indices, label_id, mirror, gens, model, params, seed):
+        for a in (indptr, indices, label_id, mirror):
             a.flags.writeable = False
         # the class is frozen, so the fields are stored past its __setattr__
-        self.__dict__.update(n=n, indptr=indptr, indices=dst, label_id=label_id, mirror=mirror, gens=gens,
+        self.__dict__.update(n=n, indptr=indptr, indices=indices, label_id=label_id, mirror=mirror, gens=gens,
                              model=model, params={} if params is None else params, seed=seed)
 
     # -- derived views -------------------------------------------------
@@ -209,6 +257,9 @@ class WindowGraph:
 def build_torus_window(d: int, L: int) -> WindowGraph:
     """Cayley graph of (Z/LZ)^d on the 2d coordinate shifts; n = L**d.
 
+    Vertex u has coordinates (u // L**a) % L; label +e(a+1) (id 2a) adds 1 to
+    coordinate a mod L and -e(a+1) (id 2a + 1) subtracts it.  The window is
+    built from that label action (``WindowGraph._from_permutations``).
     L >= 3 is required: at L = 2 the two shift directions collapse onto the
     same neighbour and the window stops being 2d-regular without multi-edges.
     """
@@ -218,33 +269,36 @@ def build_torus_window(d: int, L: int) -> WindowGraph:
         raise ValueError("torus side L must satisfy L >= 3")
     n = L**d
     u = np.arange(n, dtype=np.int64)
-    dst = []
-    for axis in range(d):  # label ids 2 * axis (+e) and 2 * axis + 1 (-e)
+    perms = np.empty((2 * d, n), dtype=np.int64)
+    for axis in range(d):
         weight = L**axis
         coord = (u // weight) % L
-        dst += [u + ((coord + 1) % L - coord) * weight, u + ((coord - 1) % L - coord) * weight]
-    return WindowGraph(n, np.tile(u, 2 * d), np.concatenate(dst), np.repeat(np.arange(2 * d), n),
-                       torus_generators(d), "torus", {"d": d, "L": L})
+        perms[2 * axis] = u + ((coord + 1) % L - coord) * weight
+        perms[2 * axis + 1] = u + ((coord - 1) % L - coord) * weight
+    return WindowGraph._from_permutations(perms, torus_generators(d), "torus", {"d": d, "L": L})
 
 
 def build_random_regular(k: int, n: int, seed: int) -> WindowGraph:
     """Permutation-model 2k-regular multigraph on n vertices.
 
-    Each of k independent uniform permutations sigma_i contributes the edges
-    (v, sigma_i(v)) labelled s_{i+1}.  Loops and parallel edges are kept and
-    counted in the degree.
+    Each of k independent uniform permutations sigma_i, drawn in turn from the
+    seed's "random-regular" stream, contributes the edges (v, sigma_i(v))
+    labelled s_{i+1}; its inverse label s_{i+1}' moves v to sigma_i^-1(v).
+    Loops and parallel edges are kept and counted in the degree.  The window
+    is built from that label action (``WindowGraph._from_permutations``).
     """
     if k < 1:
         raise ValueError("rank k must be positive")
     if n < 2 * k + 1:
         raise ValueError("need n >= 2k + 1 vertices")
     rng = derive_rng(seed, "random-regular")
-    v = np.tile(np.arange(n, dtype=np.int64), k)
-    sigma = np.concatenate([rng.permutation(n) for _ in range(k)])
-    out_label = np.repeat(2 * np.arange(k), n)  # s_{i+1} has id 2i, its inverse 2i + 1
-    return WindowGraph(n, np.concatenate([v, sigma]), np.concatenate([sigma, v]),
-                       np.concatenate([out_label, out_label + 1]), free_generators(k),
-                       "random-regular", {"k": k, "n": n}, seed=seed)
+    identity = np.arange(n, dtype=np.int64)
+    perms = np.empty((2 * k, n), dtype=np.int64)
+    for i in range(k):  # s_{i+1} has id 2i, its inverse 2i + 1
+        sigma = rng.permutation(n)
+        perms[2 * i] = sigma
+        perms[2 * i + 1][sigma] = identity
+    return WindowGraph._from_permutations(perms, free_generators(k), "random-regular", {"k": k, "n": n}, seed=seed)
 
 
 def _explicit(n: int, u: np.ndarray, v: np.ndarray, label: np.ndarray, tag: str) -> WindowGraph:

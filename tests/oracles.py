@@ -18,6 +18,10 @@ function in the same way, the reference for the built-ins' value arrays.
 ``build_explicit`` labels an arbitrary simple edge list greedily: it builds
 the tests' irregular fixture windows, and it is the reference for the
 closed-form labels of ``graphs.build_path`` and ``graphs.build_complete``.
+``torus_entries_window`` and ``random_regular_entries_window`` build tori and
+permutation-model windows as entry lists through the generic sorting
+``WindowGraph`` constructor: the reference for the builders' label-action
+route.
 
 ``anneal_reference`` is the balanced-partition annealer as it ran on a numpy
 colour array, copying the array on each new best state and drawing every
@@ -42,7 +46,7 @@ import numpy as np
 
 from urglab.balls import RootedBall, ball
 from urglab.colourings import Colouring
-from urglab.graphs import GeneratorSet, WindowGraph
+from urglab.graphs import GeneratorSet, WindowGraph, free_generators, torus_generators
 from urglab.kazhdan import (
     COOLING,
     MERGE_MOVE_PERIOD,
@@ -392,6 +396,32 @@ def build_explicit(
     palette = max(label, default=0) + 1  # an edgeless window still needs a nonempty label set
     gens = GeneratorSet.paired([(f"e{i + 1}", f"e{i + 1}") for i in range(palette)])
     return WindowGraph(n, src, dst, label, gens, "explicit", {"n": n, "tag": tag})
+
+
+def torus_entries_window(d: int, L: int) -> WindowGraph:
+    """``graphs.build_torus_window`` as a list of directed entries sorted by the generic
+    ``WindowGraph`` constructor: the reference for its label-action arrays."""
+    n = L**d
+    u = np.arange(n, dtype=np.int64)
+    dst = []
+    for axis in range(d):  # label ids 2 * axis (+e) and 2 * axis + 1 (-e)
+        weight = L**axis
+        coord = (u // weight) % L
+        dst += [u + ((coord + 1) % L - coord) * weight, u + ((coord - 1) % L - coord) * weight]
+    return WindowGraph(n, np.tile(u, 2 * d), np.concatenate(dst), np.repeat(np.arange(2 * d), n),
+                       torus_generators(d), "torus", {"d": d, "L": L})
+
+
+def random_regular_entries_window(k: int, n: int, seed: int) -> WindowGraph:
+    """``graphs.build_random_regular`` as a list of directed entries sorted by the generic
+    ``WindowGraph`` constructor, from the same k permutations of the same stream."""
+    rng = derive_rng(seed, "random-regular")
+    v = np.tile(np.arange(n, dtype=np.int64), k)
+    sigma = np.concatenate([rng.permutation(n) for _ in range(k)])
+    out_label = np.repeat(2 * np.arange(k), n)  # s_{i+1} has id 2i, its inverse 2i + 1
+    return WindowGraph(n, np.concatenate([v, sigma]), np.concatenate([sigma, v]),
+                       np.concatenate([out_label, out_label + 1]), free_generators(k),
+                       "random-regular", {"k": k, "n": n}, seed=seed)
 
 
 # ----------------------------------------------------------------------

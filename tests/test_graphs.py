@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import tracemalloc
 from collections import Counter, deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_explicit
+from oracles import build_explicit, random_regular_entries_window, torus_entries_window
 
 from urglab.balls import ball
 from urglab.graphs import (
@@ -175,7 +176,7 @@ def test_window_serialization_round_trip():
         back = window_from_dict(json.loads(window_to_json(w)))
         assert back.adjacency == w.adjacency
         assert back.n == w.n
-        for name in ("indptr", "indices", "label_id"):
+        for name in ("indptr", "indices", "label_id", "mirror"):
             assert np.array_equal(getattr(back, name), getattr(w, name)), name
         assert all(np.array_equal(a, b) for a, b in zip(back.edge_arrays, w.edge_arrays))
 
@@ -405,3 +406,85 @@ def test_window_arrays_constructor_rejects(breakage, message):
     src, dst, label = breakage(*cycle_entries())
     with pytest.raises(ValueError, match=message):
         WindowGraph(4, src, dst, label, torus_generators(1), "torus", {"d": 1, "L": 4})
+
+
+@pytest.mark.parametrize("build, oracle, cases", [
+    (build_torus_window, torus_entries_window, [(d, L) for d in (1, 2, 3) for L in (3, 4, 5, 7, 16)]),
+    (build_torus_window, torus_entries_window, [(10, 3)]),  # +e10 sorts before +e2
+    # n = 2k + 1 gives loops and parallel edges
+    (build_random_regular, random_regular_entries_window,
+     [(k, n, seed) for k in (1, 2, 3, 10, 12) for n in (2 * k + 1, 2 * k + 2, 64) for seed in (0, 1, 2)]),
+], ids=["torus", "torus-d10", "random-regular"])
+def test_label_action_windows_equal_the_entry_list_oracle(build, oracle, cases):
+    loops = parallel = 0
+    for args in cases:
+        w, expected = build(*args), oracle(*args)
+        for field in ("indptr", "indices", "label_id", "mirror"):
+            a = getattr(w, field)
+            assert a.dtype == np.int64 and not a.flags.writeable, (args, field)
+            assert np.array_equal(a, getattr(expected, field)), (args, field)
+        assert (w.gens, w.params, w.seed, w.window_id) == (expected.gens, expected.params, expected.seed,
+                                                           expected.window_id), args
+        rows = np.sort(w.indices.reshape(w.n, -1), axis=1)
+        other = rows != np.arange(w.n)[:, None]
+        loops += int((~other).sum())
+        parallel += int(((rows[:, 1:] == rows[:, :-1]) & other[:, 1:]).sum())
+    if build is build_random_regular:
+        assert loops > 0 and parallel > 0  # the cases cover both
+
+
+def cycle_perms():
+    """Label action of the 4-cycle torus(1, 4): row 0 is +e1, row 1 is -e1."""
+    u = np.arange(4)
+    return np.stack([(u + 1) % 4, (u - 1) % 4])
+
+
+def _entry_out_of_range(perms):
+    perms[0, 2] = 4
+    return perms
+
+
+def _negative_entry(perms):
+    perms[1, 0] = -1
+    return perms
+
+
+def _not_inverse(perms):
+    perms[1] = perms[0]  # -e1 repeats +e1, so -e1 after +e1 moves by two
+    return perms
+
+
+def _missing_label(perms):
+    return perms[:1]
+
+
+@pytest.mark.parametrize("breakage, message", [
+    (_entry_out_of_range, "neighbour 4 out of range"),
+    (_negative_entry, "neighbour -1 out of range"),
+    (_not_inverse, "label '\\+e1' is not undone by '-e1'"),
+    (_missing_label, r"shape \(1, 4\), not \(2, n\)"),
+])
+def test_label_action_constructor_rejects(breakage, message):
+    with pytest.raises(ValueError, match=message):
+        WindowGraph._from_permutations(breakage(cycle_perms()), torus_generators(1), "torus", {"d": 1, "L": 4})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_torus_window(2, 256),
+    lambda: build_random_regular(2, 65536, 1),
+], ids=["torus", "random-regular"])
+def test_window_build_peak_bytes_per_entry(build):
+    # the finished arrays hold about 26 B per directed entry; sorting an entry list peaks near
+    # 110 B, the label-action route near 40 B
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        w = build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak / w.indices.size <= 56
