@@ -28,7 +28,8 @@ of ``indices`` (neighbours) and ``label_id`` (indices into ``gens.labels``),
 holds one entry per edge end at u, so a loop fills two.  Rows are ordered by
 (label *name*, neighbour); ball discovery and mass-transport summation follow
 that order.  ``mirror`` pairs each entry (u, v, s) with an entry (v, u, s^-1)
-and is its own inverse (a loop under a self-inverse label is its own mirror).
+and is its own inverse (a loop under a self-inverse label is its own mirror,
+and such loops come in pairs, one per undirected loop).
 ``neighbour_rows``, each row's neighbours as a list, is the view that the
 Python loops (ball cuts, annealer steps) read; ``csr`` is the same arrays as
 the scipy matrix that ``scipy.sparse.csgraph`` reads; ``adjacency``,
@@ -137,8 +138,9 @@ class WindowGraph:
         """Window from integer arrays of its directed entries ``(src[i], dst[i], label_id[i])``, in any order.
 
         Raises ValueError unless every vertex and label id is in range, no
-        vertex has more entries than there are labels, and each entry
-        (u, v, s) occurs exactly as often as its mirror (v, u, s^-1).
+        vertex has more entries than there are labels, each entry (u, v, s)
+        occurs exactly as often as its mirror (v, u, s^-1), and each loop
+        under a self-inverse label occurs an even number of times.
         """
         if n < 1:
             raise ValueError("window needs at least one vertex")
@@ -150,6 +152,12 @@ class WindowGraph:
         degree = np.bincount(src, minlength=n)
         if degree.max() > gens.size:
             raise ValueError(f"vertex {degree.argmax()} exceeds the degree bound {gens.size}")
+        # such a loop is its own mirror, and an undirected loop fills two entries
+        loop = (src == dst) & (gens.inverse_id[label_id] == label_id)
+        at, count = np.unique(src[loop] * gens.size + label_id[loop], return_counts=True)
+        if (count % 2).any():
+            u, s = divmod(int(at[count % 2 == 1][0]), gens.size)
+            raise ValueError(f"unpaired loop at vertex {u} under self-inverse label {gens.labels[s]!r}")
         # each entry and its required mirror, as a row (src) and a within-row key that rises with
         # (label name, dst) and stays below labels * n, so no packed key wraps; the stable sorts put
         # the entries in row order and pair the k-th entry of a (row, key) with the k-th entry
@@ -174,7 +182,8 @@ class WindowGraph:
         Each row holds one entry per label, so its (label name, neighbour) order is the label
         name order, and every array follows by index arithmetic, with no sort.  Raises
         ValueError unless the table has one row per label and at least one column, every
-        entry is a vertex, and each label's row inverts its inverse label's row.
+        entry is a vertex, each label's row inverts its inverse label's row, and no
+        self-inverse label fixes a vertex (that would be a loop filling one entry, not two).
         """
         perms = np.asarray(perms, dtype=np.int64)
         k = gens.size
@@ -188,6 +197,9 @@ class WindowGraph:
         for s in range(k):
             if not np.array_equal(perms[inverse_id[s]][perms[s]], identity):
                 raise ValueError(f"label {gens.labels[s]!r} is not undone by {gens.inverse[gens.labels[s]]!r}")
+            fixed = np.flatnonzero(perms[s] == identity) if inverse_id[s] == s else []
+            if len(fixed):
+                raise ValueError(f"unpaired loop at vertex {fixed[0]} under self-inverse label {gens.labels[s]!r}")
         row = np.argsort(gens.name_rank)  # the label ids in row order
         slot = np.empty(k, dtype=np.int64)
         slot[row] = np.arange(k)

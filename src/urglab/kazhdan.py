@@ -1,6 +1,6 @@
 """Balanced partition search: the boundary-per-vertex objective, its exact
-brute-force minimum on tiny windows, a simulated-annealing minimizer, and
-the cluster-merge descent move with its exact objective decrement.
+brute-force minimum on tiny windows, and a simulated-annealing minimizer
+whose cluster-merge move lowers the objective by an exact decrement.
 
 The objective of a k-part partition is the directed bichromatic incidence
 count per vertex, identical to the colouring expansion, so a value of 0
@@ -349,31 +349,28 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
     return _result(Colouring(w, k, best_colours), best_count, tuple(trace), certificate=False, moves=moves)
 
 
-def _boundary_entries(w: WindowGraph, colours: np.ndarray, from_part: int, to_part: int):
-    """The clusters of ``from_part`` and, per cluster, its directed entries
-    into ``to_part`` (an array of length ``dec.count``)."""
-    dec = decompose(w, colours == from_part)
-    src, dst = w.edge_arrays
-    cluster = dec.cluster_id[src]
-    into = (cluster >= 0) & (colours[dst] == to_part)
-    return dec, np.bincount(cluster[into], minlength=dec.count)
-
-
 def _try_merge_move(w, colours, sizes, windows, rng, saved) -> int | None:
-    """Propose a full-cluster relocation; apply when balance survives.
+    """Relocate one cluster of a part r into a part b when balance survives.
 
-    Returns the objective count delta when applied, else None.  The move
-    recolours one source-part cluster adjacent to the target part, which
-    can only delete boundary (the decrement identity), so it is always
-    accepted when feasible.  It writes through the annealer's undo log and
-    draws from the restart's ``ScalarDraws``.
+    The cluster (a component of r's vertices) is drawn among those with
+    entries into b.  Recolouring it to b uncuts each such entry and its
+    mirror and cuts nothing new (a component has no entries into r), so the
+    directed cut count drops by exactly twice its entries into b: the
+    decrement identity.  A feasible move is therefore always accepted.
+    Returns that delta, or None when no move is made; writes through the
+    annealer's undo log and draws from the restart's ``ScalarDraws``.
     """
     k = len(sizes)
     r = rng.integers(1, k + 1)
     b = rng.integers(1, k + 1)
     if r == b:
         return None
-    dec, entries = _boundary_entries(w, np.array(colours, dtype=np.int64), r, b)
+    colour_of = np.array(colours, dtype=np.int64)
+    dec = decompose(w, colour_of == r)
+    src, dst = w.edge_arrays
+    ids = dec.cluster_id[src]  # the cluster of each entry's source, -1 outside part r
+    into = (ids >= 0) & (colour_of[dst] == b)
+    entries = np.bincount(ids[into], minlength=dec.count)  # per cluster of r, its directed entries into b
     touching = np.flatnonzero(entries)
     if touching.size == 0:
         return None
@@ -390,73 +387,3 @@ def _try_merge_move(w, colours, sizes, windows, rng, saved) -> int | None:
     sizes[r - 1] -= moved
     sizes[b - 1] += moved
     return -2 * int(entries[cluster])
-
-
-# ----------------------------------------------------------------------
-# Cluster-merge move (standalone, with the exact decrement report)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class MergeMoveResult:
-    partition: Colouring
-    decrement: float  # old value - new value, nonnegative
-    decrement_count: int  # same, in directed incidence counts
-    flipped_clusters: tuple[int, ...]
-    no_adjacent_clusters: bool
-
-    @property
-    def identity(self) -> bool:
-        return len(self.flipped_clusters) == 0
-
-
-def cluster_merge_move(
-    w: WindowGraph,
-    partition: Colouring,
-    from_part: int,
-    to_part: int,
-    eps: float,
-    seed: int,
-) -> MergeMoveResult:
-    """Flip each from-part cluster adjacent to the target part with
-    probability eps, recolouring it wholesale to the target part.
-
-    Every flipped cluster deletes its boundary toward the target part and
-    creates none (its other boundaries just change label), so the objective
-    drops by exactly 2 * (flipped-to-target undirected edges) / n.  The
-    reported decrement is asserted against a recomputation from scratch.
-    """
-    k = partition.d
-    if not (1 <= from_part <= k and 1 <= to_part <= k):
-        raise ValueError(f"parts must lie in 1..{k}")
-    if from_part == to_part:
-        raise ValueError("from_part and to_part must differ")
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError("eps must lie in [0, 1]")
-
-    colours = partition.colours
-    dec, entries = _boundary_entries(w, colours, from_part, to_part)
-    adjacent = np.flatnonzero(entries)
-    if adjacent.size == 0:
-        return MergeMoveResult(partition, 0.0, 0, (), no_adjacent_clusters=True)
-
-    rng = derive_rng(seed, "cluster-merge")
-    coin = rng.random(adjacent.size) < eps
-    flipped = adjacent[coin]
-    new_colours = colours.copy()
-    flip_mask = np.isin(dec.cluster_id, flipped)
-    new_colours[flip_mask] = to_part
-    new_partition = Colouring(w, k, new_colours)
-
-    decrement_count = 2 * int(entries[flipped].sum())
-    old_count = _bichromatic_count(w, colours)
-    new_count = _bichromatic_count(w, new_colours)
-    assert old_count - new_count == decrement_count, "merge decrement identity violated"
-
-    return MergeMoveResult(
-        partition=new_partition,
-        decrement=decrement_count / w.n,
-        decrement_count=decrement_count,
-        flipped_clusters=tuple(int(c) for c in flipped),
-        no_adjacent_clusters=False,
-    )

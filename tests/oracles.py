@@ -27,7 +27,12 @@ route.
 colour array, copying the array on each new best state and drawing every
 scalar from the numpy ``Generator`` itself: the bit-for-bit reference for
 ``kazhdan.anneal_kazhdan``, which runs on a colour list with an undo log and
-draws through ``rng.ScalarDraws``.
+draws through ``rng.ScalarDraws``.  Its merge move finds clusters by
+``flood_fill_clusters`` and counts their entries into the target part from
+``neighbour_rows``, so it shares no cluster search with the library's move.
+
+``mutated`` compiles a library function or class from its source with one
+edit: the negative controls that must fail a deliberately broken copy.
 
 ``brute_force_product`` is the exact partition search as a filter over
 ``itertools.product``: the reference for ``kazhdan.brute_force_kazhdan``'s
@@ -36,6 +41,7 @@ pruned depth-first walk.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from collections import deque
@@ -53,12 +59,24 @@ from urglab.kazhdan import (
     KazhdanProblem,
     KazhdanResult,
     _bichromatic_count,
-    _boundary_entries,
     _initial_sizes,
     _result,
     feasible_size_windows,
 )
 from urglab.rng import derive_rng
+
+
+def mutated(module, name: str, old: str, new: str):
+    """``module.name`` compiled from its source with the one occurrence of ``old`` replaced by ``new``.
+
+    The edited source runs in a copy of the module's namespace, so the module
+    and every caller of the true object are left as they were.
+    """
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, f"{old!r} occurs {source.count(old)} times in {module.__name__}.{name}"
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
 
 
 def flood_fill_clusters(window, mask) -> list[list[int]]:
@@ -539,20 +557,23 @@ def _try_merge_move(w, colours, sizes, windows, rng) -> int | None:
     Returns the objective count delta when applied, else None.  The move
     recolours one source-part cluster adjacent to the target part, which
     can only delete boundary (the decrement identity), so it is always
-    accepted when feasible.
+    accepted when feasible.  Clusters come in order of smallest vertex, as
+    ``decompose`` numbers them.
     """
     k = len(sizes)
     r = int(rng.integers(1, k + 1))
     b = int(rng.integers(1, k + 1))
     if r == b:
         return None
-    dec, entries = _boundary_entries(w, colours, r, b)
-    touching = np.flatnonzero(entries)
-    if touching.size == 0:
+    clusters = flood_fill_clusters(w, colours == r)
+    rows = w.neighbour_rows
+    entries = [sum(1 for u in members for v in rows[u] if colours[v] == b) for members in clusters]
+    touching = [c for c, count in enumerate(entries) if count]
+    if not touching:
         return None
-    cluster = int(touching[int(rng.integers(touching.size))])
-    members = dec.vertices_of(cluster)
-    moved = members.size
+    cluster = touching[int(rng.integers(len(touching)))]
+    members = clusters[cluster]
+    moved = len(members)
     if not (
         windows[r - 1][0] <= sizes[r - 1] - moved
         and sizes[b - 1] + moved <= windows[b - 1][1]
@@ -561,4 +582,4 @@ def _try_merge_move(w, colours, sizes, windows, rng) -> int | None:
     colours[members] = b
     sizes[r - 1] -= moved
     sizes[b - 1] += moved
-    return -2 * int(entries[cluster])
+    return -2 * entries[cluster]

@@ -16,9 +16,10 @@ them); a failing criterion fails its test.  Criteria and tolerances:
  6. annealer matches certified optima on cycles and paths up to 12
     vertices and on the 4-clique at exact balance; the 8-cycle optimum
     is 0.5 exactly, under 2 min
- 7. cluster-merge decrement equals independent recomputation exactly on
-    100 random 2- and 3-part instances; at eps=1 with 2 parts the value
-    never increases
+ 7. the annealer's merge move returns exactly the recounted change of the
+    objective, never an increase, and its undo log restores the colours;
+    three proposals on each of 100 random 2- and 3-part instances and 40
+    2-part ones, at least 150 of them applied
  8. spaced-subset cost pipeline: empirical bound below the 1 + 2/k
     ceiling and approaching 1 monotonically over k in {2,4,8}; on a torus
     and a random-regular window, every connecting pair at its clusters'
@@ -31,7 +32,8 @@ them); a failing criterion fails its test.  Criteria and tolerances:
 
 Criteria 3, 4, 5, 7, 8 and 9 each have a negative control: the same test must
 reject a wrong closed form, a size-biased sampler in place of the Palm one,
-single-vertex clusters in place of the true decomposition (7), a cost bound
+single-vertex clusters in place of the true decomposition or a move that
+counts each removed entry once, without its mirror (7), a cost bound
 that counts each connecting pair at one end only or a region search one step
 too deep (8), or the whole window's components restricted to the subset in
 place of the subset's own (9), and accept the true input.  Criterion 2's
@@ -48,7 +50,7 @@ from functools import partial
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
-from oracles import directed_bichromatic_count, flood_fill_clusters, prim_tree_weight, set_distance
+from oracles import directed_bichromatic_count, flood_fill_clusters, mutated, prim_tree_weight, set_distance
 
 from urglab import clusters, kazhdan, palm
 from urglab.cli import ExperimentConfig, run
@@ -63,14 +65,9 @@ from urglab.clusters import (
 from urglab.colourings import sample, sample_constant, subset_mask
 from urglab.gaussian import orthant_probability, orthant_probability_mc
 from urglab.graphs import build_complete, build_path, build_random_regular, build_torus_window
-from urglab.kazhdan import (
-    KazhdanProblem,
-    anneal_kazhdan,
-    brute_force_kazhdan,
-    cluster_merge_move,
-    uniform_weights,
-)
+from urglab.kazhdan import KazhdanProblem, anneal_kazhdan, brute_force_kazhdan, uniform_weights
 from urglab.palm import BUILTIN_FUNCTIONALS, verify_mean_cell_volume, verify_voronoi_inversion
+from urglab.rng import ScalarDraws, derive_rng
 from urglab.torus import FlatTorus, PointConfiguration, bulk_nearest
 from urglab.transport import (
     bichromatic_indicator,
@@ -258,37 +255,40 @@ def test_criterion_6_annealer_matches_certificates():
     report(6, "annealer matches certified optima (8-cycle at 0.5)", f"{elapsed:.1f}s")
 
 
-def merge_decrement_failures() -> int:
-    """Instances of criterion 7 where the merge move's decrement is not the
-    recomputed one (its own identity assert firing counts too) or is negative."""
-    rng = np.random.default_rng(7)
+def merge_decrement_failures(move=kazhdan._try_merge_move) -> tuple[int, int]:
+    """Failed proposals of criterion 7 with ``move`` as the annealer's merge move, and the moves it applied.
+
+    Each instance proposes a few moves on a colour list under permissive size windows, as the
+    annealer holds it.  An applied move must return the recounted change of the directed cut
+    count, never positive, and its undo log must write back the colours it started from; a
+    refused one must leave colours, sizes and log as they were."""
     pool = [build_torus_window(2, 6), build_torus_window(1, 20), build_random_regular(2, 24, seed=1)]
-
-    def fails(w, partition, parts, eps, seed) -> bool:
-        try:
-            result = cluster_merge_move(w, partition, int(parts[0]), int(parts[1]), eps, seed=seed)
-        except AssertionError:
-            return True
-        old = directed_bichromatic_count(w, partition.colours)
-        new = directed_bichromatic_count(w, result.partition.colours)
-        return old - new != result.decrement_count or result.decrement_count < 0
-
-    failures = 0
-    for i in range(100):
-        w = pool[i % len(pool)]
-        k = 2 if i % 2 == 0 else 3
-        partition = sample([1.0 / k] * k, w, seed=1000 + i)
-        failures += fails(w, partition, rng.permutation(k)[:2] + 1, 0.8, i)
-    # eps = 1, two parts: the move never increases the objective
-    for i in range(40):
-        w = pool[i % len(pool)]
-        failures += fails(w, sample([0.5, 0.5], w, seed=2000 + i), (1, 2), 1.0, i)
-    return failures
+    instances = [(pool[i % 3], 2 if i % 2 == 0 else 3, 1000 + i) for i in range(100)]
+    instances += [(pool[i % 3], 2, 2000 + i) for i in range(40)]
+    failures = applied = 0
+    for i, (w, k, seed) in enumerate(instances):
+        colours = sample([1.0 / k] * k, w, seed=seed).colours.tolist()
+        sizes = [colours.count(c) for c in range(1, k + 1)]
+        draws, saved = ScalarDraws(derive_rng(i, "criterion-7")), {}
+        for _ in range(3):
+            before, sizes_before = list(colours), list(sizes)
+            delta = move(w, colours, sizes, [(0, w.n)] * k, draws, saved)
+            if delta is None:
+                failures += (colours, sizes, saved) != (before, sizes_before, {})
+                continue
+            applied += 1
+            recount = directed_bichromatic_count(w, np.array(colours)) - directed_bichromatic_count(w, np.array(before))
+            restored = [saved.get(v, c) for v, c in enumerate(colours)] == before
+            failures += delta != recount or delta > 0 or not restored
+            saved.clear()  # the next proposal starts from the moved colours, as after an annealer snapshot
+    return failures, applied
 
 
 def test_criterion_7_merge_decrement_exact():
-    assert merge_decrement_failures() == 0
-    report(7, "merge decrement equals recomputation on 100 instances")
+    failures, applied = merge_decrement_failures()
+    assert failures == 0
+    assert applied >= 150
+    report(7, "merge decrement equals recomputation", f"{applied} moves applied on 140 instances")
 
 
 def singleton_clusters(w, mask: np.ndarray) -> ClusterDecomposition:
@@ -301,11 +301,18 @@ def singleton_clusters(w, mask: np.ndarray) -> ClusterDecomposition:
     return ClusterDecomposition(w, mask, cluster_id, int(inside.size), (1,) * int(inside.size))
 
 
-@pytest.mark.parametrize("broken", [False, True], ids=["clusters", "singletons"])
+def halved_decrement():
+    """The annealer's merge move reporting each removed entry once, not with its mirror."""
+    return mutated(kazhdan, "_try_merge_move", "-2 * int(entries[cluster])", "-int(entries[cluster])")
+
+
+@pytest.mark.parametrize("broken", [None, "singletons", "halved"], ids=["clusters", "singletons", "halved"])
 def test_criterion_7_rejects_singleton_clusters(broken, monkeypatch):
-    if broken:
+    move = halved_decrement() if broken == "halved" else kazhdan._try_merge_move
+    if broken == "singletons":
         monkeypatch.setattr(kazhdan, "decompose", singleton_clusters)
-    assert (merge_decrement_failures() > 0) == broken
+    failures, _ = merge_decrement_failures(move)
+    assert (failures > 0) == (broken is not None)
 
 
 def cost_pipeline_failures(bound=cost_upper_bound) -> tuple[int, list[float]]:

@@ -368,31 +368,37 @@ def test_window_arrays_constructor_accepts_the_cycle():
     assert w.adjacency == build_torus_window(1, 4).adjacency
 
 
-def _missing_mirror(src, dst, label):
-    return src[1:], dst[1:], label[1:]
+def _missing_mirror(src, dst, label, gens):
+    return src[1:], dst[1:], label[1:], gens
 
 
-def _wrong_inverse(src, dst, label):
+def _wrong_inverse(src, dst, label, gens):
     label = label.copy()
     label[4] = 0  # the mirror of 0 -> 1 (+e1) must be 1 -> 0 (-e1), not +e1
-    return src, dst, label
+    return src, dst, label, gens
 
 
-def _neighbour_out_of_range(src, dst, label):
+def _neighbour_out_of_range(src, dst, label, gens):
     dst = dst.copy()
     dst[0] = 4
-    return src, dst, label
+    return src, dst, label, gens
 
 
-def _unknown_label(src, dst, label):
+def _unknown_label(src, dst, label, gens):
     label = label.copy()
     label[0] = 2
-    return src, dst, label
+    return src, dst, label, gens
 
 
-def _above_degree_bound(src, dst, label):
+def _above_degree_bound(src, dst, label, gens):
     # a symmetric extra edge 0 -+e1-> 2, so only the degree bound is broken
-    return np.append(src, [0, 2]), np.append(dst, [2, 0]), np.append(label, [0, 1])
+    return np.append(src, [0, 2]), np.append(dst, [2, 0]), np.append(label, [0, 1]), gens
+
+
+def _lone_self_inverse_loop(src, dst, label, gens):
+    # one entry (2, 2, f) under a self-inverse label f: its own mirror, but half of an undirected loop
+    gens = GeneratorSet.paired([("+e1", "-e1"), ("f", "f")])
+    return np.append(src, 2), np.append(dst, 2), np.append(label, gens.id_of["f"]), gens
 
 
 @pytest.mark.parametrize("breakage, message", [
@@ -401,11 +407,12 @@ def _above_degree_bound(src, dst, label):
     (_neighbour_out_of_range, "neighbour 4 out of range"),
     (_unknown_label, "label id 2 out of range"),
     (_above_degree_bound, "vertex 0 exceeds the degree bound 2"),
+    (_lone_self_inverse_loop, "unpaired loop at vertex 2 under self-inverse label 'f'"),
 ])
 def test_window_arrays_constructor_rejects(breakage, message):
-    src, dst, label = breakage(*cycle_entries())
+    src, dst, label, gens = breakage(*cycle_entries(), torus_generators(1))
     with pytest.raises(ValueError, match=message):
-        WindowGraph(4, src, dst, label, torus_generators(1), "torus", {"d": 1, "L": 4})
+        WindowGraph(4, src, dst, label, gens, "torus", {"d": 1, "L": 4})
 
 
 @pytest.mark.parametrize("build, oracle, cases", [
@@ -439,23 +446,28 @@ def cycle_perms():
     return np.stack([(u + 1) % 4, (u - 1) % 4])
 
 
-def _entry_out_of_range(perms):
+def _entry_out_of_range(perms, gens):
     perms[0, 2] = 4
-    return perms
+    return perms, gens
 
 
-def _negative_entry(perms):
+def _negative_entry(perms, gens):
     perms[1, 0] = -1
-    return perms
+    return perms, gens
 
 
-def _not_inverse(perms):
+def _not_inverse(perms, gens):
     perms[1] = perms[0]  # -e1 repeats +e1, so -e1 after +e1 moves by two
-    return perms
+    return perms, gens
 
 
-def _missing_label(perms):
-    return perms[:1]
+def _missing_label(perms, gens):
+    return perms[:1], gens
+
+
+def _lone_self_inverse_loop(perms, gens):
+    # two involutions that both fix vertex 2: each gives it one entry (2, 2, s), half of a loop
+    return np.array([[1, 0, 2], [1, 0, 2]]), GeneratorSet.paired([("e1", "e1"), ("e2", "e2")])
 
 
 @pytest.mark.parametrize("breakage, message", [
@@ -463,10 +475,12 @@ def _missing_label(perms):
     (_negative_entry, "neighbour -1 out of range"),
     (_not_inverse, "label '\\+e1' is not undone by '-e1'"),
     (_missing_label, r"shape \(1, 4\), not \(2, n\)"),
+    (_lone_self_inverse_loop, "unpaired loop at vertex 2 under self-inverse label 'e1'"),
 ])
 def test_label_action_constructor_rejects(breakage, message):
+    perms, gens = breakage(cycle_perms(), torus_generators(1))
     with pytest.raises(ValueError, match=message):
-        WindowGraph._from_permutations(breakage(cycle_perms()), torus_generators(1), "torus", {"d": 1, "L": 4})
+        WindowGraph._from_permutations(perms, gens, "torus", {"d": 1, "L": 4})
 
 
 @pytest.mark.parametrize("build", [

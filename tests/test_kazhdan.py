@@ -1,4 +1,4 @@
-"""Partition objective, exact optima, annealer agreement, and the merge move."""
+"""Partition objective, exact optima, annealer agreement, and the annealer's merge move."""
 
 import hashlib
 import time
@@ -31,13 +31,14 @@ from urglab.kazhdan import (
     InstanceTooLargeError,
     KazhdanProblem,
     WeightVector,
+    _try_merge_move,
     _write,
     anneal_kazhdan,
     brute_force_kazhdan,
-    cluster_merge_move,
     feasible_size_windows,
     uniform_weights,
 )
+from urglab.rng import ScalarDraws, derive_rng
 
 
 def arcs_partition(n):
@@ -376,78 +377,65 @@ def test_anneal_infeasible_balance_message():
         anneal_kazhdan(problem)
 
 
-def test_merge_move_eps_zero_identity():
-    w, partition = arcs_partition(8)
-    result = cluster_merge_move(w, partition, 1, 2, 0.0, seed=5)
-    assert result.identity
-    assert result.decrement == 0.0
-    assert np.array_equal(result.partition.colours, partition.colours)
+class ScriptedDraws:
+    """Stands in for ``ScalarDraws``: hands out the given integers in turn, each checked against its range."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def integers(self, low, high=None):
+        low, high = (0, low) if high is None else (low, high)
+        value = next(self.values)
+        assert low <= value < high
+        return value
+
+
+def arcs_state(n):
+    """The arcs partition of the n-cycle as the annealer holds it: colours, part sizes, an empty undo log."""
+    w, partition = arcs_partition(n)
+    return w, partition.colours.tolist(), [n // 2, n - n // 2], {}
 
 
 def test_merge_move_arcs_full_collapse():
-    w, partition = arcs_partition(8)
-    result = cluster_merge_move(w, partition, 1, 2, 1.0, seed=5)
-    assert result.decrement == pytest.approx(0.5)
-    assert expansion(result.partition) == 0.0
+    w, colours, sizes, saved = arcs_state(8)
+    delta = _try_merge_move(w, colours, sizes, [(0, 8)] * 2, ScriptedDraws(1, 2, 0), saved)
+    assert delta == -4
+    assert colours == [2] * 8 and sizes == [0, 8]
+    assert expansion(Colouring(w, 2, colours)) == 0.0
+    assert [saved.get(v, c) for v, c in enumerate(colours)] == [1] * 4 + [2] * 4
 
 
 def test_merge_move_no_adjacent_flagged():
     w = build_torus_window(1, 12)
-    colours = np.full(12, 3, dtype=np.int64)
-    colours[0:2] = 1
-    colours[6:8] = 2
-    partition = Colouring(w, 3, colours)
-    # parts 1 and 2 are separated by part 3 on both sides
-    result = cluster_merge_move(w, partition, 1, 2, 1.0, seed=0)
-    assert result.no_adjacent_clusters and result.identity
+    colours = [1, 1, 3, 3, 3, 3, 2, 2, 3, 3, 3, 3]  # parts 1 and 2 are separated by part 3 on both sides
+    sizes, saved = [2, 2, 8], {}
+    assert _try_merge_move(w, colours, sizes, [(0, 12)] * 3, ScriptedDraws(1, 2), saved) is None
+    assert colours == [1, 1, 3, 3, 3, 3, 2, 2, 3, 3, 3, 3] and sizes == [2, 2, 8] and saved == {}
+
+
+def test_merge_move_size_window_refusal_writes_nothing():
+    w, colours, sizes, saved = arcs_state(8)
+    # moving either arc would leave part 1 below its lower size 4
+    assert _try_merge_move(w, colours, sizes, [(4, 4)] * 2, ScriptedDraws(1, 2, 0), saved) is None
+    assert colours == [1] * 4 + [2] * 4 and sizes == [4, 4] and saved == {}
 
 
 def test_merge_move_decrement_matches_recount_k3():
-    rng = np.random.default_rng(9)
     w = build_torus_window(2, 6)
+    applied = 0
     for trial in range(50):
-        partition = sample([1.0 / 3] * 3, w, trial)
-        r = int(rng.integers(1, 4))
-        b = int(rng.integers(1, 4))
-        if r == b:
+        colours = sample([1.0 / 3] * 3, w, trial).colours
+        sizes = np.bincount(colours, minlength=4)[1:].tolist()
+        moved = colours.tolist()
+        delta = _try_merge_move(w, moved, sizes, [(0, w.n)] * 3, ScalarDraws(derive_rng(trial, "merge-k3")), {})
+        if delta is None:
+            assert moved == colours.tolist()
             continue
-        result = cluster_merge_move(w, partition, r, b, 0.7, seed=trial)
-        old = directed_bichromatic_count(w, partition.colours)
-        new = directed_bichromatic_count(w, result.partition.colours)
-        assert old - new == result.decrement_count
-        assert result.decrement_count >= 0
-
-
-def test_merge_move_golden_on_criterion_7_pool():
-    # flipped clusters, decrements and partitions pinned on the 100 eps = 0.8
-    # instances of acceptance criterion 7 (305 flips, 2694 directed entries)
-    rng = np.random.default_rng(7)
-    pool = [build_torus_window(2, 6), build_torus_window(1, 20), build_random_regular(2, 24, seed=1)]
-    results = []
-    for i in range(100):
-        w = pool[i % len(pool)]
-        k = 2 if i % 2 == 0 else 3
-        partition = sample([1.0 / k] * k, w, seed=1000 + i)
-        parts = rng.permutation(k)[:2] + 1
-        results.append(cluster_merge_move(w, partition, int(parts[0]), int(parts[1]), 0.8, seed=i))
-    flipped = [r.flipped_clusters for r in results]
-    decrements = [r.decrement_count for r in results]
-    colours = b"".join(r.partition.colours.tobytes() for r in results)
-    assert (sum(map(len, flipped)), sum(decrements)) == (305, 2694)
-    assert hashlib.sha256(repr(flipped).encode()).hexdigest() == (
-        "6a23d3413a34b077b8f44c2a0ab06a4fb90dcbf29353382d09ff9f9fc38936e3")
-    assert hashlib.sha256(repr(decrements).encode()).hexdigest() == (
-        "0633def62c7e32c6ef6467e29d806a31ac64b3d08b3acfd753e8055b5778c509")
-    assert hashlib.sha256(colours).hexdigest() == (
-        "258e94298a23d70154f8af2ced7de4af25cc643ca1d990808c5142f2bcdefaaa")
-
-
-def test_merge_move_validation():
-    w, partition = arcs_partition(8)
-    with pytest.raises(ValueError):
-        cluster_merge_move(w, partition, 1, 1, 0.5, seed=0)
-    with pytest.raises(ValueError):
-        cluster_merge_move(w, partition, 1, 2, 1.5, seed=0)
+        applied += 1
+        assert delta == directed_bichromatic_count(w, np.array(moved)) - directed_bichromatic_count(w, colours)
+        assert delta <= 0
+        assert sizes == np.bincount(moved, minlength=4)[1:].tolist()
+    assert applied >= 20
 
 
 def anneal_uniform(windows, k, eps, budget, restarts, seed):

@@ -19,7 +19,6 @@ KEPT = {
     "cli.validate": "the library's validation entry point: run() without running",
     "colourings.subset_colouring": "builds the d = 2 colouring that subset_mask reads back",
     "graphs.window_to_json": "writes the window-file format that the window-file model reads",
-    "kazhdan.cluster_merge_move": "the merge move's exact decrement, checked by acceptance criterion 7",
     "palm.pp_cost_bound": "the point-process cost composition, for the exact periodic Delaunay graph",
     "transport.f_arrow": "the f-arrow transport of acceptance criteria 1-2",
     "transport.norm_bound_check": "the norm bound of acceptance criterion 2",

@@ -1,10 +1,10 @@
 """ScalarDraws against the Philox ``Generator`` it decodes, call for call."""
 
-import inspect
 import random
 
 import numpy as np
 import pytest
+from oracles import mutated
 
 import urglab.rng as rng_module
 from urglab.rng import BLOCK_WORDS, ScalarDraws, derive_rng
@@ -61,13 +61,10 @@ def test_decoder_matches_the_generator_call_for_call(seed):
 
 def high_half_first():
     """ScalarDraws with its source mutated to hand out a word's high half first."""
-    source = inspect.getsource(ScalarDraws)
-    high, low = "word >> 32", "word & _MASK32"
-    assert source.count(high) == source.count(low) == 1
-    mutated = source.replace(high, "@").replace(low, high).replace("@", low)
-    namespace = dict(vars(rng_module))
-    exec(mutated, namespace)
-    return namespace["ScalarDraws"]
+    lines = "\n" + " " * 16  # the two statements sit on consecutive lines of one block
+    low_first = lines.join(["self._half = word >> 32", "half = word & _MASK32"])
+    high_first = lines.join(["self._half = word & _MASK32", "half = word >> 32"])
+    return mutated(rng_module, "ScalarDraws", low_first, high_first)
 
 
 @pytest.mark.parametrize("before", [0, 3])
