@@ -64,9 +64,16 @@ from .rng import derive_rng, derive_seed
 from .torus import FlatTorus
 from .transport import BUILTIN_TRANSPORTS, mtp_check
 
-# directed entries of a built-in window; one percolation trial on a 1024^2 torus (4.2e6 entries)
-# peaks at about 530 MB
+# directed entries of a built-in window; a whole `urglab percolation` process running one trial on
+# a 1024^2 torus (4.2e6 entries) peaks at about 380 MB RSS
 MAX_WINDOW_ENTRIES = 10**8
+# vertices or directed entries of a window file: its read (json.loads, then the sorting
+# WindowGraph build) peaks at 222 to 249 B per directed entry (tracemalloc, 2e5 to 1e7 entries),
+# and a fresh process reading a 5e6-entry file peaked at 1.34 GB RSS.  json.loads alone takes 10
+# to 12 B per byte of the file, so a file over _FILE_BYTES (window_to_json writes 9 to 14 B per
+# directed entry) is refused before it is read
+_FILE_ENTRIES = 5 * 10**6
+_FILE_BYTES = 16 * _FILE_ENTRIES
 # per-trial samples (the m*d coordinates of palm's m locations, gauss-check's n normal
 # pairs) cost tens of bytes each, so 1e8 of them take gigabytes
 MAX_SAMPLES = 10**8
@@ -286,21 +293,22 @@ class WindowSpec(_Spec):
         return builder(self, seed)
 
     def _read_window_file(self) -> WindowGraph:
+        path, label_cap = Path(self.window_file), min(_FILE_ENTRIES, MAX_PARTS)
         try:
-            data = json.loads(Path(self.window_file).read_text())
-            rank = {"torus": "d", "random-regular": "k"}.get(data["model"])
-            labels = 2 * data["params"][rank] if rank else 0
-            if data["model"] == "explicit":  # one label per distinct name in the edge rows
-                labels = len({s for _, _, s in data["edges"]})
-            # the vertex count, the edge rows and the labels size every array the window builds
-            label_cap = min(MAX_WINDOW_ENTRIES, MAX_PARTS)
-            if max(data["n"], 2 * len(data["edges"])) <= MAX_WINDOW_ENTRIES and labels <= label_cap:
-                return window_from_dict(data)
+            if path.stat().st_size <= _FILE_BYTES:
+                data = json.loads(path.read_text())
+                rank = {"torus": "d", "random-regular": "k"}.get(data["model"])
+                labels = 2 * data["params"][rank] if rank else 0
+                if data["model"] == "explicit":  # one label per distinct name in the edge rows
+                    labels = len({s for _, _, s in data["edges"]})
+                # the vertex count, the edge rows and the labels size every array the window builds
+                if max(data["n"], 2 * len(data["edges"])) <= _FILE_ENTRIES and labels <= label_cap:
+                    return window_from_dict(data)
         except (OSError, ValueError, LookupError, TypeError) as exc:
             raise ValidationError([f"window_file: cannot read {self.window_file}: {exc}"]) from None
-        raise GuardViolation(f"window_file: {self.window_file} has more than {MAX_WINDOW_ENTRIES:g} vertices or "
-                             f"directed entries, or more than {label_cap:g} edge labels; building it would take "
-                             "gigabytes")
+        raise GuardViolation(f"window_file: {self.window_file} is over {_FILE_BYTES:g} "
+                             f"bytes, or has more than {_FILE_ENTRIES:g} vertices or directed entries or more "
+                             f"than {label_cap:g} edge labels; reading it would take over 2 GB")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,11 @@ import argparse
 import ast
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -430,15 +433,15 @@ def test_window_model_rows_count_the_built_entries(params):
 
 
 def test_window_file_guard_counts_vertices_and_rows(tmp_path, monkeypatch):
-    # a window file at exactly MAX_WINDOW_ENTRIES vertices or directed entries builds, one more is refused
+    # a window file at exactly its entry cap in vertices or directed entries builds, one more is refused
     rows = [[0, 1, "+e1"], [0, 3, "-e1"], [1, 2, "+e1"], [2, 3, "+e1"]]  # a 4-cycle: 8 directed entries
     for n, size in [(4, 8), (10, 10)]:  # the rows set the size, then the vertex count (6 isolated vertices)
         path = tmp_path / f"window{n}.json"
         path.write_text(json.dumps({"model": "torus", "params": {"d": 1, "L": 4}, "seed": None, "n": n, "edges": rows}))
         params = {"model": "window-file", "window_file": str(path)}
-        monkeypatch.setattr(cli, "MAX_WINDOW_ENTRIES", size)
+        monkeypatch.setattr(cli, "_FILE_ENTRIES", size)
         assert build_window(params, 0).n == n
-        monkeypatch.setattr(cli, "MAX_WINDOW_ENTRIES", size - 1)
+        monkeypatch.setattr(cli, "_FILE_ENTRIES", size - 1)
         with pytest.raises(GuardViolation, match="^window_file: "):
             build_window(params, 0)
 
@@ -458,7 +461,7 @@ def test_window_file_guard_counts_declared_labels(model, rank, tmp_path, capsys,
     assert time.perf_counter() - start < 1.0
     assert "guard: window_file: " in capsys.readouterr().err
     assert not (tmp_path / "refused").exists()
-    # 2 * 500,001 labels are under MAX_WINDOW_ENTRIES but over MAX_PARTS: each label costs Python
+    # 2 * 500,001 labels are under the file's entry cap but over MAX_PARTS: each label costs Python
     # strings and dicts, and at k = 500,000 the file takes seconds and hundreds of MB to read
     start = time.perf_counter()
     assert main(["mtp-check", "--model", "window-file", "--window-file", window_file(500_001),
@@ -467,9 +470,9 @@ def test_window_file_guard_counts_declared_labels(model, rank, tmp_path, capsys,
     assert "guard: window_file: " in capsys.readouterr().err
     assert not (tmp_path / "refused").exists()
     params = {"model": "window-file", "window_file": window_file(2)}
-    monkeypatch.setattr(cli, "MAX_WINDOW_ENTRIES", 4)  # the 4 labels of rank 2 outnumber the 3 vertices
+    monkeypatch.setattr(cli, "_FILE_ENTRIES", 4)  # the 4 labels of rank 2 outnumber the 3 vertices
     assert build_window(params, 0).n == 3
-    monkeypatch.setattr(cli, "MAX_WINDOW_ENTRIES", 3)
+    monkeypatch.setattr(cli, "_FILE_ENTRIES", 3)
     with pytest.raises(GuardViolation, match="^window_file: "):
         build_window(params, 0)
 
@@ -489,6 +492,53 @@ def test_window_file_guard_counts_explicit_labels(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "refused").exists()
     assert main(["mtp-check", "--model", "window-file", "--window-file", str(window_file(3)),
                  "--out", str(tmp_path / "ok")]) == 0
+
+
+def test_window_file_guard_caps_the_read(tmp_path, capsys, monkeypatch):
+    # a file one byte over _FILE_BYTES is refused before it is read: this one is all zero bytes
+    # (sparse on disk), so reading it would fail the parse and exit 2, not 3
+    path = tmp_path / "oversized.json"
+    with path.open("wb") as f:
+        f.truncate(cli._FILE_BYTES + 1)
+    argv = ["mtp-check", "--model", "window-file", "--window-file", str(path)]
+    assert main([*argv, "--out", str(tmp_path / "refused")]) == 3
+    assert "guard: window_file: " in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+    # a 4-cycle file of exactly _FILE_BYTES builds, and one byte over is refused
+    rows = [[0, 1, "+e1"], [0, 3, "-e1"], [1, 2, "+e1"], [2, 3, "+e1"]]
+    path.write_text(json.dumps({"model": "torus", "params": {"d": 1, "L": 4}, "seed": None, "n": 4, "edges": rows}))
+    monkeypatch.setattr(cli, "_FILE_BYTES", path.stat().st_size)
+    assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(cli, "_FILE_BYTES", path.stat().st_size - 1)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "refused")]) == 3
+    assert "guard: window_file: " in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+
+
+SPATIAL_PROBE = """
+import json, sys
+from urglab import cli
+
+loaded = {"import": "scipy.spatial" in sys.modules}
+for kind, params in json.loads(sys.argv[2]):
+    cli.run(cli.ExperimentConfig(kind, params, trials=2, out_dir=sys.argv[1] + "/" + kind))
+    loaded[kind] = "scipy.spatial" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_palm_loads_scipy_spatial(tmp_path):
+    # scipy.spatial is a large share of start-up, and only palm builds a KD-tree; the tree
+    # builder imports it at its first build, so no other kind, nor the import of cli, loads it
+    runs = [("percolation", {"L": 8, "p": [0.3]}), ("cost-bound", {"L": 8}),
+            ("kazhdan", {"L": 8, "budget": 50, "restarts": 1}), ("mtp-check", {"L": 8}),
+            ("gauss-check", {"n": 100}), ("palm", {"check": "inversion", "L": 5.0, "m": 10})]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", SPATIAL_PROBE, str(tmp_path), json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": False, **{kind: kind == "palm" for kind, _ in runs}}
 
 
 def test_palm_dimension_guard_counts_coordinates(tmp_path, capsys, monkeypatch):

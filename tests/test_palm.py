@@ -198,11 +198,12 @@ def test_distinctness_cases_reject_broken_prefilters(monkeypatch, mutant):
 
 
 def test_trees_are_built_by_their_first_query(monkeypatch):
-    import urglab.torus
+    import scipy.spatial
 
+    # ``PointConfiguration.kdtree`` imports the class at each build, so it reads this patch
     built = []
-    tree = urglab.torus.cKDTree
-    monkeypatch.setattr(urglab.torus, "cKDTree", lambda *args, **kw: built.append(1) or tree(*args, **kw))
+    tree = scipy.spatial.cKDTree
+    monkeypatch.setattr(scipy.spatial, "cKDTree", lambda *args, **kw: built.append(1) or tree(*args, **kw))
     f = BUILTIN_FUNCTIONALS["capped-nearest-distance"]
     config = sample_poisson(1.0, T2, seed=3)
     f.value(config)
