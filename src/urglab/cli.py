@@ -81,6 +81,8 @@ MAX_SAMPLES = 10**8
 # window file's declared edge labels: each takes about 257 B of Python strings and dicts
 MAX_PARTS = 10**6
 _PARTS_CAP = (MAX_PARTS, "the run would build a list of that many weights")
+# mtp-check's constant value: a sum of at most MAX_WINDOW_ENTRIES of them stays finite
+_MAX_TRANSPORT_VALUE = sys.float_info.max / MAX_WINDOW_ENTRIES
 # mtp-check field -> keyword of the transport factory that takes it
 _TRANSPORT_ARGS = {"transport_colour": "colour", "transport_value": "value"}
 
@@ -365,8 +367,9 @@ class MtpSpec(WindowSpec):
     transport: str = _field("constant", "edge transport", choices=tuple(sorted(BUILTIN_TRANSPORTS)))
     transport_colour: int | None = _field(None, "colour argument of the transport")
     transport_value: float | None = _field(None, "value argument of the transport",
-                                           check=(lambda x: 0 <= x < math.inf,
-                                                  "transport_value must be finite and nonnegative"))
+                                           check=(lambda x: 0 <= x <= _MAX_TRANSPORT_VALUE,
+                                                  "transport_value must be finite and nonnegative, "
+                                                  f"at most {_MAX_TRANSPORT_VALUE:g}"))
     colouring: str = _field("bernoulli", "colouring model", choices=("bernoulli", "constant"))
     colours: int = _field(2, "number of colours", check=(lambda c: c >= 1, "need at least one colour"),
                           cap=_PARTS_CAP)

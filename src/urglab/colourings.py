@@ -20,7 +20,6 @@ from .graphs import WindowGraph
 from .rng import derive_rng
 
 IN = 1  # subset convention for d = 2 colourings
-OUT = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,12 +47,6 @@ class Colouring:
     def counts(self) -> np.ndarray:
         """Occurrences of each colour 1..d."""
         return np.bincount(self.colours, minlength=self.d + 1)[1:]
-
-
-def subset_colouring(window: WindowGraph, mask) -> Colouring:
-    """d = 2 colouring from a boolean in-mask."""
-    mask = np.asarray(mask, dtype=bool)
-    return Colouring(window, 2, np.where(mask, IN, OUT))
 
 
 def subset_mask(c: Colouring) -> np.ndarray:

@@ -10,10 +10,17 @@ these, never from the code paths under test.
 
 ``BallTransport`` is the ball form of an edge transport: the value of each
 directed edge (u, v) comes from the coloured ball around u alone, so it is
-local by construction.  The ball forms of the library's built-in transports,
-of ``f_arrow`` and of the tests' own transports are the references for their
-entry-array forms.  ``BallVertexFunction`` is the ball form of a vertex
-function in the same way, the reference for the built-ins' value arrays.
+local by construction.  The ball forms of the library's built-in transports
+and of the tests' own transports are the references for their entry-array
+forms.  ``BallVertexFunction`` is a vertex function in the same way, its
+value at each vertex from the coloured ball around it; vertex functions exist
+only here.  ``gradient_transport`` turns one into the entry-array transport
+f(u) - f(v) that ``mtp_check`` runs in acceptance criterion 1, held bit for
+bit to ``ball_f_arrow``, which cuts both balls inside the ball around u; and
+``gradient_norm_bound`` gives both sides of criterion 2's gradient norm bound.
+
+``subset_colouring`` builds the d = 2 colouring whose colour-1 class is a
+boolean mask: the inverse of ``colourings.subset_mask``.
 
 ``build_explicit`` labels an arbitrary simple edge list greedily: it builds
 the tests' irregular fixture windows, and it is the reference for the
@@ -51,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from urglab.balls import RootedBall, ball
-from urglab.colourings import Colouring
+from urglab.colourings import IN, Colouring
 from urglab.graphs import GeneratorSet, WindowGraph, free_generators, torus_generators
 from urglab.kazhdan import (
     COOLING,
@@ -64,6 +71,9 @@ from urglab.kazhdan import (
     feasible_size_windows,
 )
 from urglab.rng import derive_rng
+from urglab.transport import TransportFunction
+
+OUT = 2  # the colour outside the mask of a subset colouring
 
 
 def mutated(module, name: str, old: str, new: str):
@@ -77,6 +87,11 @@ def mutated(module, name: str, old: str, new: str):
     namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
     return namespace[name]
+
+
+def subset_colouring(window, mask) -> Colouring:
+    """d = 2 colouring from a boolean in-mask."""
+    return Colouring(window, 2, np.where(np.asarray(mask, dtype=bool), IN, OUT))
 
 
 def flood_fill_clusters(window, mask) -> list[list[int]]:
@@ -273,6 +288,33 @@ def ball_f_arrow(f_vertex: BallVertexFunction, signed: bool = False) -> BallTran
 
     suffix = "signed" if signed else "abs"
     return BallTransport(f"grad[{f_vertex.name}]:{suffix}", r + 1, evaluate)
+
+
+def gradient_transport(f_vertex: BallVertexFunction, signed: bool = False) -> TransportFunction:
+    """f(u) - f(v) on every directed entry (absolute unless ``signed``), with f
+    at every vertex from ``ball_vertex_values``.
+
+    The absolute version is a transport for ``mtp_check``; the signed one has
+    entries of both signs unless f is equal at both ends of every edge.
+    """
+
+    def entries(w: WindowGraph, c) -> np.ndarray:
+        values = ball_vertex_values(w, c, f_vertex)
+        src, dst = w.edge_arrays
+        diff = values[src] - values[dst]
+        return diff if signed else np.abs(diff)
+
+    suffix = "signed" if signed else "abs"
+    return TransportFunction(f"grad[{f_vertex.name}]:{suffix}", f_vertex.radius + 1, entries)
+
+
+def gradient_norm_bound(w: WindowGraph, c, f_vertex: BallVertexFunction) -> tuple[float, float]:
+    """(1/n) * sum over directed entries of |f(u) - f(v)|, and its ceiling
+    2 D * (1/n) * sum over vertices of |f(u)|, with D the degree bound."""
+    values = ball_vertex_values(w, c, f_vertex)
+    src, dst = w.edge_arrays
+    lhs = float(np.abs(values[src] - values[dst]).sum()) / w.n
+    return lhs, 2.0 * w.degree_bound * float(np.abs(values).sum()) / w.n
 
 
 def ball_inexact() -> BallTransport:

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from oracles import bfs_ball
+from oracles import bfs_ball, subset_colouring
 
 from urglab.balls import ball
-from urglab.colourings import sample, subset_colouring
+from urglab.colourings import sample
 from urglab.graphs import build_random_regular, build_torus_window
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import directed_bichromatic_count
+from oracles import directed_bichromatic_count, subset_colouring
 
 from urglab.colourings import (
     Colouring,
@@ -15,7 +15,6 @@ from urglab.colourings import (
     expansion,
     sample,
     sample_constant,
-    subset_colouring,
 )
 from urglab.graphs import build_random_regular, build_torus_window
 

@@ -17,14 +17,8 @@ PACKAGE = ROOT / "src" / "urglab"
 KEPT = {
     "balls.ball": "the tests' locality reference; perfbench's tracer wraps it as the balls.ball span",
     "cli.validate": "the library's validation entry point: run() without running",
-    "colourings.subset_colouring": "builds the d = 2 colouring that subset_mask reads back",
     "graphs.window_to_json": "writes the window-file format that the window-file model reads",
     "palm.pp_cost_bound": "the point-process cost composition, for the exact periodic Delaunay graph",
-    "transport.f_arrow": "the f-arrow transport of acceptance criteria 1-2",
-    "transport.norm_bound_check": "the norm bound of acceptance criterion 2",
-    "transport.root_colour_function": "a vertex function of acceptance criteria 1-2",
-    "transport.neighbour_colour_count": "a vertex function of acceptance criteria 1-2",
-    "transport.feature_mix_function": "a vertex function of acceptance criteria 1-2",
 }
 
 

@@ -1,14 +1,13 @@
 """Outflow/inflow identity, edge differences, and the gradient norm bound.
 
-Every edge transport and vertex function is checked against its ball form
-in ``oracles``: the entry and value arrays must equal the fresh-ball values
-bit for bit.
+Every edge transport is checked against its ball form in ``oracles``: the
+entry arrays must equal the fresh-ball values bit for bit.  Vertex functions
+exist only as ball forms; their edge differences, the gradient transports,
+are held to ``ball_f_arrow`` the same way.
 """
 
 import hashlib
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,27 +27,23 @@ from oracles import (
     ball_vertex_values,
     build_explicit,
     directed_bichromatic_count,
+    gradient_norm_bound,
+    gradient_transport,
     mtp_sums,
+    subset_colouring,
 )
 
 from urglab.cli import ExperimentConfig, run
-from urglab.colourings import sample, subset_colouring
+from urglab.colourings import sample
 from urglab.graphs import build_random_regular, build_torus_window, window_from_dict
 from urglab.transport import (
     BUILTIN_TRANSPORTS,
     TransportFunction,
-    VertexFunction,
     bichromatic_indicator,
     constant_transport,
     degree_weighted_indicator,
-    f_arrow,
-    feature_mix_function,
     mtp_check,
-    neighbour_colour_count,
-    norm_bound_check,
-    root_colour_function,
     source_colour_indicator,
-    vertex_values,
 )
 
 
@@ -97,6 +92,14 @@ def test_negative_transport_rejected():
         mtp_check(w, bern(w), TransportFunction("short", 0, lambda w, c: np.ones(99)))
 
 
+def test_overflowing_sums_rejected():
+    # every value is finite, but 100 of them sum past the largest float
+    w = build_torus_window(2, 5)
+    huge = TransportFunction("huge", 0, lambda w, c: np.full(w.indices.size, 1e308))
+    with pytest.raises(ValueError, match="'huge' sums to inf out and inf in"), np.errstate(over="ignore"):
+        mtp_check(w, bern(w), huge)
+
+
 def test_constant_transport_refuses_negative_and_non_finite():
     for value in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -105,18 +108,18 @@ def test_constant_transport_refuses_negative_and_non_finite():
 
 def test_f_arrow_of_constant_vanishes():
     w = build_torus_window(2, 4)
-    const = root_colour_function(1)  # on an all-1 colouring this is constant 1
+    const = ball_root_colour(1)  # on an all-1 colouring this is constant 1
     c = subset_colouring(w, np.ones(w.n, dtype=bool))
-    values = vertex_values(w, c, const)
+    values = ball_vertex_values(w, c, const)
     assert np.all(values == 1.0)
-    report = mtp_check(w, c, f_arrow(const))
+    report = mtp_check(w, c, gradient_transport(const))
     assert report.lhs == report.rhs == 0.0
 
 
 def test_f_arrow_colour_indicator_edges():
     w = build_torus_window(1, 8)
     c = subset_colouring(w, np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=bool))
-    g = f_arrow(root_colour_function(1)).entries(w, c)
+    g = gradient_transport(ball_root_colour(1)).entries(w, c)
     src, dst = w.edge_arrays
     assert g[(src == 1) & (dst == 2)].tolist() == [1.0]  # edge (1,2) is bichromatic
     assert g[(src == 1) & (dst == 0)].tolist() == [0.0]
@@ -127,7 +130,7 @@ def test_f_arrow_mtp_matches_expansion():
     # bichromatic incidence count for 2-colourings
     w = build_torus_window(2, 6)
     c = bern(w, 5)
-    report = mtp_check(w, c, f_arrow(root_colour_function(1)))
+    report = mtp_check(w, c, gradient_transport(ball_root_colour(1)))
     assert report.exact
     assert report.lhs == pytest.approx(directed_bichromatic_count(w, c.colours) / w.n)
 
@@ -137,59 +140,15 @@ def test_f_arrow_signed_sums_to_zero():
     # its directed-edge sum telescopes away exactly
     w = build_torus_window(2, 5)
     c = bern(w, 6)
-    g = f_arrow(neighbour_colour_count(1), signed=True).entries(w, c)
+    g = gradient_transport(ball_neighbour_colour_count(1), signed=True).entries(w, c)
     assert np.any(g != 0)
     assert np.array_equal(g, -g[w.mirror])
-
-
-def test_f_arrow_calls_values_once_per_entries_call():
-    calls = []
-    count = neighbour_colour_count(1)
-    counted = VertexFunction("counted", 1, lambda w, c: calls.append(c) or count.values(w, c))
-    w = build_torus_window(2, 32)
-    colourings = [bern(w, 3), bern(w, 4)]
-    grad = f_arrow(counted)
-    for c in colourings:
-        grad.entries(w, c)
-    assert calls == colourings  # once per entries call, none per vertex or entry
-
-
-def test_f_arrow_shared_across_threads_matches_serial():
-    def vertex_id() -> VertexFunction:
-        # yields the interpreter lock inside every call, so threads
-        # interleave inside one shared f_arrow's entries
-        return VertexFunction("vertex-id", 1, lambda w, c: time.sleep(0) or np.arange(w.n, dtype=np.float64))
-
-    w = build_torus_window(2, 12)
-    colourings = [bern(w, seed) for seed in range(8)]
-    serial = [mtp_check(w, c, f_arrow(vertex_id())) for c in colourings]
-    grad = f_arrow(vertex_id())
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        shared = list(pool.map(lambda c: mtp_check(w, c, grad), colourings, timeout=60))
-    assert shared == serial
-
-
-def test_vertex_values_rejects_wrong_shape_and_non_finite():
-    # a bad value is refused naming the function and its first bad vertex
-    w = build_torus_window(2, 5)
-    c = bern(w)
-    with pytest.raises(ValueError, match=r"'short' returned \(24,\) values for 25 vertices"):
-        vertex_values(w, c, VertexFunction("short", 0, lambda w, c: np.ones(w.n - 1)))
-    for bad in (math.nan, math.inf, -math.inf):
-        values = np.ones(w.n)
-        values[[7, 11]] = bad
-        f = VertexFunction("bad", 0, lambda w, c: values)
-        with pytest.raises(ValueError, match=rf"'bad' returned {bad!r} at vertex 7"):
-            vertex_values(w, c, f)
-        with pytest.raises(ValueError, match=rf"'bad' returned {bad!r} at vertex 7"):
-            norm_bound_check(w, c, f)
 
 
 def test_norm_bound_zero_function():
     w = build_torus_window(1, 8)
     c = subset_colouring(w, np.zeros(8, dtype=bool))
-    report = norm_bound_check(w, c, root_colour_function(1))
-    assert report.lhs_norm == 0.0 and report.rhs_bound == 0.0 and report.holds
+    assert gradient_norm_bound(w, c, ball_root_colour(1)) == (0.0, 0.0)
 
 
 def test_norm_bound_single_vertex_indicator_tight():
@@ -198,10 +157,10 @@ def test_norm_bound_single_vertex_indicator_tight():
     mask = np.zeros(8, dtype=bool)
     mask[3] = True
     c = subset_colouring(w, mask)
-    report = norm_bound_check(w, c, root_colour_function(1))
-    assert report.lhs_norm == pytest.approx(0.5)
-    assert report.rhs_bound == pytest.approx(0.5)
-    assert report.holds
+    lhs, ceiling = gradient_norm_bound(w, c, ball_root_colour(1))
+    assert lhs == pytest.approx(0.5)
+    assert ceiling == pytest.approx(0.5)
+    assert lhs <= ceiling + 1e-12
 
 
 def test_norm_bound_random_integer_functions():
@@ -210,17 +169,15 @@ def test_norm_bound_random_integer_functions():
     for trial in range(100):
         c = bern(w, trial)
         coeffs = tuple(int(x) for x in rng.integers(-3, 4, size=4))
-        report = norm_bound_check(w, c, feature_mix_function(coeffs, name=f"mix{trial}"))
-        assert report.holds
+        lhs, ceiling = gradient_norm_bound(w, c, ball_feature_mix(coeffs, name=f"mix{trial}"))
+        assert lhs <= ceiling + 1e-12
 
 
 def test_gradient_triangle_inequality():
     w = build_torus_window(2, 5)
     c = bern(w, 2, d=3)
-    f = root_colour_function(1)
-    g = neighbour_colour_count(2)
-    fv = vertex_values(w, c, f)
-    gv = vertex_values(w, c, g)
+    fv = ball_vertex_values(w, c, ball_root_colour(1))
+    gv = ball_vertex_values(w, c, ball_neighbour_colour_count(2))
     src, dst = w.edge_arrays
 
     def grad_norm(values):
@@ -238,7 +195,7 @@ def test_mtp_exact_on_random_regular_with_multiedges():
         "window has no parallel edge"
     c = bern(w, 1)
     for transport in (constant_transport(2.0), bichromatic_indicator(),
-                      f_arrow(neighbour_colour_count(1))):
+                      gradient_transport(ball_neighbour_colour_count(1))):
         report = mtp_check(w, c, transport)
         assert report.exact
 
@@ -270,29 +227,29 @@ def spike_transport() -> TransportFunction:
     return TransportFunction("spike", 0, lambda w, c: np.where(c.colours[w.edge_arrays[0]] == 1, 2.0**53, 1.0))
 
 
-def vertex_pairs(d: int):
-    """(value-array form, ball form) of each built-in vertex function at every
-    colour parameter 1..d, and of feature_mix at integer and float coefficients."""
+def ball_vertex_functions(d: int):
+    """Each vertex function at every colour parameter 1..d, and feature_mix at
+    integer and float coefficients."""
     for colour in range(1, d + 1):
-        yield root_colour_function(colour), ball_root_colour(colour)
-        yield neighbour_colour_count(colour), ball_neighbour_colour_count(colour)
+        yield ball_root_colour(colour)
+        yield ball_neighbour_colour_count(colour)
     for coeffs in ((1, -2, 3, -4), (0.1, -1.5, 1 / 3, 0.7)):
-        yield feature_mix_function(coeffs), ball_feature_mix(coeffs)
+        yield ball_feature_mix(coeffs)
 
 
 def transport_pairs(d: int):
     """(entry-array form, ball form) of each built-in at every colour parameter
-    1..d, of f_arrow signed and unsigned of every vertex pair, and of the
-    tests' own transports."""
+    1..d, of the gradient signed and unsigned of every vertex function, and of
+    the tests' own transports."""
     assert set(BALL_BUILTINS) == set(BUILTIN_TRANSPORTS)
     yield constant_transport(2.5), ball_constant(2.5)
     yield bichromatic_indicator(), ball_bichromatic()
     for colour in range(1, d + 1):
         yield source_colour_indicator(colour), ball_source_colour(colour)
         yield degree_weighted_indicator(colour), ball_degree_weighted(colour)
-    for f_vertex, ball_form in vertex_pairs(d):
+    for f_vertex in ball_vertex_functions(d):
         for signed in (False, True):
-            yield f_arrow(f_vertex, signed), ball_f_arrow(ball_form, signed)
+            yield gradient_transport(f_vertex, signed), ball_f_arrow(f_vertex, signed)
     yield inexact_transport(), ball_inexact()
     yield spike_transport(), ball_spike()
 
@@ -303,10 +260,6 @@ def test_entries_equal_ball_oracle_bit_for_bit(name):
     for d in (1, 2, 3):
         for seed in range(2):
             c = bern(w, seed, d)
-            for f_vertex, oracle in vertex_pairs(d):
-                assert f_vertex.name == oracle.name and f_vertex.radius == oracle.radius
-                values = vertex_values(w, c, f_vertex)
-                assert values.tobytes() == ball_vertex_values(w, c, oracle).tobytes(), (d, seed, f_vertex.name)
             for transport, oracle in transport_pairs(d):
                 assert transport.name == oracle.name and transport.radius == oracle.radius
                 values = transport.entries(w, c)
@@ -354,7 +307,7 @@ MTP_REPORT_GOLDENS = {
         "c3fb5867f75e264c75e1dd2c1e4e67e74b6c56e856bcd9360b28cf3aac82a818"),
     "grad-random-regular-multi": (
         {"model": "random-regular", "k_rank": 3, "n": 7, "window_seed": 1, "transport": "degree-weighted"},
-        lambda colour=1: f_arrow(neighbour_colour_count(colour)),
+        lambda colour=1: gradient_transport(ball_neighbour_colour_count(colour)),
         "51099bc4914c5541da8bdb3afe6cbb69a595ce86d9c90e48a27348ae8bf404c5"),
 }
 
