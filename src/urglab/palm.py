@@ -15,11 +15,13 @@ Two identities are checked numerically:
 A Palm sample lists the origin first, so both read the origin cell as the
 cell of point 0.  Both filter their uniform locations with
 ``torus.cell_members``: an exact bisector prefilter discards the locations
-that provably lie in another cell, and only the survivors are queried in
-the KD-tree, so the in-cell sets and distances are those of a full
-``bulk_nearest`` query.  That query builds the Palm sample's tree; the
-plain samples of the lhs and the translates of the generic rhs path only
-feed ``f.value``, and build none.
+that provably lie in another cell, and the survivors are checked against
+the nearby points with the KD-tree's own squared distances, so the in-cell
+sets and distances are those of a full ``bulk_nearest`` query.  That query
+builds the Palm sample's tree, which ``cell_members`` asks only about an
+exact tie, so a sample without ties builds none; the plain samples of the
+lhs and the translates of the generic rhs path only feed ``f.value``, and
+build none either.
 
 For a rate-t Poisson process the root-conditioned law is the process plus
 an added origin point, which is how ``palm_sample_poisson`` constructs it.

@@ -54,8 +54,11 @@ class MTPReport:
 def _sum_left_to_right(values: np.ndarray) -> float:
     """0.0 + values[0] + values[1] + ..., one addition at a time, as a float
     loop adds them: the summation order fixes the reported bytes.  ``cumsum``
-    accumulates strictly in order, where ``np.sum`` would add pairwise."""
-    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+    accumulates strictly in order, where ``np.sum`` would add pairwise.  A sum
+    past the largest float comes back as inf without a warning; ``mtp_check``
+    raises on it."""
+    with np.errstate(over="ignore"):
+        return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
 
 
 def mtp_check(w: WindowGraph, c, f: TransportFunction) -> MTPReport:

@@ -503,24 +503,28 @@ import json, sys
 from urglab import cli
 
 loaded = {"import": "scipy.spatial" in sys.modules}
-for kind, params in json.loads(sys.argv[2]):
-    cli.run(cli.ExperimentConfig(kind, params, trials=2, out_dir=sys.argv[1] + "/" + kind))
-    loaded[kind] = "scipy.spatial" in sys.modules
+for i, (name, kind, params) in enumerate(json.loads(sys.argv[2])):
+    cli.run(cli.ExperimentConfig(kind, params, trials=2, out_dir=f"{sys.argv[1]}/{i}"))
+    loaded[name] = "scipy.spatial" in sys.modules
 print(json.dumps(loaded))
 """
 
 
 def test_only_palm_loads_scipy_spatial(tmp_path):
-    # scipy.spatial is a large share of start-up, and only palm builds a KD-tree; the tree
-    # builder imports it at its first build, so no other kind, nor the import of cli, loads it
-    runs = [("percolation", {"L": 8, "p": [0.3]}), ("cost-bound", {"L": 8}),
-            ("kazhdan", {"L": 8, "budget": 50, "restarts": 1}), ("mtp-check", {"L": 8}),
-            ("gauss-check", {"n": 100}), ("palm", {"check": "inversion", "L": 5.0, "m": 10})]
+    # scipy.spatial is a large share of start-up, and only palm's locfin check builds a KD-tree; the
+    # tree builder imports it at its first build, so no other kind or check, nor the import of cli,
+    # loads it.  Each run adds to the same process, so locfin runs last
+    runs = [("percolation", "percolation", {"L": 8, "p": [0.3]}), ("cost-bound", "cost-bound", {"L": 8}),
+            ("kazhdan", "kazhdan", {"L": 8, "budget": 50, "restarts": 1}), ("mtp-check", "mtp-check", {"L": 8}),
+            ("gauss-check", "gauss-check", {"n": 100}),
+            ("palm inversion", "palm", {"check": "inversion", "L": 5.0, "m": 10}),
+            ("palm cellvol", "palm", {"check": "cellvol", "L": 5.0, "m": 10}),
+            ("palm locfin", "palm", {"check": "locfin", "L": 5.0, "m": 10})]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", SPATIAL_PROBE, str(tmp_path), json.dumps(runs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"import": False, **{kind: kind == "palm" for kind, _ in runs}}
+    assert json.loads(proc.stdout) == {"import": False, **{name: name == "palm locfin" for name, _, _ in runs}}
 
 
 def test_palm_dimension_guard_counts_coordinates(tmp_path, capsys, monkeypatch):

@@ -2,11 +2,13 @@
 identity, local finiteness, and the cost composition."""
 
 import hashlib
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+from oracles import mutated
 from scipy import stats
 
 from urglab.cli import ExperimentConfig, run
@@ -214,13 +216,15 @@ def test_trees_are_built_by_their_first_query(monkeypatch):
     locations = np.random.default_rng(3).uniform(0.0, 10.0, (500, 2))
     for idx in (0, 1, 2):
         cell_members(palm, idx, locations)
+    assert built == []  # exact distances decide cells without ties
     bulk_nearest(palm, locations)
     assert len(built) == 1
-    # one tree per Palm configuration, none for the lhs samples or the translates
+    # none for the Palm cells, the lhs samples or the translates
     built.clear()
     generic = BoundedFunctional("generic", f.value)
     verify_voronoi_inversion(generic, 1.0, FlatTorus(2, 6.0), 4, 300, seed=2)
-    assert len(built) == 4
+    verify_mean_cell_volume(1.0, FlatTorus(2, 6.0), 4, 300, seed=2)
+    assert built == []
 
 
 def test_palm_contains_origin():
@@ -313,8 +317,9 @@ def _cell_members_by_full_query(config, idx, locations):
 
 
 def _prefilter_cases():
-    """(config, idx, locations): Palm samples in d = 1, 2, 3, a non-origin
-    site, a single point, small configurations, and exact ties."""
+    """(config, idx, locations): Palm samples in d = 1, 2, 3 and 9, a
+    non-origin site, a single point, small configurations, exact ties, and
+    locations outside [0, side)^d."""
     rng = np.random.default_rng(17)
     cases = []
     for seed, (t, side, dim) in enumerate(((1.0, 20.0, 2), (4.0, 20.0, 2), (1.0, 50.0, 1), (1.0, 6.0, 3))):
@@ -335,6 +340,11 @@ def _prefilter_cases():
     lattice = PointConfiguration(T2, np.array([[i, j] for i in (1.0, 3.5, 6.0, 8.5) for j in (1.0, 3.5, 6.0, 8.5)]))
     steps = np.arange(1.0, 11.0, 1.25) % 10.0  # sites, edge midpoints (2-way ties), corners (4-way)
     cases += [(lattice, i, np.array([[x, y] for x in steps for y in steps])) for i in (0, 5, 15)]
+    nine = palm_sample_poisson(1.0, FlatTorus(9, 1.8), seed=4)
+    locations = rng.uniform(0.0, 1.8, (4000, 9))
+    cases += [(nine, 0, locations), (nine, 5, locations)]
+    config, _, locations = cases[0]
+    cases.append((config, 0, locations + 20.0 * rng.integers(-2, 3, locations.shape)))
     return cases
 
 
@@ -344,14 +354,25 @@ PREFILTER_CASES = _prefilter_cases()
 def test_cell_members_equal_full_query_filtered(monkeypatch):
     import urglab.torus
 
-    # one bisector at a time throughout, the default switch, and one product from the start
-    for settled in (0, urglab.torus.SETTLED_LOCATIONS, 10**9):
+    # one bisector at a time throughout, the default switch, and one product from the start; and
+    # every survivor to the tree, the default exact-check cap, and the exact check on every survivor
+    for settled, cap in itertools.product((0, urglab.torus.SETTLED_LOCATIONS, 10**9),
+                                          (0, urglab.torus._EXACT_BLOCK, 10**9)):
         monkeypatch.setattr(urglab.torus, "SETTLED_LOCATIONS", settled)
+        monkeypatch.setattr(urglab.torus, "_EXACT_BLOCK", cap)
         for config, idx, locations in PREFILTER_CASES:
             members, dists = cell_members(config, idx, locations)
             want_members, want_dists = _cell_members_by_full_query(config, idx, locations)
-            assert np.array_equal(members, want_members), settled
-            assert np.array_equal(dists, want_dists), settled
+            assert np.array_equal(members, want_members), (settled, cap)
+            assert np.array_equal(dists, want_dists), (settled, cap)
+
+
+def test_cell_members_rejects_out_of_range_index():
+    config = palm_sample_poisson(1.0, T2, seed=3)
+    locations = np.random.default_rng(0).uniform(0.0, 10.0, (100, 2))
+    for idx in (-1, len(config)):
+        with pytest.raises(ValueError, match=f"point {idx} out of range"):
+            cell_members(config, idx, locations)
 
 
 def _inputs_changed():
@@ -386,13 +407,16 @@ def test_cell_members_leaves_inputs_unchanged(monkeypatch):
 def test_cell_members_query_few_locations(monkeypatch):
     import urglab.torus
 
-    queried = []
-    full = urglab.torus.bulk_nearest
+    queried, checked = [], []
+    full, exact = urglab.torus.bulk_nearest, urglab.torus._wrapped_differences
     monkeypatch.setattr(urglab.torus, "bulk_nearest", lambda c, locs: queried.append(len(locs)) or full(c, locs))
+    monkeypatch.setattr(urglab.torus, "_wrapped_differences", lambda t, a, b: checked.append(len(a)) or exact(t, a, b))
     config = palm_sample_poisson(1.0, FlatTorus(2, 20.0), seed=3)
     locations = np.random.default_rng(4).uniform(0.0, 20.0, (10**4, 2))
     members, _ = cell_members(config, 0, locations)
-    assert len(members) <= queried[0] <= len(locations) // 100  # the cell is about 1/400 of the torus
+    # the last exact check takes the survivors; the cell is about 1/400 of the torus
+    assert len(members) <= checked[-1] <= len(locations) // 100
+    assert queried == []  # a sample without ties asks the tree nothing
 
 
 def _filtered_members(config, idx, locations, bound):
@@ -413,13 +437,19 @@ def _filtered_members(config, idx, locations, bound):
     return where[assigned == idx], dists[assigned == idx]
 
 
-def _prefilter_matches(bound):
+def _matches_full_query(members_of):
+    """Whether ``members_of(config, idx, locations)`` equals the filtered full
+    query, members and distances, on every prefilter case."""
     for config, idx, locations in PREFILTER_CASES:
-        members, dists = _filtered_members(config, idx, locations, bound)
+        members, dists = members_of(config, idx, locations)
         want_members, want_dists = _cell_members_by_full_query(config, idx, locations)
         if not (np.array_equal(members, want_members) and np.array_equal(dists, want_dists)):
             return False
     return True
+
+
+def _prefilter_matches(bound):
+    return _matches_full_query(lambda config, idx, locations: _filtered_members(config, idx, locations, bound))
 
 
 def test_prefilter_equivalence_rejects_broken_bisectors():
@@ -430,6 +460,30 @@ def test_prefilter_equivalence_rejects_broken_bisectors():
     assert not _prefilter_matches(lambda sq, side: sq / 4 + 1e-9 * side**2)
     # |p|^2 in place of |p|^2 / 2 only lets more locations through to the KD-tree
     assert _prefilter_matches(lambda sq, side: sq + 1e-9 * side**2)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("4.0 * float(", "float("), ("(own == best) | outside", "outside"),
+     ("np.flatnonzero(site_sq <= reach)", "np.flatnonzero(site_sq <= reach)[:0]")],
+    ids=["rivals-within-one-radius", "ties-without-the-tree", "no-rivals"],
+)
+def test_exact_check_equivalence_rejects_broken_mutants(old, new):
+    import urglab.torus
+
+    # rivals up to |x - s| rather than 2|x - s| from the site, exact ties read as
+    # non-members, and no rivals at all each change some cell
+    assert not _matches_full_query(mutated(urglab.torus, "cell_members", old, new))
+
+
+def test_exact_check_equivalence_rejects_another_summation_order(monkeypatch):
+    import urglab.torus
+
+    # the tree adds the squares in coordinate order 0..d-1; the reverse order changes some bits
+    reversed_sums = mutated(urglab.torus, "_squared_lengths", "total = diff[0] * diff[0]\n    for row in diff[1:]:",
+                            "total = diff[-1] * diff[-1]\n    for row in diff[-2::-1]:")
+    monkeypatch.setattr(urglab.torus, "_squared_lengths", reversed_sums)
+    assert not _matches_full_query(cell_members)
 
 
 def test_translation_invariance_of_assignment():

@@ -8,6 +8,7 @@ are held to ``ball_f_arrow`` the same way.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,7 +97,9 @@ def test_overflowing_sums_rejected():
     # every value is finite, but 100 of them sum past the largest float
     w = build_torus_window(2, 5)
     huge = TransportFunction("huge", 0, lambda w, c: np.full(w.indices.size, 1e308))
-    with pytest.raises(ValueError, match="'huge' sums to inf out and inf in"), np.errstate(over="ignore"):
+    # the error alone: a warning escaping the summation fails the test
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="'huge' sums to inf out and inf in"):
+        warnings.simplefilter("error")
         mtp_check(w, bern(w), huge)
 
 
