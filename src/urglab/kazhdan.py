@@ -14,10 +14,11 @@ per-step reads index faster than a numpy array.  It keeps the restart's
 first lowest-count state not as a copy but as an undo log: each vertex's
 colour at the last snapshot, recorded on its first write after it.  So
 taking a snapshot and restoring it never copy all n colours.  After the
-restart's shuffle, every scalar draw goes through ``rng.ScalarDraws``, which
+restart's shuffle, every scalar draw goes through ``rng.scalar_draws``, which
 returns exactly what the restart's ``Generator`` would without numpy's
-per-call cost; the tests hold the annealer byte for byte to
-``anneal_reference``, which draws from the ``Generator`` itself.
+per-call cost: each restart binds its vertex and part draws to their spans
+once.  The tests hold the annealer byte for byte to ``anneal_reference``,
+which draws from the ``Generator`` itself.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .clusters import decompose
 from .colourings import Colouring
 from .graphs import WindowGraph
-from .rng import ScalarDraws, derive_rng
+from .rng import derive_rng, scalar_draws
 
 
 class InfeasibleBalanceError(ValueError):
@@ -286,7 +287,8 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
         rng = derive_rng(problem.seed, "anneal", restart)
         start = np.repeat(np.arange(1, k + 1, dtype=np.int64), sizes0)
         rng.shuffle(start)
-        rng = ScalarDraws(rng)  # the Generator is not read again
+        random, bounded = scalar_draws(rng)  # the Generator is not read again
+        pick_vertex, pick_part = bounded(n), bounded(k)
         colours = start.tolist()
         sizes = list(sizes0)
         count = run_count = _bichromatic_count(w, start)
@@ -294,17 +296,17 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
         temperature = float(w.degree_bound)
 
         for step in range(steps):
-            kind = rng.random()
+            kind = random()
             if kind < 0.05 and step % MERGE_MOVE_PERIOD == 0:
                 merges += 1
-                accepted = _try_merge_move(w, colours, sizes, windows, rng, saved)
+                accepted = _try_merge_move(w, colours, sizes, windows, bounded, saved)
                 if accepted is not None:
                     count += accepted
                     merges_done += 1
             elif kind < 0.65:
                 swaps += 1
-                u = rng.integers(n)
-                v = rng.integers(n)
+                u = pick_vertex()
+                v = pick_vertex()
                 cu, cv = colours[u], colours[v]
                 if cu != cv:
                     d1 = _recolour_delta(rows, colours, u, cv)
@@ -312,18 +314,18 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
                     d2 = _recolour_delta(rows, colours, v, cu)
                     colours[u] = cu
                     delta = d1 + d2
-                    if delta <= 0 or rng.random() < math.exp(-(delta / n) / temperature):
+                    if delta <= 0 or random() < math.exp(-(delta / n) / temperature):
                         _write(colours, saved, u, cv)
                         _write(colours, saved, v, cu)
                         count += delta
                         swaps_done += 1
             else:
-                u = rng.integers(n)
-                new = rng.integers(1, k + 1)
+                u = pick_vertex()
+                new = 1 + pick_part()
                 old = colours[u]
                 if new != old and sizes[old - 1] > windows[old - 1][0] and sizes[new - 1] < windows[new - 1][1]:
                     delta = _recolour_delta(rows, colours, u, new)
-                    if delta <= 0 or rng.random() < math.exp(-(delta / n) / temperature):
+                    if delta <= 0 or random() < math.exp(-(delta / n) / temperature):
                         _write(colours, saved, u, new)
                         sizes[old - 1] -= 1
                         sizes[new - 1] += 1
@@ -349,7 +351,7 @@ def anneal_kazhdan(problem: KazhdanProblem) -> KazhdanResult:
     return _result(Colouring(w, k, best_colours), best_count, tuple(trace), certificate=False, moves=moves)
 
 
-def _try_merge_move(w, colours, sizes, windows, rng, saved) -> int | None:
+def _try_merge_move(w, colours, sizes, windows, bounded, saved) -> int | None:
     """Relocate one cluster of a part r into a part b when balance survives.
 
     The cluster (a component of r's vertices) is drawn among those with
@@ -357,24 +359,28 @@ def _try_merge_move(w, colours, sizes, windows, rng, saved) -> int | None:
     mirror and cuts nothing new (a component has no entries into r), so the
     directed cut count drops by exactly twice its entries into b: the
     decrement identity.  A feasible move is therefore always accepted.
+    Each vertex's directed entries into b are one sparse product of
+    ``w.csr`` (a unit per directed entry, so parallel entries count apart)
+    with b's indicator; summed per cluster they give each cluster's entries.
     Returns that delta, or None when no move is made; writes through the
-    annealer's undo log and draws from the restart's ``ScalarDraws``.
+    annealer's undo log and draws through the restart's ``bounded`` (see
+    ``rng.scalar_draws``).
     """
     k = len(sizes)
-    r = rng.integers(1, k + 1)
-    b = rng.integers(1, k + 1)
+    pick_part = bounded(k)
+    r = 1 + pick_part()
+    b = 1 + pick_part()
     if r == b:
         return None
     colour_of = np.array(colours, dtype=np.int64)
     dec = decompose(w, colour_of == r)
-    src, dst = w.edge_arrays
-    ids = dec.cluster_id[src]  # the cluster of each entry's source, -1 outside part r
-    into = (ids >= 0) & (colour_of[dst] == b)
-    entries = np.bincount(ids[into], minlength=dec.count)  # per cluster of r, its directed entries into b
+    into = w.csr @ (colour_of == b)  # per vertex, its directed entries into b
+    inside = dec.mask
+    entries = np.bincount(dec.cluster_id[inside], weights=into[inside], minlength=dec.count)  # per cluster of r
     touching = np.flatnonzero(entries)
     if touching.size == 0:
         return None
-    cluster = int(touching[rng.integers(touching.size)])
+    cluster = int(touching[bounded(touching.size)()])
     members = dec.vertices_of(cluster)
     moved = members.size
     if not (

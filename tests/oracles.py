@@ -34,7 +34,7 @@ route.
 colour array, copying the array on each new best state and drawing every
 scalar from the numpy ``Generator`` itself: the bit-for-bit reference for
 ``kazhdan.anneal_kazhdan``, which runs on a colour list with an undo log and
-draws through ``rng.ScalarDraws``.  Its merge move finds clusters by
+draws through ``rng.scalar_draws``.  Its merge move finds clusters by
 ``flood_fill_clusters`` and counts their entries into the target part from
 ``neighbour_rows``, so it shares no cluster search with the library's move.
 

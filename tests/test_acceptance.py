@@ -81,7 +81,7 @@ from urglab.gaussian import orthant_probability, orthant_probability_mc
 from urglab.graphs import build_complete, build_path, build_random_regular, build_torus_window
 from urglab.kazhdan import KazhdanProblem, anneal_kazhdan, brute_force_kazhdan, uniform_weights
 from urglab.palm import BUILTIN_FUNCTIONALS, verify_mean_cell_volume, verify_voronoi_inversion
-from urglab.rng import ScalarDraws, derive_rng
+from urglab.rng import derive_rng, scalar_draws
 from urglab.torus import FlatTorus, PointConfiguration, bulk_nearest
 from urglab.transport import (
     bichromatic_indicator,
@@ -294,7 +294,7 @@ def merge_decrement_failures(move=kazhdan._try_merge_move) -> tuple[int, int]:
     for i, (w, k, seed) in enumerate(instances):
         colours = sample([1.0 / k] * k, w, seed=seed).colours.tolist()
         sizes = [colours.count(c) for c in range(1, k + 1)]
-        draws, saved = ScalarDraws(derive_rng(i, "criterion-7")), {}
+        (_, draws), saved = scalar_draws(derive_rng(i, "criterion-7")), {}
         for _ in range(3):
             before, sizes_before = list(colours), list(sizes)
             delta = move(w, colours, sizes, [(0, w.n)] * k, draws, saved)

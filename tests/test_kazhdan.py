@@ -38,7 +38,7 @@ from urglab.kazhdan import (
     feasible_size_windows,
     uniform_weights,
 )
-from urglab.rng import ScalarDraws, derive_rng
+from urglab.rng import derive_rng, scalar_draws
 
 
 def arcs_partition(n):
@@ -377,17 +377,20 @@ def test_anneal_infeasible_balance_message():
         anneal_kazhdan(problem)
 
 
-class ScriptedDraws:
-    """Stands in for ``ScalarDraws``: hands out the given integers in turn, each checked against its range."""
+def scripted(*values):
+    """Stands in for ``scalar_draws``'s ``bounded``: its draws hand out the given integers in turn, each checked
+    against its span."""
+    values = iter(values)
 
-    def __init__(self, *values):
-        self.values = iter(values)
+    def bounded(span):
+        def draw():
+            value = next(values)
+            assert 0 <= value < span
+            return value
 
-    def integers(self, low, high=None):
-        low, high = (0, low) if high is None else (low, high)
-        value = next(self.values)
-        assert low <= value < high
-        return value
+        return draw
+
+    return bounded
 
 
 def arcs_state(n):
@@ -398,7 +401,7 @@ def arcs_state(n):
 
 def test_merge_move_arcs_full_collapse():
     w, colours, sizes, saved = arcs_state(8)
-    delta = _try_merge_move(w, colours, sizes, [(0, 8)] * 2, ScriptedDraws(1, 2, 0), saved)
+    delta = _try_merge_move(w, colours, sizes, [(0, 8)] * 2, scripted(0, 1, 0), saved)
     assert delta == -4
     assert colours == [2] * 8 and sizes == [0, 8]
     assert expansion(Colouring(w, 2, colours)) == 0.0
@@ -409,15 +412,42 @@ def test_merge_move_no_adjacent_flagged():
     w = build_torus_window(1, 12)
     colours = [1, 1, 3, 3, 3, 3, 2, 2, 3, 3, 3, 3]  # parts 1 and 2 are separated by part 3 on both sides
     sizes, saved = [2, 2, 8], {}
-    assert _try_merge_move(w, colours, sizes, [(0, 12)] * 3, ScriptedDraws(1, 2), saved) is None
+    assert _try_merge_move(w, colours, sizes, [(0, 12)] * 3, scripted(0, 1), saved) is None
     assert colours == [1, 1, 3, 3, 3, 3, 2, 2, 3, 3, 3, 3] and sizes == [2, 2, 8] and saved == {}
 
 
 def test_merge_move_size_window_refusal_writes_nothing():
     w, colours, sizes, saved = arcs_state(8)
     # moving either arc would leave part 1 below its lower size 4
-    assert _try_merge_move(w, colours, sizes, [(4, 4)] * 2, ScriptedDraws(1, 2, 0), saved) is None
+    assert _try_merge_move(w, colours, sizes, [(4, 4)] * 2, scripted(0, 1, 0), saved) is None
     assert colours == [1] * 4 + [2] * 4 and sizes == [4, 4] and saved == {}
+
+
+def neighbours_counted_once(w):
+    """``w``'s matrix with parallel entries summed and set to 1: a neighbour counts once, however many entries."""
+    once = w.csr.copy()
+    once.sum_duplicates()
+    once.data[:] = 1.0
+    return once
+
+
+@pytest.mark.parametrize("broken", [None, "once"], ids=["entries", "neighbours-once"])
+@pytest.mark.parametrize("cluster", [0, 1])
+def test_merge_move_counts_parallel_entries(cluster, broken, monkeypatch):
+    # criterion 7's random-regular window: 0-8 and 7-21 are doubled, and 2 carries a loop
+    w = build_random_regular(2, 24, seed=1)
+    if broken == "once":
+        monkeypatch.setitem(w.__dict__, "csr", neighbours_counted_once(w))
+    before = [1 if v in (0, 2, 7, 10) else 2 for v in range(w.n)]  # part 1's clusters are {0, 2} and {7, 10}
+    assert w.neighbour_rows[0].count(8) == 2 and w.neighbour_rows[7].count(21) == 2 and 2 in w.neighbour_rows[2]
+    colours, sizes = list(before), [4, 20]
+    delta = _try_merge_move(w, colours, sizes, [(0, w.n)] * 2, scripted(0, 1, cluster), {})
+    moved = {v for v in range(w.n) if colours[v] != before[v]}
+    assert moved == ({0, 2}, {7, 10})[cluster]
+    src, dst = w.edge_arrays
+    entries = sum(1 for u, v in zip(src.tolist(), dst.tolist()) if u in moved and before[v] == 2)
+    assert entries == (4, 6)[cluster]  # the doubled edge twice, the loop never
+    assert (delta == -2 * entries) == (broken is None)
 
 
 def test_merge_move_decrement_matches_recount_k3():
@@ -427,7 +457,7 @@ def test_merge_move_decrement_matches_recount_k3():
         colours = sample([1.0 / 3] * 3, w, trial).colours
         sizes = np.bincount(colours, minlength=4)[1:].tolist()
         moved = colours.tolist()
-        delta = _try_merge_move(w, moved, sizes, [(0, w.n)] * 3, ScalarDraws(derive_rng(trial, "merge-k3")), {})
+        delta = _try_merge_move(w, moved, sizes, [(0, w.n)] * 3, scalar_draws(derive_rng(trial, "merge-k3"))[1], {})
         if delta is None:
             assert moved == colours.tolist()
             continue
