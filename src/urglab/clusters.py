@@ -17,6 +17,7 @@ intensity, |S| = degree bound).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,19 +132,28 @@ def connect_clusters(dec: ClusterDecomposition) -> FactorGraphEdges:
     w = dec.window
     inside = np.flatnonzero(dec.mask)
     anchor, dist = _nearest_in_vertex(w, inside)
-    # each vertex's nearest cluster; -1 where no in-vertex reaches it
-    region = np.where(anchor >= 0, dec.cluster_id[anchor], -1)
+    # each vertex's nearest cluster, -1 where no in-vertex reaches it (anchor -1 reads the last slot)
+    cluster_of = np.empty(w.n + 1, dtype=np.int32)
+    cluster_of[:-1] = dec.cluster_id
+    cluster_of[-1] = -1
+    region = cluster_of.take(anchor)
     src, dst = w.edge_arrays
-    ca, cb = region[src], region[dst]
-    # each boundary edge appears once per direction; keep the one with ca < cb
-    keep = np.flatnonzero((ca >= 0) & (ca < cb))
+    ca, cb = region.take(src), region.take(dst)
+    # each boundary edge appears once per direction; keep the one with ca < cb.  An unreached
+    # vertex has only unreached neighbours, so every kept entry has ca >= 0
+    keep = np.flatnonzero(ca < cb)
     src, dst, ca, cb = src.take(keep), dst.take(keep), ca.take(keep), cb.take(keep)
     d = dist.take(src) + 1 + dist.take(dst)
-    pair = ca * dec.count + cb
-    order = np.lexsort((d, pair))
-    best = order[np.diff(pair[order], prepend=-1) != 0]  # first of each pair's run
+    order = _lex_order(ca, cb, d)
+    ca, cb = ca.take(order), cb.take(order)
+    # the first of each cluster pair's run is its best candidate; only these go back to int64
+    first = np.flatnonzero((np.diff(ca, prepend=-1) != 0) | (np.diff(cb, prepend=-1) != 0))
+    best = order.take(first)
+    ca, cb = ca.take(first).astype(np.int64), cb.take(first).astype(np.int64)
 
-    quotient = sparse.csr_array((d[best], (ca[best], cb[best])), shape=(dec.count, dec.count))
+    # the candidates are in cluster-pair order, so they are the quotient's CSR rows as they stand
+    indptr = np.searchsorted(ca, np.arange(dec.count + 1))
+    quotient = sparse.csr_array((d.take(best), cb, indptr), shape=(dec.count, dec.count))
     # scipy returns int32 indices; the pair keys below pass 2^31 once count > 46340
     rows, cols = (a.astype(np.int64) for a in minimum_spanning_tree(quotient).nonzero())
     if len(rows) < dec.count - 1:
@@ -155,12 +165,34 @@ def connect_clusters(dec: ClusterDecomposition) -> FactorGraphEdges:
             grouping.setdefault(comp_id, []).append(cid)
         raise DisconnectedClustersError(grouping)
     tree_pairs = np.minimum(rows, cols) * dec.count + np.maximum(rows, cols)
-    kept = best[np.sort(np.searchsorted(pair[best], tree_pairs))]
+    in_tree = np.sort(np.searchsorted(ca * dec.count + cb, tree_pairs))
+    kept = best.take(in_tree)
     return FactorGraphEdges(
-        np.stack((anchor[src[kept]], anchor[dst[kept]]), axis=1, dtype=np.int64),
-        d[kept],
-        np.stack((ca[kept], cb[kept]), axis=1),
+        np.stack((anchor.take(src.take(kept)), anchor.take(dst.take(kept))), axis=1),
+        d.take(kept),
+        np.stack((ca.take(in_tree), cb.take(in_tree)), axis=1),
     )
+
+
+def _lex_order(*keys: np.ndarray) -> np.ndarray:
+    """The stable order that sorts by ``keys[0]``, ties by ``keys[1]``, and so on: ``np.lexsort(keys[::-1])``.
+
+    One in-place ``np.sort`` per key, least significant first, of the key gathered in the
+    current order and shifted above each entry's rank in it, so equal keys keep their order.
+    Keys must be non-negative and below 2^(63 - bits), where bits is the rank's bit length:
+    ``connect_clusters`` sorts keys below 2^28 under ranks below 2^27.
+    """
+    m = len(keys[0])
+    bits = max(m - 1, 0).bit_length()
+    rank = np.arange(m, dtype=np.int64)
+    order = rank
+    for key in reversed(keys):
+        packed = np.left_shift(key.take(order), bits, dtype=np.int64)
+        packed |= rank
+        packed.sort()
+        packed &= (1 << bits) - 1
+        order = order.take(packed)
+    return order
 
 
 def _nearest_in_vertex(w: WindowGraph, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +205,11 @@ def _nearest_in_vertex(w: WindowGraph, inside: np.ndarray) -> tuple[np.ndarray, 
     array then finds every anchor and depth in about log2(max depth) vectorised passes.
     """
     n = w.n
-    indptr = np.concatenate((w.indptr, [w.indptr[-1] + inside.size]))
-    indices = np.concatenate((w.indices, inside))
+    # the search graph in csgraph's own int32 index type, so scipy makes no index copy
+    indptr = np.empty(n + 2, dtype=np.int32)
+    indptr[:-1] = w.indptr
+    indptr[-1] = w.indptr[-1] + inside.size
+    indices = np.concatenate((w.indices, inside), dtype=np.int32)
     g = sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(n + 1, n + 1))
     pred = breadth_first_order(g, n, directed=True, return_predecessors=True)[1][:n]
     # up[v] is the ancestor dist[v] steps up from v; in-vertices and unreached vertices are their own
@@ -236,8 +271,9 @@ def cost_upper_bound(dec: ClusterDecomposition, extra: FactorGraphEdges) -> Cost
 
 def gaboriau_induction(cost_restricted: float, mu_A: float) -> float:
     """Full-space cost bound from a restricted one: 1 + mu_A * (cost_restricted - 1)."""
-    if mu_A <= 0.0 or mu_A > 1.0:
+    # written so that NaN fails both checks
+    if not 0.0 < mu_A <= 1.0:
         raise ValueError("mu_A must lie in (0, 1]")
-    if cost_restricted < 1.0:
-        raise ValueError("restricted cost must be at least 1")
+    if not 1.0 <= cost_restricted < math.inf:
+        raise ValueError("restricted cost must be finite and at least 1")
     return 1.0 + mu_A * (cost_restricted - 1.0)

@@ -19,6 +19,11 @@ f(u) - f(v) that ``mtp_check`` runs in acceptance criterion 1, held bit for
 bit to ``ball_f_arrow``, which cuts both balls inside the ball around u; and
 ``gradient_norm_bound`` gives both sides of criterion 2's gradient norm bound.
 
+``tie_rule_connecting_pairs`` is ``clusters.connect_clusters`` as plain loops
+over a dict of candidates: the reference for which of several equidistant
+candidates a cluster pair keeps.  Only the tree itself is scipy's, as in the
+library.
+
 ``subset_colouring`` builds the d = 2 colouring whose colour-1 class is a
 boolean mask: the inverse of ``colourings.subset_mask``.
 
@@ -56,8 +61,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from urglab.balls import RootedBall, ball
+from urglab.clusters import FactorGraphEdges
 from urglab.colourings import IN, Colouring
 from urglab.graphs import GeneratorSet, WindowGraph, free_generators, torus_generators
 from urglab.kazhdan import (
@@ -402,6 +410,43 @@ def spanning_connected(window, mask, extra_pairs) -> bool:
                 seen.add(v)
                 queue.append(v)
     return len(seen) == len(members)
+
+
+def tie_rule_connecting_pairs(window, mask) -> FactorGraphEdges:
+    """``clusters.connect_clusters`` by plain loops, the reference for its tie rule.
+
+    Clusters come from ``flood_fill_clusters``.  A BFS queue seeded with the in-vertices in
+    increasing id order gives each vertex the anchor of the vertex that first reached it.
+    Every directed entry (u, v), in ``edge_arrays`` row order, whose regions' clusters
+    satisfy a < b is a candidate of weight dist(u) + 1 + dist(v); each cluster pair keeps
+    its first candidate of minimum weight, and scipy's ``minimum_spanning_tree`` over the
+    kept candidates, in cluster-pair order, picks the tree.  Needs a connected window.
+    """
+    cluster_of = {u: c for c, members in enumerate(flood_fill_clusters(window, mask)) for u in members}
+    inside = sorted(cluster_of)
+    anchor, dist = {u: u for u in inside}, {u: 0 for u in inside}
+    queue = deque(inside)
+    while queue:
+        u = queue.popleft()
+        for v in window.neighbour_rows[u]:
+            if v not in dist:
+                anchor[v], dist[v] = anchor[u], dist[u] + 1
+                queue.append(v)
+    best: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for u, v in zip(*(a.tolist() for a in window.edge_arrays)):
+        a, b = cluster_of[anchor[u]], cluster_of[anchor[v]]
+        d = dist[u] + 1 + dist[v]
+        if a < b and ((a, b) not in best or d < best[(a, b)][0]):
+            best[(a, b)] = (d, anchor[u], anchor[v])
+    keys = sorted(best)
+    count = len(set(cluster_of.values()))
+    quotient = sparse.csr_array(([best[k][0] for k in keys], ([a for a, _ in keys], [b for _, b in keys])),
+                                shape=(count, count))
+    tree = {(min(r, c), max(r, c)) for r, c in zip(*minimum_spanning_tree(quotient).nonzero())}
+    kept = [k for k in keys if k in tree]
+    return FactorGraphEdges(np.array([best[k][1:] for k in kept], dtype=np.int64).reshape(-1, 2),
+                            np.array([best[k][0] for k in kept], dtype=np.int64),
+                            np.array(kept, dtype=np.int64).reshape(-1, 2))
 
 
 def prim_tree_weight(weights) -> int:

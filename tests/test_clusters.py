@@ -1,20 +1,26 @@
 """Cluster decomposition, connecting pairs, and cost bounds."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from oracles import (
     build_explicit,
     flood_fill_clusters,
+    mutated,
     prim_tree_weight,
     set_distance,
     shortest_path_distance,
     spanning_connected,
+    tie_rule_connecting_pairs,
 )
 
+import urglab.clusters
 from urglab.clusters import (
     DisconnectedClustersError,
+    _lex_order,
     _nearest_in_vertex,
     connect_clusters,
     cost_upper_bound,
@@ -22,7 +28,7 @@ from urglab.clusters import (
     gaboriau_induction,
 )
 from urglab.colourings import sample, subset_mask
-from urglab.graphs import build_random_regular, build_torus_window
+from urglab.graphs import build_complete, build_random_regular, build_torus_window
 
 
 def cycle(n):
@@ -243,6 +249,54 @@ def test_connect_is_tree_minimal():
         assert not spanning_connected(w, dec.mask, reduced)
 
 
+def test_lex_order_matches_lexsort_of_reversed_keys():
+    # heavy ties in every key, and sizes on both sides of a bit-length step of the rank
+    rng = np.random.default_rng(17)
+    least_first = mutated(urglab.clusters, "_lex_order", "for key in reversed(keys):", "for key in keys:")
+    mutant_differs = False
+    for m in (0, 1, 2, 3, 8, 9, 64, 65, 1024, 1025):
+        for trial in range(4):
+            keys = (rng.integers(0, 3, m).astype(np.int32), rng.integers(0, 4, m).astype(np.int32),
+                    rng.integers(0, 1 << 27, m) if trial == 0 else rng.integers(0, 5, m))
+            expected = np.lexsort(keys[::-1])
+            got = _lex_order(*keys)
+            assert got.dtype == np.int64 and np.array_equal(got, expected), (m, trial)
+            mutant_differs |= not np.array_equal(least_first(*keys), expected)
+    assert mutant_differs
+
+
+def tie_rich_cases():
+    """Windows whose cluster pairs often have several candidates at the least distance."""
+    windows = [cycle(12), cycle(41), build_torus_window(2, 8), build_torus_window(2, 13),
+               build_torus_window(3, 5), build_complete(9), build_complete(16),
+               *[build_random_regular(k, n, seed=s) for k, n in ((1, 9), (2, 40), (3, 60)) for s in range(2)]]
+    assert any(summed_count_matrix(w).data.max() > 1 for w in windows)  # loops or parallel edges
+    for i, w in enumerate(windows):
+        for p in (0.1, 0.3, 0.5):
+            yield w, subset_mask(sample([p, 1.0 - p], w, seed=i))
+
+
+def test_connect_keeps_first_equidistant_candidate():
+    # each cluster pair keeps its first least-distance candidate in edge_arrays row order; a
+    # copy that keeps the last of each run of equal (cluster pair, distance) keys must differ
+    keeps_last = mutated(urglab.clusters, "connect_clusters", "order = _lex_order(ca, cb, d)",
+                         "order = len(d) - 1 - _lex_order(ca[::-1], cb[::-1], d[::-1])")
+    joined = mutant_differs = 0
+    for w, mask in tie_rich_cases():
+        # the k = 1 permutation windows are unions of cycles; the reference needs an in-vertex
+        if connected_components(w.csr)[0] > 1 or not mask.any():
+            continue
+        dec = decompose(w, mask)
+        expected = tie_rule_connecting_pairs(w, mask)
+        got = connect_clusters(dec)
+        for field in ("pairs", "distances", "cluster_pairs"):
+            a, b = getattr(got, field), getattr(expected, field)
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), (w.model, w.params, field)
+        joined += dec.count > 1  # an induced subgraph of K_n is one cluster
+        mutant_differs += not np.array_equal(keeps_last(dec).pairs, expected.pairs)
+    assert joined >= 20 and mutant_differs >= 5, (joined, mutant_differs)
+
+
 def test_connect_rejects_split_windows():
     w = build_explicit(6, [(0, 1), (2, 3), (4, 5)], tag="threepieces")
     dec = decompose(w, np.array([1, 0, 1, 0, 1, 0], dtype=bool))
@@ -297,6 +351,27 @@ def test_connect_past_int32_pair_keys():
     assert cost_upper_bound(dec, extra).empirical_bound == pytest.approx(1.0 - 1.0 / w.n, abs=1e-12)
 
 
+def test_cost_bound_forest_subset_reads_one_minus_one_over_n():
+    """A subset that induces a forest reads exactly 1 - 1/n, whatever the window.
+
+    Four 15-vertex row paths of the 16^2 torus, four rows apart, induce a forest of four
+    trees.  The induced trees and the three connecting pairs form one spanning tree of the
+    60 in-vertices, so the empirical bound is 1 - 1/n on any window and any forest subset:
+    this value carries no information about the cost of the window's group or action.
+    Closing one path into an induced 16-cycle adds an edge, and the bound rises above it.
+    """
+    w = build_torus_window(2, 16)
+    row, col = np.divmod(np.arange(w.n), 16)
+    paths = np.isin(row, [0, 4, 8, 12]) & (col < 15)
+    bounds = {}
+    for name, mask in (("paths", paths), ("one cycle", paths | ((row == 0) & (col == 15)))):
+        dec = decompose(w, mask)
+        assert dec.count == 4
+        bounds[name] = cost_upper_bound(dec, connect_clusters(dec)).empirical_bound
+    assert bounds["paths"] == 1.0 - 1.0 / w.n == 0.99609375
+    assert bounds["one cycle"] > 1.0 - 1.0 / w.n
+
+
 def test_cost_bound_full_subset_rank_style():
     # full subset: empirical bound reduces to half the average degree
     w = cycle(10)
@@ -333,6 +408,14 @@ def test_gaboriau_examples():
         gaboriau_induction(2.0, 0.0)
     with pytest.raises(ValueError):
         gaboriau_induction(0.5, 0.5)
+
+
+def test_gaboriau_rejects_nan_and_infinite_arguments():
+    # comparisons with NaN are all False, so checks written as "reject if below" let NaN through
+    for cost, mu in ((math.nan, 0.5), (2.0, math.nan), (math.inf, 0.5), (2.0, math.inf),
+                     (-math.inf, 0.5), (2.0, -math.inf), (math.nan, math.nan)):
+        with pytest.raises(ValueError):
+            gaboriau_induction(cost, mu)
 
 
 def test_gaboriau_monotone():
