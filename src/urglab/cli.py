@@ -35,6 +35,7 @@ from .clusters import (
 from .colourings import colouring_to_dict, sample, sample_constant, subset_mask
 from .gaussian import orthant_probability, orthant_probability_mc
 from .graphs import (
+    RANK_PARAM,
     WindowGraph,
     build_complete,
     build_path,
@@ -299,8 +300,9 @@ class WindowSpec(_Spec):
         try:
             if path.stat().st_size <= _FILE_BYTES:
                 data = json.loads(path.read_text())
-                rank = {"torus": "d", "random-regular": "k"}.get(data["model"])
-                labels = 2 * data["params"][rank] if rank else 0
+                rank = RANK_PARAM.get(data["model"])
+                # a rank that is not an int is refused by window_from_dict, which names it
+                labels = 2 * data["params"][rank] if rank and type(data["params"][rank]) is int else 0
                 if data["model"] == "explicit":  # one label per distinct name in the edge rows
                     labels = len({s for _, _, s in data["edges"]})
                 # the vertex count, the edge rows and the labels size every array the window builds
@@ -531,9 +533,7 @@ def _run_palm(spec: PalmSpec, config: ExperimentConfig, w: None) -> dict:
         rows = []
         for j, name in enumerate(names):
             seed = derive_seed(config.seed, "inversion-functional", j)
-            report, lhs_values, rhs_values = verify_voronoi_inversion(
-                BUILTIN_FUNCTIONALS[name], t, torus, config.trials, m, seed
-            )
+            report, lhs_values, rhs_values = verify_voronoi_inversion(name, t, torus, config.trials, m, seed)
             reports.append(asdict(report))
             rows.extend(
                 (name, str(i), fmt_float(lv), fmt_float(rv))
@@ -554,6 +554,9 @@ def _run_palm(spec: PalmSpec, config: ExperimentConfig, w: None) -> dict:
                 (str(i), fmt_float(report.nearest_distance), str(report.minimizer_count),
                  fmt_float(report.eps), str(report.violations), report.holds)
             )
+        if not rows:
+            raise GuardViolation(f"t: every one of the {config.trials} sampled configurations at t = {t:g} "
+                                 f"is empty, so local finiteness was checked nowhere")
         report = {"trials": len(rows), "total_violations": total_violations, "all_hold": total_violations == 0}
         header = ("trial", "nearest_distance", "minimizers", "eps", "violations", "holds")
     return {"palm_report.json": report, "palm_trials.csv": (header, rows)}

@@ -367,10 +367,17 @@ def window_to_json(w: WindowGraph) -> str:
     return json.dumps(window_to_dict(w), sort_keys=True)
 
 
+# the parameter that sets the label count of each label-action model: 2d and 2k labels
+RANK_PARAM = {"torus": "d", "random-regular": "k"}
+
+
 def window_from_dict(data: dict) -> WindowGraph:
     model = data["model"]
     params = data["params"]
     n = data["n"]
+    rank = RANK_PARAM.get(model)
+    if rank and not (type(params[rank]) is int and params[rank] >= 1):  # a bool would give rank 1
+        raise ValueError(f"params.{rank} must be a positive integer, got {params[rank]!r}")
     if model == "torus":
         gens = torus_generators(params["d"])
     elif model == "random-regular":

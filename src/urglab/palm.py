@@ -9,8 +9,10 @@ Two identities are checked numerically:
 * the inversion identity: for bounded f,
       E[f(w)]  =  t * E_Palm[ integral over V_0(w) of f(w - u) du ],
   whose inner integral is estimated by uniform torus samples filtered to
-  the origin cell (numerator and cell volume share the same draws).  The
-  built-in f are the ``BoundedFunctional`` values of ``BUILTIN_FUNCTIONALS``.
+  the origin cell (numerator and cell volume share the same draws).  Each
+  built-in f of ``BUILTIN_FUNCTIONALS`` is a radial function of the distance
+  from the origin to the configuration, applied to ``nearest_distance`` on
+  the lhs and to the in-cell distances on the rhs.
 
 A Palm sample lists the origin first, so both read the origin cell as the
 cell of point 0.  Both filter their uniform locations with
@@ -20,8 +22,7 @@ the nearby points with the KD-tree's own squared distances, so the in-cell
 sets and distances are those of a full ``bulk_nearest`` query.  That query
 builds the Palm sample's tree, which ``cell_members`` asks only about an
 exact tie, so a sample without ties builds none; the plain samples of the
-lhs and the translates of the generic rhs path only feed ``f.value``, and
-build none either.
+lhs only feed ``nearest_distance``, and build none either.
 
 For a rate-t Poisson process the root-conditioned law is the process plus
 an added origin point, which is how ``palm_sample_poisson`` constructs it.
@@ -43,6 +44,7 @@ from .torus import (
     bulk_nearest,
     cell_members,
     nearest_distance,
+    squared_distances,
 )
 
 
@@ -167,32 +169,13 @@ def verify_mean_cell_volume(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundedFunctional:
-    """A bounded test functional on configurations.
-
-    ``radial`` is an optional fast path for functionals that depend only on
-    the distance from the origin to the configuration; it receives an array
-    of such distances and returns the values.
-    """
-
-    name: str
-    value: Callable[[PointConfiguration], float]
-    radial: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def _origin_distance(config: PointConfiguration) -> float:
-    return nearest_distance(config, np.zeros(config.torus.dim))
-
-
-# the built-in functionals, each bounded by 1, keyed by name
-BUILTIN_FUNCTIONALS: dict[str, BoundedFunctional] = {f.name: f for f in (
-    BoundedFunctional("one", lambda config: 1.0, radial=np.ones_like),
-    BoundedFunctional("capped-nearest-distance", lambda config: min(1.0, _origin_distance(config)),
-                      radial=lambda d: np.minimum(1.0, d)),
-    BoundedFunctional("ball-occupied", lambda config: 1.0 if _origin_distance(config) <= 1.0 else 0.0,
-                      radial=lambda d: (d <= 1.0).astype(float)),
-)}
+# the built-in functionals, each bounded by 1, keyed by name: f(w) is the radial function of the
+# distance from the origin to w, taking an array of such distances to an array of values
+BUILTIN_FUNCTIONALS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "one": np.ones_like,
+    "capped-nearest-distance": lambda d: np.minimum(1.0, d),
+    "ball-occupied": lambda d: (d <= 1.0).astype(float),
+}
 
 
 @dataclass(frozen=True)
@@ -210,20 +193,25 @@ class InversionReport:
 
 
 def verify_voronoi_inversion(
-    f: BoundedFunctional, t: float, torus: FlatTorus, trials: int, m: int, seed: int
+    name: str, t: float, torus: FlatTorus, trials: int, m: int, seed: int
 ) -> tuple[InversionReport, np.ndarray, np.ndarray]:
-    """Stationary average of f vs the root-conditioned cell integral.
+    """Stationary average of the built-in functional ``name`` vs the
+    root-conditioned cell integral.
 
     lhs: mean of f over plain Poisson samples.  rhs: t times the mean over
     Palm samples of  volume * mean_j [ 1{u_j in origin cell} * f(w - u_j) ]
     with u_j uniform on the torus, an unbiased one-pass estimate of the
     cell integral in which the indicator and the integrand share draws.
+    For u in the origin cell, the nearest point of w - u to the origin is
+    the shifted root, at distance |u|: the in-cell distance.
     """
     _check_point_guard(t, torus)
+    radial = BUILTIN_FUNCTIONALS[name]
+    origin = np.zeros(torus.dim)
 
     def lhs_trial(i: int) -> float:
         config = sample_poisson(t, torus, derive_seed(seed, "inversion-lhs", i))
-        return float(f.value(config))
+        return float(radial(np.array(nearest_distance(config, origin))))
 
     lhs_values = np.asarray([lhs_trial(i) for i in range(trials)])
     lhs, lhs_stderr = mean_and_stderr(lhs_values)
@@ -234,15 +222,8 @@ def verify_voronoi_inversion(
         config = palm_sample_poisson(t, torus, derive_seed(seed, "inversion-palm", i))
         rng = derive_rng(seed, "inversion-inner", i)
         locations = rng.uniform(0.0, torus.side, size=(m, torus.dim))
-        in_cell, dists = cell_members(config, 0, locations)
-        if f.radial is not None:
-            # for u in the origin cell, the nearest point of (w - u) to the
-            # origin is the shifted root, at distance |u|
-            return vol * float(f.radial(dists).sum()) / m
-        total = 0.0
-        for u in locations[in_cell]:
-            total += f.value(config.shifted(-u))
-        return vol * total / m
+        _, dists = cell_members(config, 0, locations)
+        return vol * float(radial(dists).sum()) / m
 
     rhs_values = t * np.asarray([inner_trial(i) for i in range(trials)])
     rhs, rhs_stderr = mean_and_stderr(rhs_values)
@@ -250,7 +231,7 @@ def verify_voronoi_inversion(
     combined = math.hypot(lhs_stderr, rhs_stderr)
     return (
         InversionReport(
-            functional=f.name,
+            functional=name,
             lhs=lhs,
             lhs_stderr=lhs_stderr,
             rhs=rhs,
@@ -311,8 +292,7 @@ def check_local_finiteness(
     if trials < 1:
         raise ValueError("need at least one sampled location")
     torus = config.torus
-    h = np.asarray(h, dtype=float)
-    d2 = torus.distance_sq(config.points, h)
+    d2 = squared_distances(torus, config.points, h)
     r_sq = float(d2.min())
     minimizers = np.flatnonzero(d2 <= r_sq + 1e-12)
     k = len(minimizers)

@@ -1,12 +1,16 @@
 """Flat torus geometry: wrapped distances, point configurations, and
 nearest-point (Voronoi) assignment.
 
-Assignment has one rule: the nearest point, computed from the periodic
-KD-tree's own squared distances; the tree decides exact ties.
-``bulk_nearest`` is the tree's query itself.  ``cell_members`` decides the
-locations of one cell from those same squared distances, with no tree, and
-asks the tree only about a location that ties exactly between two nearest
-points, a measure-zero event for random locations.
+Assignment and every reported distance follow one rule: the periodic
+KD-tree's own squared distances (``_wrapped_differences``, then
+``_squared_lengths``); the tree decides exact ties.  ``bulk_nearest`` is
+the tree's query itself.  ``cell_members`` decides the locations of one
+cell from those same squared distances, with no tree, and asks the tree
+only about a location that ties exactly between two nearest points, a
+measure-zero event for random locations.  ``squared_distances`` computes
+them for one location, and the rooted-origin check for the first point.
+``_offset_rows`` wraps by rounding; its offsets feed only the bisector
+prefilter of ``cell_members``, which any periodic image serves.
 
 A configuration's periodic KD-tree is built by the first query that reads
 it.  Construction only checks distinctness, and that check needs the tree
@@ -79,18 +83,6 @@ class FlatTorus:
         # float rounding can land exactly on the seam
         return np.where(arr >= self.side, arr - self.side, arr)
 
-    def delta(self, a, b) -> np.ndarray:
-        """Wrapped difference a - b, componentwise in [-side/2, side/2)."""
-        diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        return diff - self.side * np.round(diff / self.side)
-
-    def distance_sq(self, a, b) -> np.ndarray:
-        d = self.delta(a, b)
-        return np.sum(d * d, axis=-1)
-
-    def distance(self, a, b) -> np.ndarray:
-        return np.sqrt(self.distance_sq(a, b))
-
 
 @dataclass(frozen=True, eq=False)
 class PointConfiguration:
@@ -100,8 +92,8 @@ class PointConfiguration:
     beyond DISTINCT_TOL: the periodic KD-tree must find no pair at wrapped
     distance <= DISTINCT_TOL.  The tree is built on the first query that
     reads it; construction asks it for pairs only when
-    ``_close_pair_suspected`` cannot rule them out.  When rooted, the origin
-    is the first listed point.
+    ``_close_pair_suspected`` cannot rule them out.  When rooted, the first
+    listed point lies within DISTINCT_TOL of the origin.
     """
 
     torus: FlatTorus
@@ -115,9 +107,9 @@ class PointConfiguration:
         if (len(pts) > 1 and _close_pair_suspected(pts, self.torus.side)
                 and len(self.kdtree.query_pairs(DISTINCT_TOL, output_type="ndarray"))):
             raise ValueError("configuration points must be pairwise distinct")
-        if self.rooted:
-            if len(pts) == 0 or np.any(np.abs(self.torus.delta(pts[0], 0.0)) > 1e-12):
-                raise ValueError("rooted configurations must list the origin first")
+        if self.rooted and (len(pts) == 0 or squared_distances(
+                self.torus, pts[:1], np.zeros(self.torus.dim))[0] > DISTINCT_TOL**2):
+            raise ValueError("rooted configurations must list the origin first")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -129,9 +121,6 @@ class PointConfiguration:
         from scipy.spatial import cKDTree
 
         return cKDTree(self.points, boxsize=self.torus.side)
-
-    def shifted(self, offset) -> "PointConfiguration":
-        return PointConfiguration(self.torus, self.points + np.asarray(offset, dtype=float))
 
 
 def _close_pair_suspected(points: np.ndarray, side: float) -> bool:
@@ -272,9 +261,28 @@ def cell_members(config: PointConfiguration, idx: int, locations: np.ndarray) ->
     return where[hit], dists[hit]
 
 
+def squared_distances(torus: FlatTorus, points: np.ndarray, location) -> np.ndarray:
+    """Squared distance from a location to each canonical point, as the KD-tree computes it.
+
+    The location is moved into the box as the tree moves a query, by floor(x / side) sides and
+    then by one more if rounding leaves it outside; ``FlatTorus.wrap``'s exact remainder can
+    differ from that in the last bits a few sides out.  Python floats round as numpy's do, at a
+    fraction of the per-call cost of array operations on one location.
+    """
+    side, x = torus.side, []
+    for c in np.reshape(location, torus.dim).tolist():
+        c -= math.floor(c / side) * side
+        if c >= side:
+            c -= side
+        if c < 0.0:
+            c += side
+        x.append(c)
+    return _squared_lengths(_wrapped_differences(torus, points, np.array([x])))[:, 0]
+
+
 def nearest_distance(config: PointConfiguration, location) -> float:
-    """Distance from a location to the configuration (inf when empty)."""
+    """Distance from a location to the configuration (inf when empty), bit for bit the tree's."""
     if len(config) == 0:
         return float("inf")
-    return float(np.sqrt(config.torus.distance_sq(config.points, np.asarray(location, dtype=float)).min()))
+    return float(np.sqrt(squared_distances(config.torus, config.points, location).min()))
 

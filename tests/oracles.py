@@ -33,7 +33,14 @@ closed-form labels of ``graphs.build_path`` and ``graphs.build_complete``.
 ``torus_entries_window`` and ``random_regular_entries_window`` build tori and
 permutation-model windows as entry lists through the generic sorting
 ``WindowGraph`` constructor: the reference for the builders' label-action
-route.
+route.  ``label_table`` reads a label-action window's entries back as the
+permutation each label applies, and ``word_fixed_points`` counts the
+vertices a word in the labels fixes: the windows' word certificates.
+
+``translate_inversion_rhs`` is the inversion identity's rhs with f evaluated
+at each translate w - u of the Palm sample, a new configuration per in-cell
+location u: the reference for the library's rhs, which reads f(w - u) off
+the in-cell distance |u|.
 
 ``anneal_reference`` is the balanced-partition annealer as it ran on a numpy
 colour array, copying the array on each new best state and drawing every
@@ -78,7 +85,9 @@ from urglab.kazhdan import (
     _result,
     feasible_size_windows,
 )
-from urglab.rng import derive_rng
+from urglab.palm import palm_sample_poisson
+from urglab.rng import derive_rng, derive_seed
+from urglab.torus import FlatTorus, PointConfiguration, cell_members, nearest_distance
 from urglab.transport import TransportFunction
 
 OUT = 2  # the colour outside the mask of a subset colouring
@@ -527,6 +536,43 @@ def random_regular_entries_window(k: int, n: int, seed: int) -> WindowGraph:
     return WindowGraph(n, np.concatenate([v, sigma]), np.concatenate([sigma, v]),
                        np.concatenate([out_label, out_label + 1]), free_generators(k),
                        "random-regular", {"k": k, "n": n}, seed=seed)
+
+
+def label_table(w: WindowGraph) -> np.ndarray:
+    """``P[label_id, src] = dst`` of a label-action window, from its entry arrays; raises
+    ValueError unless each vertex has exactly one entry under each label."""
+    src, dst = w.edge_arrays
+    if not (np.bincount(w.label_id * w.n + src, minlength=w.gens.size * w.n) == 1).all():
+        raise ValueError("not a label action: some vertex lacks a label or repeats one")
+    table = np.empty((w.gens.size, w.n), dtype=np.int64)
+    table[w.label_id, src] = dst
+    return table
+
+
+def word_fixed_points(table: np.ndarray, word) -> int:
+    """How many vertices the word (label ids, applied first to last) moves back to themselves."""
+    start = np.arange(table.shape[1])
+    at = start
+    for s in word:
+        at = table[s][at]
+    return int(np.count_nonzero(at == start))
+
+
+def translate_inversion_rhs(radial, t: float, torus: FlatTorus, trials: int, m: int, seed: int) -> np.ndarray:
+    """Per-trial rhs of ``palm.verify_voronoi_inversion`` from the same draws, with f(w - u) the
+    radial function at the distance from the origin to a new configuration of the translated
+    points, for each in-cell location u in turn."""
+    origin = np.zeros(torus.dim)
+    values = []
+    for i in range(trials):
+        config = palm_sample_poisson(t, torus, derive_seed(seed, "inversion-palm", i))
+        locations = derive_rng(seed, "inversion-inner", i).uniform(0.0, torus.side, size=(m, torus.dim))
+        in_cell, _ = cell_members(config, 0, locations)
+        total = 0.0
+        for u in locations[in_cell]:
+            total += float(radial(np.array(nearest_distance(PointConfiguration(torus, config.points - u), origin))))
+        values.append(torus.volume * total / m)
+    return t * np.asarray(values)
 
 
 # ----------------------------------------------------------------------

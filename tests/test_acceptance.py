@@ -244,7 +244,7 @@ def test_criterion_5_voronoi_inversion():
     torus = FlatTorus(2, 20.0)
     details = []
     for j, name in enumerate(sorted(BUILTIN_FUNCTIONALS)):
-        rep, _, _ = verify_voronoi_inversion(BUILTIN_FUNCTIONALS[name], 1.0, torus, trials=10**3, m=10**4, seed=500 + j)
+        rep, _, _ = verify_voronoi_inversion(name, 1.0, torus, trials=10**3, m=10**4, seed=500 + j)
         assert rep.diff <= 4.0 * max(rep.combined_stderr, 1e-12), rep
         details.append(f"{name}: |{rep.lhs:.4f}-{rep.rhs:.4f}|")
     elapsed = time.time() - start
@@ -257,7 +257,7 @@ def test_criterion_5_voronoi_inversion():
 def test_criterion_5_rejects_the_zero_cell(broken, monkeypatch):
     if broken:
         monkeypatch.setattr(palm, "palm_sample_poisson", size_biased_zero_cell)
-    rep, _, _ = verify_voronoi_inversion(BUILTIN_FUNCTIONALS["one"], 1.0, FlatTorus(2, 8.0), trials=200, m=2000, seed=7)
+    rep, _, _ = verify_voronoi_inversion("one", 1.0, FlatTorus(2, 8.0), trials=200, m=2000, seed=7)
     assert (rep.diff > 4.0 * max(rep.combined_stderr, 1e-12)) == broken, rep
 
 

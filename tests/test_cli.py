@@ -29,6 +29,7 @@ from urglab.cli import (
     run,
     validate,
 )
+from urglab.graphs import window_from_dict
 from urglab.palm import GuardViolation
 
 
@@ -459,6 +460,25 @@ def test_window_file_guard_counts_declared_labels(model, rank, tmp_path, capsys,
         build_window(params, 0)
 
 
+@pytest.mark.parametrize("model, rank, label", [("torus", "d", "+e1"), ("random-regular", "k", "s1")])
+@pytest.mark.parametrize("value", [True, 2.5, "2", 0], ids=["bool", "float", "string", "zero"])
+def test_window_file_rank_must_be_a_positive_integer(model, rank, label, value, tmp_path, capsys):
+    # a bool rank used to load as rank 1, under a window id such as torus(L=3,d=True)
+    data = {"model": model, "params": {rank: value, "L" if model == "torus" else "n": 3}, "seed": None,
+            "n": 3, "edges": [[0, 1, label], [1, 2, label], [2, 0, label]]}
+    with pytest.raises(ValueError, match=f"^params.{rank} must be a positive integer"):
+        window_from_dict(data)
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(data))
+    assert main(["mtp-check", "--model", "window-file", "--window-file", str(path),
+                 "--out", str(tmp_path / "refused")]) == 2
+    assert f"validation: window_file: cannot read {path}: params.{rank} must be a positive integer" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+    data["params"][rank] = 1  # the same file with an integer rank loads
+    assert window_from_dict(data).n == 3
+
+
 def test_window_file_guard_counts_explicit_labels(tmp_path, capsys, monkeypatch):
     # an explicit file builds one label per distinct name in its edge rows; the guard counts them
     def window_file(labels):
@@ -573,6 +593,22 @@ def test_palm_location_guard_counts_m_times_d(tmp_path, capsys, monkeypatch):
             assert not refused.exists()
         with pytest.raises(AssertionError, match="reached the sampler"):
             main([*palm_run, "--d", "2", "--m", "50000000"])
+
+
+def test_locfin_refuses_a_run_in_which_every_configuration_is_empty(tmp_path, capsys):
+    # t*L = 0.005: all three sampled configurations are empty, so no trial checks anything
+    refused = tmp_path / "refused"
+    assert main(["palm", "--check", "locfin", "--t", "0.001", "--L", "5", "--d", "1", "--trials", "3",
+                 "--out", str(refused)]) == 3
+    assert "guard: t: " in capsys.readouterr().err
+    assert not refused.exists()
+    # t*L = 1: trials 0, 7 and 9 of seed 0 are empty and skipped, the other seven run
+    out = tmp_path / "partly"
+    assert main(["palm", "--check", "locfin", "--t", "0.2", "--L", "5", "--d", "1", "--trials", "10",
+                 "--out", str(out)]) == 0
+    rows = (out / "palm_trials.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4", "5", "6", "8"]
+    assert json.loads((out / "palm_report.json").read_text())["trials"] == 7
 
 
 def test_part_counts_sum_exactly_and_are_capped(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Window builders, their invariants, and serialization."""
 
 import hashlib
+import itertools
 import json
 import tracemalloc
 from collections import Counter, deque
@@ -9,7 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_explicit, random_regular_entries_window, torus_entries_window
+from oracles import (
+    build_explicit,
+    label_table,
+    random_regular_entries_window,
+    torus_entries_window,
+    word_fixed_points,
+)
 
 from urglab.balls import ball
 from urglab.graphs import (
@@ -502,3 +509,98 @@ def test_window_build_peak_bytes_per_entry(build):
         if started:
             tracemalloc.stop()
     assert peak / w.indices.size <= 56
+
+
+# ----------------------------------------------------------------------
+# Word fixed-point certificates of label-action windows
+# ----------------------------------------------------------------------
+
+
+def _reduced_words(gens, length):
+    """Every word of ``length`` label ids in which no letter is followed by its inverse."""
+    inverse = gens.inverse_id
+    return [word for word in itertools.product(range(gens.size), repeat=length)
+            if all(inverse[a] != b for a, b in zip(word, word[1:]))]
+
+
+def _abelianisation(gens, word, d):
+    """Net steps along each axis of a torus word: +e(i+1) adds 1 to coordinate i, -e(i+1) subtracts it."""
+    steps = np.zeros(d, dtype=np.int64)
+    for s in word:
+        name = gens.labels[s]
+        steps[int(name[2:]) - 1] += 1 if name[0] == "+" else -1
+    return steps
+
+
+@pytest.mark.parametrize("d, L", [(1, 5), (2, 7), (3, 4)])
+def test_torus_words_fix_all_or_no_vertices_by_abelianisation(d, L):
+    w = build_torus_window(d, L)
+    table = label_table(w)
+    rng = np.random.default_rng(L)
+    for _ in range(60):
+        word = list(rng.integers(w.gens.size, size=int(rng.integers(1, 12))))
+        # the word followed by its inverse letters in another order nets zero on every axis
+        for trial in (word, word + [w.gens.inverse_id[s] for s in rng.permutation(word)]):
+            closed = not (_abelianisation(w.gens, trial, d) % L).any()
+            assert word_fixed_points(table, trial) == (w.n if closed else 0), trial
+
+
+def test_torus_word_certificates_on_the_7x7_torus():
+    w = build_torus_window(2, 7)
+    table = label_table(w)
+    e1, e1_inv, e2, e2_inv = (w.gens.id_of[s] for s in ("+e1", "-e1", "+e2", "-e2"))
+    commutator = [e1, e2, e1_inv, e2_inv]
+    assert word_fixed_points(table, [e1] * 7) == 49
+    assert word_fixed_points(table, commutator) == 49
+    assert word_fixed_points(table, [e1] * 6) == 0
+    # +e2 relabelled through a random vertex permutation is still a label action whose rows
+    # are bijections paired with their mirrors, and it still has order 7, but it no longer
+    # commutes with +e1
+    relabel = np.random.default_rng(0).permutation(w.n)
+    perms = table.copy()
+    perms[e2][relabel] = relabel[table[e2]]
+    perms[e2_inv][relabel] = relabel[table[e2_inv]]
+    broken = label_table(WindowGraph._from_permutations(perms, w.gens, "torus", {"d": 2, "L": 7}))
+    assert word_fixed_points(broken, [e2] * 7) == 49
+    assert word_fixed_points(broken, commutator) < 49
+
+
+def _sattolo_window(k, n, rng):
+    """A permutation-model window whose k permutations are uniform n-cycles, from Sattolo's
+    shuffle (each position swaps with a uniform earlier one): no vertex is fixed."""
+    perms = np.empty((2 * k, n), dtype=np.int64)
+    for i in range(k):
+        sigma = list(range(n))
+        for position, other in zip(range(n - 1, 0, -1), rng.random(n - 1) * np.arange(n - 1, 0, -1)):
+            other = int(other)
+            sigma[position], sigma[other] = sigma[other], sigma[position]
+        perms[2 * i] = sigma
+        perms[2 * i + 1][perms[2 * i]] = np.arange(n)
+    return WindowGraph._from_permutations(perms, free_generators(k), "random-regular", {"k": k, "n": n})
+
+
+def _word_totals(windows, gens, lengths):
+    """Per window (rows), the fixed-point total over all reduced words of each length (columns)."""
+    words = [_reduced_words(gens, length) for length in lengths]
+    return np.array([[sum(word_fixed_points(table, word) for word in group) for group in words]
+                     for table in map(label_table, windows)], dtype=float)
+
+
+def _mean_and_stderr(totals):
+    return totals.mean(axis=0), totals.std(axis=0, ddof=1) / np.sqrt(len(totals))
+
+
+def test_permutation_model_word_totals_match_their_exact_means():
+    # each uniform permutation fixes 1 vertex on average and its square 2; the product of two
+    # independent ones is uniform, so the 4 words of length 1 total 4 and the 12 of length 2
+    # (4 squares and 8 products) total 16, exactly at every n
+    gens = free_generators(2)
+    totals = _word_totals((build_random_regular(2, 4096, seed) for seed in range(200)), gens, (1, 2))
+    mean, stderr = _mean_and_stderr(totals)
+    assert (np.abs(mean - [4.0, 16.0]) <= 4 * stderr).all(), (mean, stderr)
+    # uniform n-cycles pass the bijection and mirror checks but fix nothing, nor do their squares:
+    # their length <= 2 total falls far below 20
+    rng = np.random.default_rng(0)
+    totals = _word_totals((_sattolo_window(2, 4096, rng) for _ in range(50)), gens, (1, 2))
+    mean, stderr = _mean_and_stderr(totals.sum(axis=1))
+    assert abs(mean - 20.0) > 4 * stderr, (mean, stderr)

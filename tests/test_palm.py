@@ -8,13 +8,12 @@ import time
 
 import numpy as np
 import pytest
-from oracles import mutated
+from oracles import mutated, translate_inversion_rhs
 from scipy import stats
 
 from urglab.cli import ExperimentConfig, run
 from urglab.palm import (
     BUILTIN_FUNCTIONALS,
-    BoundedFunctional,
     GuardViolation,
     cell_volume_mc,
     check_local_finiteness,
@@ -27,6 +26,7 @@ from urglab.palm import (
 from urglab.torus import (
     FlatTorus,
     PointConfiguration,
+    _offset_rows,
     bulk_nearest,
     cell_members,
     nearest_distance,
@@ -37,11 +37,52 @@ T2 = FlatTorus(2, 10.0)
 
 def test_torus_metric_basics():
     t = FlatTorus(1, 8.0)
-    assert t.distance(np.array([1.0]), np.array([7.0])) == pytest.approx(2.0)
+
+    def distance(a, b):
+        return nearest_distance(PointConfiguration(t, b), a)
+
+    assert distance(np.array([1.0]), np.array([7.0])) == pytest.approx(2.0)
     rng = np.random.default_rng(0)
     a, b, shift = rng.uniform(0, 8, (3, 1))
-    assert t.distance(a, b) == pytest.approx(t.distance(b, a))
-    assert t.distance(a + shift, b + shift) == pytest.approx(t.distance(a, b))
+    assert distance(a, b) == pytest.approx(distance(b, a))
+    assert distance(a + shift, b + shift) == pytest.approx(distance(a, b))
+
+
+def _torus_distance_sq(torus, points, x):
+    """Squared wrapped distances from x to each point, each coordinate difference moved by
+    the nearest multiple of the side: a rule written apart from the library's."""
+    diff = points - x
+    diff -= torus.side * np.round(diff / torus.side)
+    return np.sum(diff * diff, axis=-1)
+
+
+def _tree_distance_mismatches(dim):
+    """(in the box, moved by whole sides): how many of 1000 and 200 locations get a
+    ``nearest_distance`` that differs in any bit from the KD-tree's query there, on a
+    rate-1 Poisson sample of about 500 points."""
+    torus = FlatTorus(dim, 500.0 ** (1.0 / dim))
+    config = sample_poisson(1.0, torus, seed=dim)
+    rng = np.random.default_rng(dim)
+    locations = rng.uniform(0.0, torus.side, (1000, dim))
+    moved = locations[:200] + torus.side * rng.integers(-3, 4, (200, dim))
+    return tuple(int(np.count_nonzero(np.array([nearest_distance(config, x) for x in at]) != bulk_nearest(config, at)[0]))
+                 for at in (locations, moved))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 12])
+def test_nearest_distance_is_the_trees_distance(dim):
+    # the KD-tree adds the squares in coordinate order; np.sum adds pairwise from d = 8 up
+    assert _tree_distance_mismatches(dim) == (0, 0)
+
+
+def test_tree_distance_rejects_the_exact_remainder(monkeypatch):
+    import urglab.torus
+
+    # the exact remainder of FlatTorus.wrap (np.mod, as Python's %) in place of the tree's floor(x / side) sides
+    monkeypatch.setattr(urglab.torus, "squared_distances", mutated(
+        urglab.torus, "squared_distances", "c -= math.floor(c / side) * side", "c %= side"))
+    inside, moved = _tree_distance_mismatches(2)
+    assert inside == 0 and moved > 0
 
 
 def test_wrap_stays_inside():
@@ -206,11 +247,10 @@ def test_trees_are_built_by_their_first_query(monkeypatch):
     built = []
     tree = scipy.spatial.cKDTree
     monkeypatch.setattr(scipy.spatial, "cKDTree", lambda *args, **kw: built.append(1) or tree(*args, **kw))
-    f = BUILTIN_FUNCTIONALS["capped-nearest-distance"]
     config = sample_poisson(1.0, T2, seed=3)
-    f.value(config)
-    moved = config.shifted(-config.points[0])
-    f.value(moved)
+    nearest_distance(config, np.zeros(2))
+    moved = PointConfiguration(T2, config.points - config.points[0])
+    nearest_distance(moved, np.zeros(2))
     assert "kdtree" not in config.__dict__ and "kdtree" not in moved.__dict__ and built == []
     palm = palm_sample_poisson(1.0, T2, seed=3)
     locations = np.random.default_rng(3).uniform(0.0, 10.0, (500, 2))
@@ -221,8 +261,8 @@ def test_trees_are_built_by_their_first_query(monkeypatch):
     assert len(built) == 1
     # none for the Palm cells, the lhs samples or the translates
     built.clear()
-    generic = BoundedFunctional("generic", f.value)
-    verify_voronoi_inversion(generic, 1.0, FlatTorus(2, 6.0), 4, 300, seed=2)
+    verify_voronoi_inversion("capped-nearest-distance", 1.0, FlatTorus(2, 6.0), 4, 300, seed=2)
+    translate_inversion_rhs(BUILTIN_FUNCTIONALS["capped-nearest-distance"], 1.0, FlatTorus(2, 6.0), 4, 300, seed=2)
     verify_mean_cell_volume(1.0, FlatTorus(2, 6.0), 4, 300, seed=2)
     assert built == []
 
@@ -305,7 +345,7 @@ def test_bulk_assignment_minimizes_distance():
     dists, assigned = bulk_nearest(config, locations)
     assert dists.shape == assigned.shape == (40,)
     for g, dist, idx in zip(locations, dists, assigned):
-        d_all = T2.distance_sq(config.points, g)
+        d_all = _torus_distance_sq(T2, config.points, g)
         assert d_all[idx] <= d_all.min() + 1e-12
         assert dist == pytest.approx(math.sqrt(d_all[idx]), abs=1e-12)
 
@@ -428,8 +468,8 @@ def _filtered_members(config, idx, locations, bound):
     site = config.points[idx]
     _, near = config.kdtree.query(site, k=min(17, len(config)))
     near = np.atleast_1d(near)
-    offsets = torus.delta(config.points[near[near != idx]], site)
-    rel = torus.delta(locations, site)
+    offsets = _offset_rows(torus, config.points[near[near != idx]], site).T
+    rel = _offset_rows(torus, locations, site).T
     where = np.arange(len(locations))
     for p in offsets:
         where = where[rel[where] @ p <= bound(p @ p, torus.side)]
@@ -493,8 +533,8 @@ def test_translation_invariance_of_assignment():
         g = rng.uniform(0, 10, 2)
         shift = rng.uniform(0, 10, 2)
         _, (base,) = bulk_nearest(config, g[None])
-        _, (moved,) = bulk_nearest(config.shifted(shift), T2.wrap(g + shift)[None])
-        assert moved == base  # ``shifted`` keeps the point order
+        _, (moved,) = bulk_nearest(PointConfiguration(T2, config.points + shift), T2.wrap(g + shift)[None])
+        assert moved == base  # the translate keeps the point order
 
 
 def test_cell_volume_single_point_exact():
@@ -531,7 +571,7 @@ def test_mean_cell_volume_guard():
 
 
 def test_inversion_constant_functional():
-    report, lhs_values, rhs_values = verify_voronoi_inversion(BUILTIN_FUNCTIONALS["one"], 1.0, T2, 200, 4000, seed=7)
+    report, lhs_values, rhs_values = verify_voronoi_inversion("one", 1.0, T2, 200, 4000, seed=7)
     assert np.all(lhs_values == 1.0)
     assert report.lhs == 1.0
     assert report.diff <= 4 * max(report.combined_stderr, 1e-12)
@@ -539,20 +579,18 @@ def test_inversion_constant_functional():
 
 def test_inversion_radial_functionals_small():
     for name in ("capped-nearest-distance", "ball-occupied"):
-        report, _, _ = verify_voronoi_inversion(BUILTIN_FUNCTIONALS[name], 1.0, T2, 300, 4000, seed=8)
+        report, _, _ = verify_voronoi_inversion(name, 1.0, T2, 300, 4000, seed=8)
         assert report.diff <= 4 * report.combined_stderr
 
 
 def test_inversion_generic_path_agrees_with_radial():
-    # drop the fast path and make sure the generic shifted-configuration
-    # evaluation estimates the same quantity
-    radial = BUILTIN_FUNCTIONALS["ball-occupied"]
-    generic = BoundedFunctional("ball-occupied-generic", radial.value)
+    # f evaluated at each translated configuration estimates what the library
+    # reads off the in-cell distances
     torus = FlatTorus(2, 6.0)
-    rep_r, _, _ = verify_voronoi_inversion(radial, 1.0, torus, 150, 800, seed=9)
-    rep_g, lhs_values, rhs_values = verify_voronoi_inversion(generic, 1.0, torus, 150, 800, seed=9)
-    assert rep_g.rhs == pytest.approx(rep_r.rhs, abs=1e-12)  # same draws, same estimate
-    # golden digest of the generic path's per-trial values
+    rep_r, lhs_values, _ = verify_voronoi_inversion("ball-occupied", 1.0, torus, 150, 800, seed=9)
+    rhs_values = translate_inversion_rhs(BUILTIN_FUNCTIONALS["ball-occupied"], 1.0, torus, 150, 800, seed=9)
+    assert rhs_values.mean() == pytest.approx(rep_r.rhs, abs=1e-12)  # same draws, same estimate
+    # golden digest of the per-trial values: the library's lhs, the translates' rhs
     digest = hashlib.sha256(lhs_values.tobytes() + rhs_values.tobytes()).hexdigest()
     assert digest == "4070898333e296a8dd97b13d0425037a1067f90b76536f3da4ba75fa4a430cf9"
 
